@@ -7,6 +7,14 @@ import "math/bits"
 // minimum width that fits the largest delta. Random access stays O(1), which
 // is what distinguishes FOR from delta coding and what the Succinct leaf
 // encoding of the paper relies on.
+//
+// NewFORArray produces the canonical form: the frame is the true minimum
+// and the width the smallest that fits the largest delta. WithSet may
+// return a non-canonical array — same frame and width as its source even
+// when the patched value would now allow a tighter one — whose Bytes()
+// equals its source's. Every operation reads such an array correctly;
+// decoding and re-encoding through NewFORArray (leaf migrations and
+// checkpoints do) restores the canonical form.
 type FORArray struct {
 	deltas PackedArray
 	min    uint64
@@ -38,6 +46,39 @@ func NewFORArray(vals []uint64) FORArray {
 		}
 	}
 	return f
+}
+
+// forStackBuf is the decode buffer WithSet keeps on the stack when it has
+// to re-encode; B+-tree leaves (at most 256 pairs) always fit.
+const forStackBuf = 256
+
+// WithSet returns a copy of f whose element i is v; f itself is not
+// modified. When v fits f's frame and width, the packed words are copied
+// and the one field is patched in place of a decode and re-encode, which
+// may leave the result non-canonical (see the type comment). Otherwise
+// the elements are decoded, edited and encoded afresh.
+func (f *FORArray) WithSet(i int, v uint64) FORArray {
+	n, w := f.deltas.n, f.deltas.width
+	if uint(i) >= uint(n) {
+		panic("bitutil: FORArray.WithSet index out of range")
+	}
+	if d := v - f.min; v >= f.min && (w == 64 || d>>w == 0) {
+		nf := FORArray{min: f.min, deltas: PackedArray{n: n, width: w}}
+		if w > 0 {
+			nf.deltas.words = make([]uint64, len(f.deltas.words))
+			copy(nf.deltas.words, f.deltas.words)
+			nf.deltas.put(i, d)
+		}
+		return nf
+	}
+	var stack [forStackBuf]uint64
+	buf := stack[:]
+	if n > len(stack) {
+		buf = make([]uint64, n)
+	}
+	f.DecodeRange(0, n, buf)
+	buf[i] = v
+	return NewFORArray(buf[:n])
 }
 
 // Len returns the number of elements.

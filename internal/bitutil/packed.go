@@ -69,6 +69,20 @@ func (p *PackedArray) set(i int, v uint64) {
 	}
 }
 
+// put overwrites field i with v, which must fit the width (1..64). Unlike
+// set it does not assume the field is still zero.
+func (p *PackedArray) put(i int, v uint64) {
+	w := uint(p.width)
+	bit := uint(i) * w
+	word, off := bit/64, bit%64
+	mask := ^uint64(0) >> (64 - w)
+	p.words[word] = p.words[word]&^(mask<<off) | v<<off
+	if off+w > 64 {
+		sh := 64 - off
+		p.words[word+1] = p.words[word+1]&^(mask>>sh) | v>>sh
+	}
+}
+
 // Get returns element i. It performs at most two word reads and a handful
 // of shifts — the "additional instructions and bitwise operations" the
 // paper attributes to the succinct layout.

@@ -49,7 +49,7 @@ type AdaptiveConfig struct {
 	// is accepted, so external executors can wake instead of polling.
 	OnMigrationQueued func()
 	// NoEagerExpand disables the eager expand-on-insert policy (ablation;
-	// writes then re-encode leaves in place, preserving their encoding).
+	// an insert then keeps the leaf's encoding).
 	NoEagerExpand bool
 	// ImpatientCompaction makes the CSHF compact on the first cold
 	// classification instead of waiting for two consecutive ones
@@ -466,9 +466,8 @@ func (s *Session) Delete(k uint64) bool {
 		return s.deleteTraced(k)
 	}
 	sample := s.sampler.IsSample()
-	ok := s.a.Tree.Delete(k)
+	ok, leaf := s.a.Tree.deleteTracked(k, nil)
 	if sample {
-		_, leaf, _ := s.a.Tree.lookupLeaf(k)
 		s.sampler.Track(leaf, core.Delete, LeafCtx{})
 	}
 	return ok

@@ -459,8 +459,8 @@ func serveGappedRun(leaf *Leaf, g *gapped, lb *leafBox, keys, vals []uint64, fou
 // whether keys[i] was newly inserted (false: overwrote an existing value).
 // Equivalent to per-key Insert calls in batch-sorted order (duplicate keys
 // keep submission order, so the last value wins), but consecutive sorted
-// keys landing in the same leaf are merged under one lock with a single
-// payload re-encode.
+// keys landing in the same leaf are merged under one lock into a single
+// new leaf image.
 func (t *Tree) InsertBatch(keys, vals []uint64, inserted []bool) {
 	t.insertBatchTracked(keys, vals, inserted, nil)
 }
@@ -495,63 +495,26 @@ func (t *Tree) insertBatchTracked(keys, vals []uint64, inserted []bool, track fu
 }
 
 // insertRun inserts the run of sorted keys starting at order[cursor] that
-// shares one leaf: one descent, one lock acquisition, one re-encode for
-// the whole run. Returns the cursor past the consumed run. Keys that need
-// a split fall back to the per-key insert path.
+// shares one leaf: one descent and one lock acquisition for the whole run.
+// A run of one key — the usual case for a batch of random keys — and any
+// write to a full leaf (overwrite or split) are the single-key write,
+// putLocked; a longer run is merged in scratch and encoded once. Returns
+// the cursor past the consumed run.
 func (t *Tree) insertRun(keys, vals []uint64, inserted []bool,
 	order []int, cursor int, track func(int, *Leaf, bool)) int {
 	head := order[cursor]
 	k := keys[head]
-	var leaf *Leaf
-	for {
-		leaf, _ = t.descend(k, nil)
-		if !leaf.lock.writeLock() {
-			continue
-		}
-		// Move right while locked (a split may have shifted our range).
-		ok := true
-		for {
-			b := leaf.box.Load()
-			if b.covers(k) || b.next == nil {
-				break
-			}
-			next := b.next
-			leaf.lock.unlock()
-			leaf = next
-			if !leaf.lock.writeLock() {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			break
-		}
-	}
-	b := leaf.box.Load()
+	var path descentPath
+	leaf, b := t.lockLeaf(k, &path, nil)
 	p := b.p
 
-	if p.count() >= LeafCap {
-		// Full leaf: overwrite in place if the key exists, otherwise take
-		// the per-key split path for just this key.
-		if pos, found := p.search(k); found {
-			np := t.clonePayload(p)
-			np.(mutablePayload).update(pos, vals[head])
-			t.swapLeafBox(leaf, b, &leafBox{p: np, next: b.next, highKey: b.highKey, hasHigh: b.hasHigh})
-			leaf.lock.unlock()
-			t.cacheInvalidate(k)
-			inserted[head] = false
-			if track != nil {
-				track(head, leaf, false)
-			}
-			return cursor + 1
-		}
-		leaf.lock.unlock()
-		ins, lf, exp := t.insertTracked(k, vals[head])
+	if next := cursor + 1; p.count() >= LeafCap || next == len(order) || !b.covers(keys[order[next]]) {
+		ins, exp := t.putLocked(leaf, b, &path, k, vals[head])
 		inserted[head] = ins
 		if track != nil {
-			track(head, lf, exp)
+			track(head, leaf, exp)
 		}
-		return cursor + 1
+		return next
 	}
 
 	target := p.encoding()
@@ -563,38 +526,35 @@ func (t *Tree) insertRun(keys, vals []uint64, inserted []bool,
 	}
 	scratch := kvPool.Get().(*kvScratch)
 	gk, gv := p.appendAll(scratch.keys[:0], scratch.vals[:0])
-	g := gapped{keys: gk, vals: gv}
 	newKeys := 0
 	j := cursor
 	for j < len(order) {
 		idx := order[j]
 		kj := keys[idx]
-		// The head is covered by construction (locked move-right above);
+		// The head is covered by construction (lockLeaf moved right);
 		// later keys are >= the head and must stay under the high key.
 		if j > cursor && !b.covers(kj) {
 			break
 		}
-		if len(g.keys) >= LeafCap {
+		pos, found := searchBinaryScalar(gk, kj)
+		if found {
+			gv[pos] = vals[idx]
+		} else if len(gk) >= LeafCap {
 			// No room for new keys; only overwrites may continue the run.
-			pos, found := searchBinaryScalar(g.keys, kj)
-			if !found {
-				break
-			}
-			g.vals[pos] = vals[idx]
-			inserted[idx] = false
+			break
 		} else {
-			before := len(g.keys)
-			g.insert(kj, vals[idx])
-			ins := len(g.keys) > before
-			inserted[idx] = ins
-			if ins {
-				newKeys++
-			}
+			gk, gv = gk[:len(gk)+1], gv[:len(gv)+1]
+			copy(gk[pos+1:], gk[pos:])
+			copy(gv[pos+1:], gv[pos:])
+			gk[pos], gv[pos] = kj, vals[idx]
+			newKeys++
 		}
+		inserted[idx] = !found
 		j++
 	}
-	np := t.encode(target, g.keys, g.vals)
-	t.swapLeafBox(leaf, b, &leafBox{p: np, next: b.next, highKey: b.highKey, hasHigh: b.hasHigh})
+	np := t.encode(target, gk, gv)
+	kvPool.Put(scratch)
+	t.swapLeafBox(leaf, b, b.with(np))
 	leaf.lock.unlock()
 	if track != nil {
 		// Tracked AFTER the lock is released: a tracked insert can complete a
@@ -615,7 +575,6 @@ func (t *Tree) insertRun(keys, vals []uint64, inserted []bool,
 			}
 		}
 	}
-	putKV(scratch, g.keys, g.vals)
 	if newKeys > 0 {
 		t.keyCount.Add(int64(newKeys))
 	}

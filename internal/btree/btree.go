@@ -47,6 +47,11 @@ type leafBox struct {
 
 func (b *leafBox) covers(k uint64) bool { return !b.hasHigh || k < b.highKey }
 
+// with returns an image holding p over the same key range and sibling.
+func (b *leafBox) with(p payload) *leafBox {
+	return &leafBox{p: p, next: b.next, highKey: b.highKey, hasHigh: b.hasHigh}
+}
+
 // Inner is one inner node.
 type Inner struct {
 	lock olcLock
@@ -101,8 +106,8 @@ type Config struct {
 	// paper's assumed average).
 	Occupancy float64
 	// ExpandOnInsert eagerly migrates non-Gapped leaves to Gapped when a
-	// write hits them (the adaptive tree's policy, §5.2); without it,
-	// writes re-encode in place, preserving the leaf's encoding.
+	// write hits them (the adaptive tree's policy, §5.2); without it, the
+	// new image keeps the leaf's encoding.
 	ExpandOnInsert bool
 	// NegFilterBits, when positive, embeds a negative-lookup filter of
 	// that many bits per key into every Succinct leaf (built at encode
@@ -188,10 +193,17 @@ func (t *Tree) newLeaf(p payload, next *Leaf, highKey uint64, hasHigh bool) *Lea
 // swapLeafBox replaces a leaf's image under its lock, fixing accounting.
 func (t *Tree) swapLeafBox(l *Leaf, old, new_ *leafBox) {
 	oe, ne := old.p.encoding(), new_.p.encoding()
-	t.countByEnc[oe].Add(-1)
-	t.bytesByEnc[oe].Add(-int64(old.p.bytes() + leafHeaderBytes))
-	t.countByEnc[ne].Add(1)
-	t.bytesByEnc[ne].Add(int64(new_.p.bytes() + leafHeaderBytes))
+	ob, nb := int64(old.p.bytes()), int64(new_.p.bytes())
+	if oe != ne {
+		t.countByEnc[oe].Add(-1)
+		t.bytesByEnc[oe].Add(-ob - leafHeaderBytes)
+		t.countByEnc[ne].Add(1)
+		t.bytesByEnc[ne].Add(nb + leafHeaderBytes)
+	} else if nb != ob {
+		// Same-size rewrites (every Gapped write, most overwrites) skip
+		// the shared counters altogether.
+		t.bytesByEnc[oe].Add(nb - ob)
+	}
 	l.box.Store(new_)
 }
 
@@ -295,10 +307,18 @@ func (t *Tree) assemble(leaves []*Leaf, seps []uint64) {
 	t.root.Store(level[0].inner)
 }
 
-// descend walks from the root to the leaf responsible for k. It appends
-// the visited inner nodes to stack (outermost first) when stack != nil and
-// returns the leaf plus the inner node it was reached from.
-func (t *Tree) descend(k uint64, stack *[]*Inner) (*Leaf, *Inner) {
+// descentPath records, by height, the inner node a descent went through
+// at each level: path[d-1] is the node of depth d (1: its children are
+// leaves). A fixed array keeps it on the writer's stack; eight levels are
+// beyond reach, since inner nodes split at 64 children and never shrink,
+// so depth 9 needs 32^8 leaves. Levels a concurrent root growth added stay
+// nil; insertSeparator then finds the node by a fresh descent.
+type descentPath [8]*Inner
+
+// descend walks from the root to the leaf responsible for k, recording
+// the visited inner nodes in path when path != nil, and returns the leaf
+// plus the inner node it was reached from.
+func (t *Tree) descend(k uint64, path *descentPath) (*Leaf, *Inner) {
 	node := t.root.Load()
 	for {
 		b := node.box.Load()
@@ -306,8 +326,8 @@ func (t *Tree) descend(k uint64, stack *[]*Inner) (*Leaf, *Inner) {
 			node = b.next
 			continue
 		}
-		if stack != nil {
-			*stack = append(*stack, node)
+		if path != nil {
+			path[b.depth-1] = node
 		}
 		c := b.children[b.childIdx(k)]
 		if b.leafLevel() {
@@ -440,135 +460,104 @@ func (t *Tree) insertTracked(k, v uint64) (bool, *Leaf, bool) {
 // for the flight recorder: retries (when non-nil) counts each time the
 // insert lost its leaf lock or found a dead leaf and had to re-descend.
 func (t *Tree) insertTrackedProf(k, v uint64, retries *int32) (bool, *Leaf, bool) {
+	var path descentPath
+	leaf, b := t.lockLeaf(k, &path, retries)
+	inserted, expanded := t.putLocked(leaf, b, &path, k, v)
+	return inserted, leaf, expanded
+}
+
+// lockLeaf descends to the leaf covering k and returns it write-locked
+// together with its current image, moving right while locked (a split may
+// have shifted the range) and re-descending when a leaf on the way turned
+// obsolete.
+func (t *Tree) lockLeaf(k uint64, path *descentPath, retries *int32) (*Leaf, *leafBox) {
 	for {
-		stack := make([]*Inner, 0, 8)
-		leaf, _ := t.descend(k, &stack)
-		if !leaf.lock.writeLock() {
-			if retries != nil {
-				*retries++
-			}
-			continue // leaf became obsolete under us; re-descend
-		}
-		// Move right while locked (a split may have shifted our range).
-		for {
+		leaf, _ := t.descend(k, path)
+		for leaf.lock.writeLock() {
 			b := leaf.box.Load()
 			if b.covers(k) || b.next == nil {
-				break
+				return leaf, b
 			}
-			next := b.next
 			leaf.lock.unlock()
-			leaf = next
-			if !leaf.lock.writeLock() {
-				leaf = nil
-				break
-			}
+			leaf = b.next
 		}
-		if leaf == nil {
-			if retries != nil {
-				*retries++
-			}
-			continue
+		if retries != nil {
+			*retries++
 		}
-		b := leaf.box.Load()
-		p := b.p
+	}
+}
 
-		// Overwrite in place if the key exists.
-		if i, found := p.search(k); found {
-			np := t.clonePayload(p)
-			np.(mutablePayload).update(i, v)
-			t.swapLeafBox(leaf, b, &leafBox{p: np, next: b.next, highKey: b.highKey, hasHigh: b.hasHigh})
-			leaf.lock.unlock()
-			t.cacheInvalidate(k)
-			return false, leaf, false
+// putLocked stores v under k in leaf, which the caller holds write-locked
+// with current image b and path from its descent, and unlocks it. The new
+// image is derived from b.p in one pass (payload.go); b itself stays as
+// it is for the readers that still hold it. It reports whether k was new
+// and whether the write eagerly expanded the leaf.
+func (t *Tree) putLocked(leaf *Leaf, b *leafBox, path *descentPath, k, v uint64) (inserted, expanded bool) {
+	p := b.p
+	pos, found := p.search(k)
+	if found {
+		t.swapLeafBox(leaf, b, b.with(p.withValue(pos, v)))
+		leaf.lock.unlock()
+		t.cacheInvalidate(k)
+		return false, false
+	}
+	enc := p.encoding()
+	if t.cfg.ExpandOnInsert && enc != EncGapped {
+		enc, expanded = EncGapped, true
+	}
+	n := p.count()
+	if n < LeafCap {
+		if expanded {
+			t.expansions.Add(1)
 		}
-
-		if p.count() < LeafCap {
-			target := p.encoding()
-			expanded := false
-			if t.cfg.ExpandOnInsert && target != EncGapped {
-				target = EncGapped
-				expanded = true
-				t.expansions.Add(1)
-			}
-			keys, vals := p.appendAll(nil, nil)
-			g := gapped{keys: keys, vals: vals}
-			g.insert(k, v)
-			np := t.encode(target, g.keys, g.vals)
-			t.swapLeafBox(leaf, b, &leafBox{p: np, next: b.next, highKey: b.highKey, hasHigh: b.hasHigh})
-			leaf.lock.unlock()
-			t.keyCount.Add(1)
-			return true, leaf, expanded
-		}
-
-		// Split: left keeps the lower half, a new right leaf the rest.
-		keys, vals := p.appendAll(nil, nil)
-		g := gapped{keys: keys, vals: vals}
-		g.insert(k, v)
-		mid := len(g.keys) / 2
-		sep := g.keys[mid]
-		enc := p.encoding()
-		if t.cfg.ExpandOnInsert {
-			enc = EncGapped
-		}
-		right := t.newLeaf(t.encode(enc, g.keys[mid:], g.vals[mid:]), b.next, b.highKey, b.hasHigh)
-		left := &leafBox{p: t.encode(enc, g.keys[:mid], g.vals[:mid]), next: right, highKey: sep, hasHigh: true}
-		t.swapLeafBox(leaf, b, left)
+		t.swapLeafBox(leaf, b, b.with(insertAt(p, enc, pos, k, v, t.cfg.NegFilterBits)))
 		leaf.lock.unlock()
 		t.keyCount.Add(1)
-		if t.onLeafSplit != nil {
-			t.onLeafSplit(leaf, right)
-		}
-		// Publish the separator to the parent level.
-		t.insertSeparator(stack, sep, childRef{leaf: right}, 0)
-		return true, leaf, t.cfg.ExpandOnInsert && enc == EncGapped && p.encoding() != EncGapped
+		return true, expanded
 	}
+
+	// Split: left keeps the lower half, a new right leaf the rest.
+	sc := kvPool.Get().(*kvScratch)
+	ks, vs := sc.keys[:n+1], sc.vals[:n+1]
+	decodeInserting(p, pos, k, v, ks, vs)
+	mid := len(ks) / 2
+	sep := ks[mid]
+	right := t.newLeaf(t.encode(enc, ks[mid:], vs[mid:]), b.next, b.highKey, b.hasHigh)
+	left := &leafBox{p: t.encode(enc, ks[:mid], vs[:mid]), next: right, highKey: sep, hasHigh: true}
+	kvPool.Put(sc)
+	t.swapLeafBox(leaf, b, left)
+	leaf.lock.unlock()
+	t.keyCount.Add(1)
+	if t.onLeafSplit != nil {
+		t.onLeafSplit(leaf, right)
+	}
+	// Publish the separator to the parent level.
+	t.insertSeparator(path, sep, childRef{leaf: right}, 0)
+	return true, expanded
 }
 
 // Delete removes k, returning whether it was present. Leaves are not
 // merged on underflow — mirroring the long-running-system behaviour whose
 // sub-70% occupancies motivate the paper's compact encodings.
 func (t *Tree) Delete(k uint64) bool {
-	for {
-		leaf, _ := t.descend(k, nil)
-		if !leaf.lock.writeLock() {
-			continue
-		}
-		for {
-			b := leaf.box.Load()
-			if b.covers(k) || b.next == nil {
-				break
-			}
-			next := b.next
-			leaf.lock.unlock()
-			leaf = next
-			if !leaf.lock.writeLock() {
-				leaf = nil
-				break
-			}
-		}
-		if leaf == nil {
-			continue
-		}
-		b := leaf.box.Load()
-		i, found := b.p.search(k)
-		if !found {
-			leaf.lock.unlock()
-			return false
-		}
-		np := t.clonePayload(b.p).(mutablePayload).remove(i)
-		t.swapLeafBox(leaf, b, &leafBox{p: np, next: b.next, highKey: b.highKey, hasHigh: b.hasHigh})
-		leaf.lock.unlock()
-		t.keyCount.Add(-1)
-		t.cacheInvalidate(k)
-		return true
-	}
+	ok, _ := t.deleteTracked(k, nil)
+	return ok
 }
 
-// clonePayload duplicates a payload so mutations never touch an image a
-// concurrent reader may hold.
-func clonePayload(p payload) payload {
-	keys, vals := p.appendAll(nil, nil)
-	return encodePayload(p.encoding(), keys, vals)
+// deleteTracked also returns the leaf that held (or would hold) k, and
+// counts re-descents into retries like insertTrackedProf.
+func (t *Tree) deleteTracked(k uint64, retries *int32) (bool, *Leaf) {
+	leaf, b := t.lockLeaf(k, nil, retries)
+	i, found := b.p.search(k)
+	if !found {
+		leaf.lock.unlock()
+		return false, leaf
+	}
+	t.swapLeafBox(leaf, b, b.with(removeAt(b.p, i, t.cfg.NegFilterBits)))
+	leaf.lock.unlock()
+	t.keyCount.Add(-1)
+	t.cacheInvalidate(k)
+	return true, leaf
 }
 
 // encode is encodePayload honoring per-tree encoding options: succinct
@@ -579,31 +568,6 @@ func (t *Tree) encode(enc core.Encoding, keys, vals []uint64) payload {
 		return newSuccinctNeg(keys, vals, t.cfg.NegFilterBits)
 	}
 	return encodePayload(enc, keys, vals)
-}
-
-// clonePayload is the tree-aware clone: a succinct clone shares the
-// source's immutable negative filter (same key set) instead of hashing
-// every key again; mutating ops that change the key set rebuild it.
-func (t *Tree) clonePayload(p payload) payload {
-	if s, ok := p.(*succinct); ok {
-		keys, vals := s.appendAll(nil, nil)
-		ns := newSuccinct(keys, vals)
-		ns.neg, ns.negBits = s.neg, s.negBits
-		return ns
-	}
-	return clonePayload(p)
-}
-
-// reencodeLeaf is reencode honoring per-tree encoding options.
-func (t *Tree) reencodeLeaf(p payload, target core.Encoding) payload {
-	if p.encoding() == target {
-		return p
-	}
-	sc := kvPool.Get().(*kvScratch)
-	keys, vals := p.appendAll(sc.keys[:0], sc.vals[:0])
-	np := t.encode(target, keys, vals)
-	putKV(sc, keys, vals)
-	return np
 }
 
 // cacheInvalidate removes k from the attached result cache after a tree
@@ -618,16 +582,12 @@ func (t *Tree) cacheInvalidate(k uint64) {
 // NegFilterHits reports lookups short-circuited by negative filters.
 func (t *Tree) NegFilterHits() int64 { return t.negHits.Load() }
 
-// insertSeparator inserts (sep, right) into the level childDepth+1,
-// walking the descent stack upward; it grows a new root when the stack is
-// exhausted. childDepth is 0 for a split leaf, 1 for a split leaf-level
-// inner node, and so on.
-func (t *Tree) insertSeparator(stack []*Inner, sep uint64, right childRef, childDepth uint8) {
-	var node *Inner
-	if len(stack) > 0 {
-		node = stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-	}
+// insertSeparator inserts (sep, right) into the level childDepth+1, taking
+// the node from the descent path; where the path has none it grows a new
+// root or re-descends. childDepth is 0 for a split leaf, 1 for a split
+// leaf-level inner node, and so on.
+func (t *Tree) insertSeparator(path *descentPath, sep uint64, right childRef, childDepth uint8) {
+	node := path[childDepth]
 	if node == nil {
 		t.growRoot(sep, right, childDepth)
 		return
@@ -700,14 +660,14 @@ func (t *Tree) insertSeparator(stack []*Inner, sep uint64, right childRef, child
 	t.innerBytes.Add(int64(innerBoxBytes(lBox) + innerBoxBytes(rBox) - innerBoxBytes(b)))
 	node.box.Store(lBox)
 	node.lock.unlock()
-	t.insertSeparator(stack, upSep, childRef{inner: rightInner}, nb.depth)
+	t.insertSeparator(path, upSep, childRef{inner: rightInner}, nb.depth)
 }
 
 // insertSeparatorFromRoot re-descends from the current root to the level
 // childDepth+1 and retries the separator insert (taken when the recorded
-// stack is too short because the root grew concurrently).
+// path lacks that level because the root grew concurrently).
 func (t *Tree) insertSeparatorFromRoot(sep uint64, right childRef, childDepth uint8) {
-	var stack []*Inner
+	var path descentPath
 	node := t.root.Load()
 	for {
 		b := node.box.Load()
@@ -715,13 +675,13 @@ func (t *Tree) insertSeparatorFromRoot(sep uint64, right childRef, childDepth ui
 			node = b.next
 			continue
 		}
-		stack = append(stack, node)
+		path[b.depth-1] = node
 		if b.depth == childDepth+1 {
 			break
 		}
 		node = b.children[b.childIdx(sep)].inner
 	}
-	t.insertSeparator(stack, sep, right, childDepth)
+	t.insertSeparator(&path, sep, right, childDepth)
 }
 
 // growRoot installs a new root above the split node, or routes the insert
@@ -811,7 +771,7 @@ func (t *Tree) MigrateLeaf(l *Leaf, target core.Encoding) bool {
 			t.epochs.unpin(slot)
 			return false
 		}
-		np := t.reencodeLeaf(b.p, target)
+		np := reencode(b.p, target, t.cfg.NegFilterBits)
 		t.epochs.unpin(slot)
 		if !l.lock.writeLock() {
 			return false
@@ -828,7 +788,7 @@ func (t *Tree) MigrateLeaf(l *Leaf, target core.Encoding) bool {
 		} else {
 			t.compactions.Add(1)
 		}
-		t.swapLeafBox(l, b, &leafBox{p: np, next: b.next, highKey: b.highKey, hasHigh: b.hasHigh})
+		t.swapLeafBox(l, b, b.with(np))
 		l.lock.unlock()
 		if t.rcache != nil {
 			// Publish an invalidation epoch for every key of the retired

@@ -1,0 +1,356 @@
+package btree
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"ahi/internal/core"
+)
+
+// Tests of the delta constructors (payload.go: withValue, insertAt,
+// removeAt) and of the write paths built on them. The two properties every
+// case checks: the new image equals, element by element, a fresh encode of
+// the edited decoded arrays, and the donor image is bit-identical to a
+// snapshot taken before the call.
+
+// imageBits renders every field of a payload, including the packed words
+// of a Succinct image (fmt walks unexported fields), so two equal strings
+// mean a bit-identical image.
+func imageBits(p payload) string { return fmt.Sprintf("%#v", p) }
+
+// checkImage compares got with a fresh encode of (keys, vals).
+func checkImage(t *testing.T, what string, got payload, enc core.Encoding, keys, vals []uint64) {
+	t.Helper()
+	if got.encoding() != enc || got.count() != len(keys) {
+		t.Fatalf("%s: got %s with %d pairs, want %s with %d",
+			what, EncodingName(got.encoding()), got.count(), EncodingName(enc), len(keys))
+	}
+	ref := encodePayload(enc, keys, vals)
+	ks, vs := make([]uint64, len(keys)), make([]uint64, len(keys))
+	got.decodeRange(0, len(keys), ks, vs)
+	for i := range keys {
+		if got.keyAt(i) != ref.keyAt(i) || got.valAt(i) != ref.valAt(i) || ks[i] != keys[i] || vs[i] != vals[i] {
+			t.Fatalf("%s: pair %d is (%d,%d) / decoded (%d,%d), want (%d,%d)",
+				what, i, got.keyAt(i), got.valAt(i), ks[i], vs[i], keys[i], vals[i])
+		}
+		if pos, ok := got.search(keys[i]); !ok || pos != i {
+			t.Fatalf("%s: search(%d) = (%d,%v), want (%d,true)", what, keys[i], pos, ok, i)
+		}
+	}
+}
+
+// deltaSizes are the leaf sizes under test; deltaIdx the edited positions.
+var deltaSizes = []int{1, 2, 179, LeafCap - 1, LeafCap}
+
+func deltaIdx(n int) []int {
+	return slices.Compact([]int{0, n / 2, n - 1})
+}
+
+func TestWithValue(t *testing.T) {
+	for _, enc := range allEncodings() {
+		for _, n := range deltaSizes {
+			keys, vals := sortedPairs(n, int64(n))
+			lo, hi := slices.Min(vals), slices.Max(vals)
+			// Equal to the frame minimum and maximum, inside, below the
+			// frame, above the width, and the extremes of the domain.
+			for _, v := range []uint64{lo, hi, (lo + hi) / 2, lo - 1, hi<<1 + 1, 0, ^uint64(0)} {
+				for _, i := range deltaIdx(n) {
+					what := fmt.Sprintf("%s n=%d withValue(%d, %d)", EncodingName(enc), n, i, v)
+					donor := encodePayload(enc, keys, vals)
+					snap := imageBits(donor)
+					got := donor.withValue(i, v)
+					want := slices.Clone(vals)
+					want[i] = v
+					checkImage(t, what, got, enc, keys, want)
+					if imageBits(donor) != snap {
+						t.Fatalf("%s: donor image changed", what)
+					}
+					if v >= lo && v <= hi && got.bytes() != donor.bytes() {
+						t.Fatalf("%s: in-frame overwrite changed bytes %d -> %d", what, donor.bytes(), got.bytes())
+					}
+					if g, ok := got.(*gapped); ok {
+						if &g.keys[0] != &donor.(*gapped).keys[0] || !g.sharedKeys {
+							t.Fatalf("%s: Gapped overwrite must share its donor's keys and say so", what)
+						}
+						if recyclePayload(g) {
+							t.Fatalf("%s: an image with shared keys was handed to the slab pool", what)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestInsertAtRemoveAt(t *testing.T) {
+	for _, enc := range allEncodings() {
+		for _, n := range deltaSizes {
+			keys, vals := sortedPairs(n, int64(n)+100)
+			donor := encodePayload(enc, keys, vals)
+			snap := imageBits(donor)
+
+			for _, i := range deltaIdx(n) {
+				what := fmt.Sprintf("%s n=%d removeAt(%d)", EncodingName(enc), n, i)
+				checkImage(t, what, removeAt(donor, i, 0), enc,
+					slices.Delete(slices.Clone(keys), i, i+1), slices.Delete(slices.Clone(vals), i, i+1))
+			}
+			if n < LeafCap { // a full leaf splits instead: TestSplitAtLeafCap
+				// Before the first key, between two keys, after the last.
+				for _, pos := range slices.Compact([]int{0, n / 2, n}) {
+					k := keys[0] - 1
+					if pos > 0 {
+						k = keys[pos-1] + 1
+						if pos < n && keys[pos] == k {
+							continue // neighbours one apart leave no room for a new key
+						}
+					}
+					for _, target := range []core.Encoding{enc, EncGapped} {
+						what := fmt.Sprintf("%s->%s n=%d insertAt(%d)", EncodingName(enc), EncodingName(target), n, pos)
+						checkImage(t, what, insertAt(donor, target, pos, k, 4242, 0), target,
+							slices.Insert(slices.Clone(keys), pos, k), slices.Insert(slices.Clone(vals), pos, 4242))
+					}
+				}
+			}
+			if imageBits(donor) != snap {
+				t.Fatalf("%s n=%d: donor image changed by insertAt/removeAt", EncodingName(enc), n)
+			}
+		}
+	}
+}
+
+// TestNegFilterFollowsWrites: the negative filter of a Succinct leaf is
+// shared by an overwrite and rebuilt, covering the new key set, by an
+// insert or delete.
+func TestNegFilterFollowsWrites(t *testing.T) {
+	keys, vals := sortedPairs(100, 9)
+	donor := newSuccinctNeg(keys, vals, 10)
+	if got := donor.withValue(3, 1).(*succinct); got.neg != donor.neg {
+		t.Fatal("overwrite must share the donor's negative filter")
+	}
+	k := keys[50] + 1
+	ins := insertAt(donor, EncSuccinct, 51, k, 1, 10).(*succinct)
+	if ins.neg == nil || ins.neg == donor.neg || !ins.mayContain(k) {
+		t.Fatal("insert must build a filter that holds the new key")
+	}
+	del := removeAt(donor, 0, 10).(*succinct)
+	if del.neg == nil || del.neg == donor.neg {
+		t.Fatal("delete must build its own filter")
+	}
+	for _, k := range keys[1:] {
+		if !del.mayContain(k) {
+			t.Fatalf("filter after delete lost key %d", k)
+		}
+	}
+	if removeAt(donor, 0, 0).(*succinct).neg != nil {
+		t.Fatal("no filter bits, no filter")
+	}
+}
+
+// TestSplitAtLeafCap writes into a full single-leaf tree of every encoding
+// at the first, a middle and the last position, with and without eager
+// expansion, holding the pre-split image like a reader would.
+func TestSplitAtLeafCap(t *testing.T) {
+	for _, enc := range allEncodings() {
+		for _, expand := range []bool{false, true} {
+			for _, where := range []string{"first", "middle", "last"} {
+				keys := make([]uint64, LeafCap)
+				vals := make([]uint64, LeafCap)
+				for i := range keys {
+					keys[i] = uint64(i+1) * 10
+					vals[i] = uint64(i) + 7
+				}
+				tr := BulkLoad(Config{DefaultEncoding: enc, Occupancy: 1, ExpandOnInsert: expand}, keys, vals)
+				_, leaf, _ := tr.lookupLeaf(keys[0])
+				held := leaf.box.Load()
+				if held.p.count() != LeafCap {
+					t.Fatalf("bulk load made a leaf of %d keys, want %d", held.p.count(), LeafCap)
+				}
+				snap := imageBits(held.p)
+				k := map[string]uint64{"first": 1, "middle": keys[LeafCap/2] + 5, "last": keys[LeafCap-1] + 5}[where]
+				what := fmt.Sprintf("%s expand=%v split by %s key", EncodingName(enc), expand, where)
+
+				// An overwrite of a full leaf does not split it.
+				if tr.Insert(keys[3], 99) || leaf.box.Load().next != nil {
+					t.Fatalf("%s: overwrite of a full leaf split it or reported a new key", what)
+				}
+				vals[3] = 99
+				if !tr.Insert(k, 4242) {
+					t.Fatalf("%s: insert reported an overwrite", what)
+				}
+				if imageBits(held.p) != snap {
+					t.Fatalf("%s: the image a reader held changed", what)
+				}
+				left := leaf.box.Load()
+				if left.next == nil || left.p.count()+left.next.box.Load().p.count() != LeafCap+1 {
+					t.Fatalf("%s: leaf did not split into two holding %d pairs", what, LeafCap+1)
+				}
+				wantEnc := enc
+				if expand {
+					wantEnc = EncGapped
+				}
+				if left.p.encoding() != wantEnc || left.next.Encoding() != wantEnc {
+					t.Fatalf("%s: halves are %s/%s, want %s", what,
+						EncodingName(left.p.encoding()), EncodingName(left.next.Encoding()), EncodingName(wantEnc))
+				}
+				if err := tr.Validate(); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if v, ok := tr.Lookup(k); !ok || v != 4242 {
+					t.Fatalf("%s: new key reads (%d,%v)", what, v, ok)
+				}
+				for i, key := range keys {
+					if v, ok := tr.Lookup(key); !ok || v != vals[i] {
+						t.Fatalf("%s: key %d reads (%d,%v), want %d", what, key, v, ok, vals[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDeleteTrackedReturnsLeaf: the leaf a delete reports is the one that
+// held (or would hold) the key, also after splits moved the key right.
+func TestDeleteTrackedReturnsLeaf(t *testing.T) {
+	tr := New(Config{DefaultEncoding: EncSuccinct, ExpandOnInsert: true})
+	for i := uint64(0); i < 5000; i++ {
+		tr.Insert(i*3, i)
+	}
+	for _, k := range []uint64{0, 3 * 2500, 3 * 4999, 7 /* absent */} {
+		_, want, _ := tr.lookupLeaf(k)
+		present := k%3 == 0
+		if ok, leaf := tr.deleteTracked(k, nil); ok != present || leaf != want {
+			t.Fatalf("deleteTracked(%d) = (%v, leaf %d), want (%v, leaf %d)", k, ok, leaf.ID(), present, want.ID())
+		}
+	}
+}
+
+// TestInsertBatchRunOfOneKeepsEncoding: a batch of scattered overwrites
+// is a sequence of single-key writes, which — like Insert — leave the
+// encoding of the leaf alone; only a new key expands it.
+func TestInsertBatchRunOfOneKeepsEncoding(t *testing.T) {
+	keys, vals := sortedPairs(20000, 3)
+	tr := BulkLoad(Config{DefaultEncoding: EncSuccinct, ExpandOnInsert: true}, keys, vals)
+	bk := make([]uint64, 16)
+	bv := make([]uint64, 16)
+	ins := make([]bool, 16)
+	for i := range bk {
+		bk[i] = keys[i*1000+5] // one key per leaf
+		bv[i] = uint64(i)
+	}
+	tr.InsertBatch(bk, bv, ins)
+	if _, _, g := tr.LeafCounts(); g != 0 || tr.Expansions() != 0 || slices.Contains(ins, true) {
+		t.Fatalf("overwrite batch expanded %d leaves (inserted=%v)", g, ins)
+	}
+	for i := range bk {
+		bk[i]++
+	}
+	tr.InsertBatch(bk, bv, ins)
+	if _, _, g := tr.LeafCounts(); g != 16 || slices.Contains(ins, false) {
+		t.Fatalf("insert batch expanded %d leaves, want 16 (inserted=%v)", g, ins)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSharedKeysVsSlabRecycling guards the sharing rule under -race.
+// Readers pin, take a leaf image and keep it while writers overwrite the
+// leaf (new Gapped images sharing the old key array) and migrators cycle
+// every leaf between encodings, which retires the displaced images and
+// recycles their slabs; a second tree with keys of another residue class
+// draws its Gapped images from the same slab pool. A slab recycled while
+// a reader can still reach it shows as a foreign or unordered key in the
+// held image, and as a data race.
+func TestSharedKeysVsSlabRecycling(t *testing.T) {
+	const n = 4000
+	tr, keys, _ := epochTree(t, n) // keys are multiples of 7, value = key+1
+	okeys := make([]uint64, n)
+	for i := range okeys {
+		okeys[i] = uint64(i)*7 + 3
+	}
+	other := BulkLoad(Config{DefaultEncoding: EncSuccinct}, okeys, okeys)
+	other.epochs = newEpochs()
+
+	stop := make(chan struct{})
+	var churn, readers sync.WaitGroup
+	spin := func(f func(i int)) {
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					f(i)
+				}
+			}
+		}()
+	}
+	targets := []core.Encoding{EncGapped, EncSuccinct, EncGapped, EncPacked}
+	for _, x := range []*Tree{tr, other} {
+		spin(func(i int) {
+			x.WalkLeaves(func(l *Leaf) bool {
+				x.MigrateLeaf(l, targets[i%len(targets)])
+				return true
+			})
+		})
+	}
+	for w := 0; w < 2; w++ {
+		rng := rand.New(rand.NewSource(int64(w) + 1))
+		spin(func(int) {
+			k := keys[rng.Intn(n)]
+			tr.Insert(k, k+1) // the value every reader expects
+		})
+	}
+
+	errs := make(chan string, 4)
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(seed int64) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			// At least 400 rounds, and on until slabs have been recycled
+			// under the readers' feet (bounded, so a broken reclaimer fails
+			// the check below instead of hanging).
+			for iter := 0; iter < 400 || (tr.epochs.recycledTotal.Load() < 8 && iter < 1<<20); iter++ {
+				k := keys[rng.Intn(n)]
+				slot := tr.epochs.pin()
+				leaf, _ := tr.descend(k, nil)
+				_, b := moveRightLeaf(leaf, k)
+				for y := 0; y < 3; y++ {
+					runtime.Gosched() // let overwrites and migrations displace b
+				}
+				var prev uint64
+				for i, cnt := 0, b.p.count(); i < cnt; i++ {
+					key, val := b.p.keyAt(i), b.p.valAt(i)
+					if key%7 != 0 || val != key+1 || (i > 0 && key <= prev) || !b.covers(key) {
+						tr.epochs.unpin(slot)
+						errs <- fmt.Sprintf("held image of leaf %d shows pair (%d,%d) at %d", leaf.ID(), key, val, i)
+						return
+					}
+					prev = key
+				}
+				tr.epochs.unpin(slot)
+			}
+		}(int64(r) + 10)
+	}
+	readers.Wait()
+	close(stop)
+	churn.Wait()
+	select {
+	case msg := <-errs:
+		t.Fatal(msg)
+	default:
+	}
+	if tr.epochs.recycledTotal.Load() == 0 {
+		t.Fatal("no slab was recycled; the test did not exercise the sharing rule")
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

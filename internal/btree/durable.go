@@ -435,7 +435,7 @@ func treeFromCheckpoint(cfg Config, blob []byte) (*Tree, ckptState, error) {
 		}
 		n := int(binary.LittleEndian.Uint32(blob[1:]))
 		blob = blob[5:]
-		if n == 0 || len(blob) < 16*n {
+		if n == 0 || n > LeafCap || len(blob) < 16*n {
 			return nil, cs, fmt.Errorf("%w: checkpoint leaf %d holds %d keys with %d bytes left",
 				wal.ErrCorrupt, li, n, len(blob))
 		}
@@ -525,8 +525,10 @@ func (s *Session) insertDurableTraced(k, v uint64) bool {
 
 func (s *Session) deleteDurable(k uint64) bool {
 	var ev *obs.OpEvent
+	var retries *int32
 	if s.rec != nil {
 		ev = s.beginOp(obs.OpDelete, k)
+		retries = &ev.WriteRetries
 	}
 	d := s.a.dur
 	s.walBuf = wal.EncodeDelete(s.walBuf[:0], k)
@@ -537,15 +539,17 @@ func (s *Session) deleteDurable(k uint64) bool {
 		walPanic("append", err)
 	}
 	sample := s.sampler.IsSample()
-	ok := s.a.Tree.Delete(k)
+	ok, leaf := s.a.Tree.deleteTracked(k, retries)
 	d.mu.RUnlock()
-	cstart := time.Now()
+	var cstart time.Time // read only when traced, so only then taken
+	if ev != nil {
+		cstart = time.Now()
+	}
 	if err := d.log.Commit(lsn); err != nil {
 		walPanic("commit", err)
 	}
 	d.noteRecords(1)
 	if sample {
-		_, leaf, _ := s.a.Tree.lookupLeaf(k)
 		s.sampler.Track(leaf, core.Delete, LeafCtx{})
 	}
 	if ev != nil {
@@ -576,7 +580,10 @@ func (s *Session) insertBatchDurable(keys, vals []uint64, inserted []bool) {
 	}
 	s.insertBatchFast(keys, vals, inserted)
 	d.mu.RUnlock()
-	cstart := time.Now()
+	var cstart time.Time
+	if ev != nil {
+		cstart = time.Now()
+	}
 	if err := d.log.Commit(lsn); err != nil {
 		walPanic("commit", err)
 	}

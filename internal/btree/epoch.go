@@ -30,10 +30,11 @@ import (
 // one slot claim and two plain stores.
 //
 // Reclamation feeds the Gapped slab pool (payload.go): a retired Gapped
-// image's key/value arrays are handed back to newGapped once no reader
+// image's key/value arrays are handed back to allocGapped once no reader
 // can touch them, so steady-state migration churn stops allocating 4 KiB
-// payloads. Packed and Succinct images have irregular sizes and simply
-// fall to the garbage collector when the retire list drops them.
+// payloads. Packed and Succinct images have irregular sizes, and a Gapped
+// image built by an overwrite shares its keys with its predecessor; those
+// simply fall to the garbage collector when the retire list drops them.
 //
 // The epochs pointer is nil unless the tree runs asynchronous migrations
 // (wireAdaptive sets it): single-threaded trees and static baselines pay

@@ -139,9 +139,8 @@ func (s *Session) insertTraced(k, v uint64) bool {
 func (s *Session) deleteTraced(k uint64) bool {
 	ev := s.beginOp(obs.OpDelete, k)
 	sample := s.sampler.IsSample()
-	ok := s.a.Tree.Delete(k)
+	ok, leaf := s.a.Tree.deleteTracked(k, &ev.WriteRetries)
 	if sample {
-		_, leaf, _ := s.a.Tree.lookupLeafProf(k, ev)
 		s.sampler.Track(leaf, core.Delete, LeafCtx{})
 	}
 	ev.Found = ok

@@ -40,8 +40,12 @@ const LeafCap = 256
 // pointers, payload header) charged to every encoding's footprint.
 const leafHeaderBytes = 64
 
-// payload is one leaf-node encoding. Implementations are single-writer:
-// the tree serializes mutations through the leaf's OLC lock.
+// payload is one immutable leaf image in one encoding. Nothing mutates a
+// payload once it is reachable from a leafBox: a write derives the next
+// image from the current one (withValue, insertAt, removeAt below) under
+// the leaf's lock and swaps the box. DESIGN.md §9 "Leaf images and delta
+// writes" states the protocol: what a derived image shares with its
+// predecessor and what the slab pool may recycle.
 type payload interface {
 	encoding() core.Encoding
 	count() int
@@ -69,6 +73,9 @@ type payload interface {
 	// leaf's payload while the current leaf decodes, so the upcoming
 	// misses overlap with unpack work instead of stalling the walk.
 	touch() uint64
+	// withValue returns a new image equal to this one except that the
+	// value at position i is v. The key array is shared with the receiver.
+	withValue(i int, v uint64) payload
 }
 
 // touchWords reads one word per cache line of ws and returns the sum —
@@ -81,17 +88,6 @@ func touchWords(ws []uint64) uint64 {
 	return s
 }
 
-// mutablePayload additionally supports in-place mutation. Gapped supports
-// all operations natively; Packed updates and deletes in place but
-// re-allocates on insert; Succinct re-encodes on any write (which is why
-// the adaptive tree eagerly expands written leaves, §5.2).
-type mutablePayload interface {
-	payload
-	insert(k, v uint64) payload // returns the (possibly re-encoded) payload
-	update(i int, v uint64)
-	remove(i int) payload
-}
-
 // --- Gapped -----------------------------------------------------------
 
 // gapped is the traditional universal encoding: fixed-capacity sorted
@@ -99,18 +95,21 @@ type mutablePayload interface {
 type gapped struct {
 	keys []uint64 // len = count, cap = LeafCap
 	vals []uint64
+	// sharedKeys marks an image built by withValue: keys is its
+	// predecessor's array, which readers of the older image may still be
+	// scanning, so recyclePayload must never hand it to the slab pool.
+	sharedKeys bool
+}
+
+// allocGapped returns a Gapped image of n uninitialized pairs on a pooled
+// slab; the caller fills keys and vals before publishing it.
+func allocGapped(n int) *gapped {
+	sl := slabPool.Get().(*kvSlab)
+	return &gapped{keys: sl.keys[:n], vals: sl.vals[:n]}
 }
 
 func newGapped(keys, vals []uint64) *gapped {
-	if len(keys) > LeafCap || len(vals) > LeafCap {
-		// Defensive: oversized transients bypass the slab pool.
-		g := &gapped{keys: make([]uint64, len(keys)), vals: make([]uint64, len(vals))}
-		copy(g.keys, keys)
-		copy(g.vals, vals)
-		return g
-	}
-	sl := slabPool.Get().(*kvSlab)
-	g := &gapped{keys: sl.keys[:len(keys)], vals: sl.vals[:len(vals)]}
+	g := allocGapped(len(keys))
 	copy(g.keys, keys)
 	copy(g.vals, vals)
 	return g
@@ -131,14 +130,16 @@ var slabPool = sync.Pool{New: func() any {
 }}
 
 // recyclePayload returns a retired payload's buffers to the slab pool,
-// reporting whether anything was recycled. Only Gapped payloads carrying
-// the uniform slab capacity qualify; Packed and Succinct footprints are
-// irregular and fall to the garbage collector. The caller must guarantee
-// no reader can still hold the payload (the epoch grace period) — the
-// arrays are overwritten by the next newGapped.
+// reporting whether anything was recycled. Only Gapped payloads that own
+// both arrays qualify: an image whose keys are shared with another image
+// is refused (the grace period covers readers of the retired image only),
+// and Packed and Succinct footprints are irregular; all of those fall to
+// the garbage collector. The caller must guarantee no reader can still
+// hold the payload (the epoch grace period) — the arrays are overwritten
+// by the next allocGapped.
 func recyclePayload(p payload) bool {
 	g, ok := p.(*gapped)
-	if !ok || cap(g.keys) != LeafCap || cap(g.vals) != LeafCap {
+	if !ok || g.sharedKeys || cap(g.keys) != LeafCap || cap(g.vals) != LeafCap {
 		return false
 	}
 	slabPool.Put(&kvSlab{keys: g.keys[:0], vals: g.vals[:0]})
@@ -170,37 +171,18 @@ func (g *gapped) decodeRange(lo, hi int, ks, vs []uint64) int {
 	return hi - lo
 }
 
-func (g *gapped) insert(k, v uint64) payload {
-	pos, found := g.search(k)
-	if found {
-		g.vals[pos] = v
-		return g
-	}
-	g.keys = append(g.keys, 0)
-	g.vals = append(g.vals, 0)
-	copy(g.keys[pos+1:], g.keys[pos:])
-	copy(g.vals[pos+1:], g.vals[pos:])
-	g.keys[pos] = k
-	g.vals[pos] = v
-	return g
+func (g *gapped) withValue(i int, v uint64) payload {
+	nv := make([]uint64, len(g.vals), cap(g.vals))
+	copy(nv, g.vals)
+	nv[i] = v
+	return &gapped{keys: g.keys, vals: nv, sharedKeys: true}
 }
-
-func (g *gapped) update(i int, v uint64) { g.vals[i] = v }
-
-func (g *gapped) remove(i int) payload {
-	copy(g.keys[i:], g.keys[i+1:])
-	copy(g.vals[i:], g.vals[i+1:])
-	g.keys = g.keys[:len(g.keys)-1]
-	g.vals = g.vals[:len(g.vals)-1]
-	return g
-}
-
-func (g *gapped) full() bool { return len(g.keys) == LeafCap }
 
 // --- Packed -----------------------------------------------------------
 
 // packed stores keys and values densely, sized exactly (Figure 8 middle).
-// Reads and in-place updates are as fast as Gapped; inserts re-allocate.
+// Reads are as fast as Gapped; an overwrite copies the values only, an
+// insert or delete builds both arrays at their new exact size.
 type packed struct {
 	keys []uint64
 	vals []uint64
@@ -238,74 +220,45 @@ func (p *packed) decodeRange(lo, hi int, ks, vs []uint64) int {
 	return hi - lo
 }
 
-func (p *packed) insert(k, v uint64) payload {
-	pos, found := p.search(k)
-	if found {
-		p.vals[pos] = v
-		return p
-	}
-	nk := make([]uint64, len(p.keys)+1)
-	nv := make([]uint64, len(p.vals)+1)
-	copy(nk, p.keys[:pos])
-	copy(nv, p.vals[:pos])
-	nk[pos], nv[pos] = k, v
-	copy(nk[pos+1:], p.keys[pos:])
-	copy(nv[pos+1:], p.vals[pos:])
-	p.keys, p.vals = nk, nv
-	return p
-}
-
-func (p *packed) update(i int, v uint64) { p.vals[i] = v }
-
-func (p *packed) remove(i int) payload {
-	copy(p.keys[i:], p.keys[i+1:])
-	copy(p.vals[i:], p.vals[i+1:])
-	p.keys = p.keys[:len(p.keys)-1]
-	p.vals = p.vals[:len(p.vals)-1]
-	return p
+func (p *packed) withValue(i int, v uint64) payload {
+	nv := make([]uint64, len(p.vals))
+	copy(nv, p.vals)
+	nv[i] = v
+	return &packed{keys: p.keys, vals: nv}
 }
 
 // --- Scratch ----------------------------------------------------------
 
-// kvScratch is a reusable pair of decode buffers for leaf re-encoding.
-// Every payload constructor (newGapped, newPacked, bitutil.NewFORArray)
-// copies its input, so the buffers can return to the pool as soon as the
-// new payload is built — migrations and succinct writes then allocate
-// only the encoded payload, not the transient decoded form. One extra
-// slot beyond LeafCap absorbs the insert-then-split order of operations.
+// kvScratch is a reusable pair of decode buffers for building Succinct
+// images, splits and batch merges. bitutil.NewFORArray and the other
+// payload constructors copy their input, so the buffers return to the pool
+// as soon as the new payload is built and only the encoded payload is
+// allocated. One slot beyond LeafCap holds a full leaf plus the key that
+// splits it.
 type kvScratch struct {
-	keys, vals []uint64
+	keys, vals [LeafCap + 1]uint64
 }
 
-var kvPool = sync.Pool{New: func() any {
-	return &kvScratch{
-		keys: make([]uint64, 0, LeafCap+1),
-		vals: make([]uint64, 0, LeafCap+1),
-	}
-}}
-
-// putKV stores the (possibly re-grown) buffers back into the pool.
-func putKV(sc *kvScratch, keys, vals []uint64) {
-	sc.keys, sc.vals = keys[:0], vals[:0]
-	kvPool.Put(sc)
-}
+var kvPool = sync.Pool{New: func() any { return new(kvScratch) }}
 
 // --- Succinct ---------------------------------------------------------
 
 // succinct combines frame-of-reference coding with bit packing for both
 // keys and values (Figure 8 bottom). Random access survives, at the cost
-// of extra shift/mask work per probe; writes re-encode the whole leaf.
+// of extra shift/mask work per probe. An overwrite shares the keys and
+// patches or re-encodes the values (FORArray.WithSet); an insert or delete
+// decodes and re-encodes both.
 //
 // neg, when present, is a negative-lookup filter over the leaf's keys:
 // point lookups consult it before paying the bit-unpacking search, so
 // misses on cold leaves short-circuit. The filter is immutable once the
-// payload is published (writes re-encode the leaf and rebuild it), which
-// lets concurrent readers probe without synchronization.
+// payload is published, which lets concurrent readers probe without
+// synchronization: overwrites share it, inserts and deletes build a new
+// one with the rest of the image.
 type succinct struct {
-	keys    bitutil.FORArray
-	vals    bitutil.FORArray
-	neg     *bloom.Filter
-	negBits int32 // bits/key used to build neg; preserved across rewrites
+	keys bitutil.FORArray
+	vals bitutil.FORArray
+	neg  *bloom.Filter
 }
 
 func newSuccinct(keys, vals []uint64) *succinct {
@@ -318,7 +271,6 @@ func newSuccinctNeg(keys, vals []uint64, bitsPerKey int) *succinct {
 	s := newSuccinct(keys, vals)
 	if bitsPerKey > 0 {
 		s.neg = negFilterFor(keys, bitsPerKey)
-		s.negBits = int32(bitsPerKey)
 	}
 	return s
 }
@@ -372,32 +324,8 @@ func (s *succinct) decodeRange(lo, hi int, ks, vs []uint64) int {
 	return s.vals.DecodeRange(lo, hi, vs)
 }
 
-func (s *succinct) insert(k, v uint64) payload {
-	sc := kvPool.Get().(*kvScratch)
-	g := gapped{keys: s.keys.AppendTo(sc.keys[:0]), vals: s.vals.AppendTo(sc.vals[:0])}
-	g.insert(k, v)
-	np := newSuccinctNeg(g.keys, g.vals, int(s.negBits))
-	putKV(sc, g.keys, g.vals)
-	return np
-}
-
-func (s *succinct) update(i int, v uint64) {
-	// Re-encode with the new value; FOR arrays are immutable.
-	sc := kvPool.Get().(*kvScratch)
-	vals := s.vals.AppendTo(sc.vals[:0])
-	vals[i] = v
-	s.vals = bitutil.NewFORArray(vals)
-	putKV(sc, sc.keys, vals)
-}
-
-func (s *succinct) remove(i int) payload {
-	sc := kvPool.Get().(*kvScratch)
-	keys, vals := s.appendAll(sc.keys[:0], sc.vals[:0])
-	copy(keys[i:], keys[i+1:])
-	copy(vals[i:], vals[i+1:])
-	np := newSuccinctNeg(keys[:len(keys)-1], vals[:len(vals)-1], int(s.negBits))
-	putKV(sc, keys, vals)
-	return np
+func (s *succinct) withValue(i int, v uint64) payload {
+	return &succinct{keys: s.keys, vals: s.vals.WithSet(i, v), neg: s.neg}
 }
 
 // encodePayload builds a payload of the requested encoding from sorted
@@ -413,17 +341,73 @@ func encodePayload(enc core.Encoding, keys, vals []uint64) payload {
 	}
 }
 
-// reencode migrates a payload to the target encoding; it returns the input
-// unchanged when the encoding already matches. The decode goes through the
-// pooled scratch buffers, so concurrent pipeline migrations share a small
-// set of transient buffers instead of allocating one per re-encode.
-func reencode(p payload, target core.Encoding) payload {
+// imageBuf is the destination a new image's pairs are decoded into: the
+// arrays of the Gapped or Packed image itself, so that encoding is the
+// decode, or pooled scratch that seal encodes into a Succinct image.
+type imageBuf struct {
+	keys, vals []uint64
+	img        payload    // Gapped/Packed: the image owning keys and vals
+	sc         *kvScratch // Succinct: the scratch behind keys and vals
+}
+
+func newImageBuf(target core.Encoding, n int) imageBuf {
+	switch target {
+	case EncGapped:
+		g := allocGapped(n)
+		return imageBuf{keys: g.keys, vals: g.vals, img: g}
+	case EncPacked:
+		p := &packed{keys: make([]uint64, n), vals: make([]uint64, n)}
+		return imageBuf{keys: p.keys, vals: p.vals, img: p}
+	}
+	sc := kvPool.Get().(*kvScratch)
+	return imageBuf{keys: sc.keys[:n], vals: sc.vals[:n], sc: sc}
+}
+
+// seal returns the finished image; a Succinct one gets a negative filter
+// at negBits bits per key (0: none).
+func (b imageBuf) seal(negBits int) payload {
+	if b.img != nil {
+		return b.img
+	}
+	s := newSuccinctNeg(b.keys, b.vals, negBits)
+	kvPool.Put(b.sc)
+	return s
+}
+
+// decodeInserting decodes p's pairs into ks/vs (one longer than p) with
+// (k, v) at position pos: the single decode pass that leaves the gap.
+func decodeInserting(p payload, pos int, k, v uint64, ks, vs []uint64) {
+	p.decodeRange(0, pos, ks, vs)
+	ks[pos], vs[pos] = k, v
+	p.decodeRange(pos, p.count(), ks[pos+1:], vs[pos+1:])
+}
+
+// insertAt returns an image of encoding target holding p's pairs plus
+// (k, v) at position pos: one decode that leaves the gap, one encode.
+func insertAt(p payload, target core.Encoding, pos int, k, v uint64, negBits int) payload {
+	b := newImageBuf(target, p.count()+1)
+	decodeInserting(p, pos, k, v, b.keys, b.vals)
+	return b.seal(negBits)
+}
+
+// removeAt returns an image in p's encoding without the pair at position
+// pos: one decode that closes the hole, one encode.
+func removeAt(p payload, pos int, negBits int) payload {
+	n := p.count()
+	b := newImageBuf(p.encoding(), n-1)
+	p.decodeRange(0, pos, b.keys, b.vals)
+	p.decodeRange(pos+1, n, b.keys[pos:], b.vals[pos:])
+	return b.seal(negBits)
+}
+
+// reencode returns p's pairs in the target encoding (p itself when the
+// encoding already matches) — the migration primitive.
+func reencode(p payload, target core.Encoding, negBits int) payload {
 	if p.encoding() == target {
 		return p
 	}
-	sc := kvPool.Get().(*kvScratch)
-	keys, vals := p.appendAll(sc.keys[:0], sc.vals[:0])
-	np := encodePayload(target, keys, vals)
-	putKV(sc, keys, vals)
-	return np
+	n := p.count()
+	b := newImageBuf(target, n)
+	p.decodeRange(0, n, b.keys, b.vals)
+	return b.seal(negBits)
 }

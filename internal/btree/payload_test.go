@@ -98,31 +98,29 @@ func TestPayloadMutations(t *testing.T) {
 	for _, enc := range allEncodings() {
 		keys, vals := sortedPairs(50, 4)
 		p := encodePayload(enc, keys, vals)
-		mp := p.(mutablePayload)
 		// Insert a fresh key.
-		p2 := mp.insert(keys[10]+1, 999)
+		pos, _ := p.search(keys[10] + 1)
+		p2 := insertAt(p, enc, pos, keys[10]+1, 999, 0)
 		if pos, found := p2.search(keys[10] + 1); !found || p2.valAt(pos) != 999 {
 			t.Fatalf("%s: insert lost", EncodingName(enc))
 		}
-		if p2.count() != 51 {
-			t.Fatalf("%s: count after insert %d", EncodingName(enc), p2.count())
+		if p2.count() != 51 || p.count() != 50 {
+			t.Fatalf("%s: counts after insert %d / %d", EncodingName(enc), p2.count(), p.count())
 		}
 		// Update by position.
-		if up, ok := p2.(mutablePayload); ok {
-			pos, _ := p2.search(keys[0])
-			up.update(pos, 12345)
-			if p2.valAt(pos) != 12345 {
-				t.Fatalf("%s: update lost", EncodingName(enc))
-			}
+		pos, _ = p2.search(keys[0])
+		p3 := p2.withValue(pos, 12345)
+		if p3.valAt(pos) != 12345 || p2.valAt(pos) != vals[0] {
+			t.Fatalf("%s: update lost or leaked into the donor", EncodingName(enc))
 		}
 		// Remove.
-		pos, _ := p2.search(keys[10] + 1)
-		p3 := p2.(mutablePayload).remove(pos)
-		if _, found := p3.search(keys[10] + 1); found {
+		pos, _ = p3.search(keys[10] + 1)
+		p4 := removeAt(p3, pos, 0)
+		if _, found := p4.search(keys[10] + 1); found {
 			t.Fatalf("%s: remove failed", EncodingName(enc))
 		}
-		if p3.count() != 50 {
-			t.Fatalf("%s: count after remove %d", EncodingName(enc), p3.count())
+		if p4.count() != 50 || p3.count() != 51 {
+			t.Fatalf("%s: counts after remove %d / %d", EncodingName(enc), p4.count(), p3.count())
 		}
 	}
 }
@@ -130,13 +128,14 @@ func TestPayloadMutations(t *testing.T) {
 func TestPayloadInsertDuplicateOverwrites(t *testing.T) {
 	for _, enc := range allEncodings() {
 		keys, vals := sortedPairs(20, 5)
-		p := encodePayload(enc, keys, vals).(mutablePayload)
-		p2 := p.insert(keys[5], 777)
-		if p2.count() != 20 {
+		tr := BulkLoad(Config{DefaultEncoding: enc}, keys, vals)
+		if tr.Insert(keys[5], 777) {
+			t.Fatalf("%s: duplicate insert reported a new key", EncodingName(enc))
+		}
+		if tr.Len() != 20 {
 			t.Fatalf("%s: duplicate insert changed count", EncodingName(enc))
 		}
-		pos, _ := p2.search(keys[5])
-		if p2.valAt(pos) != 777 {
+		if v, ok := tr.Lookup(keys[5]); !ok || v != 777 {
 			t.Fatalf("%s: duplicate insert did not overwrite", EncodingName(enc))
 		}
 	}
@@ -147,7 +146,7 @@ func TestReencodeAllPairs(t *testing.T) {
 	for _, from := range allEncodings() {
 		for _, to := range allEncodings() {
 			p := encodePayload(from, keys, vals)
-			q := reencode(p, to)
+			q := reencode(p, to, 0)
 			if q.encoding() != to {
 				t.Fatalf("%s->%s: wrong encoding", EncodingName(from), EncodingName(to))
 			}

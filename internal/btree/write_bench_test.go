@@ -1,0 +1,85 @@
+package btree
+
+import (
+	"sort"
+	"testing"
+
+	"ahi/internal/core"
+)
+
+// Write-path benchmarks: single-key overwrites and insert+delete pairs
+// with random keys over a 1 M-key bulk-loaded tree of one encoding (no
+// eager expansion, so the encoding under test is the one written). They
+// back the CI ns/op regression gate next to the read-path benchmarks.
+
+const writeBenchKeys = 1 << 20
+
+// writeBenchTree bulk-loads random even keys (wide deltas, like
+// benchKeySet) in encoding enc and returns the tree plus the keys in a
+// random probe order; key|1 is a key the tree does not hold.
+func writeBenchTree(enc core.Encoding) (*Tree, []uint64) {
+	keys := make([]uint64, 0, writeBenchKeys)
+	var x uint64 = 0x9e3779b97f4a7c15
+	for len(keys) < writeBenchKeys {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		keys = append(keys, x&^1)
+	}
+	probe := append([]uint64(nil), keys...)
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	vals := make([]uint64, len(keys))
+	for i := range vals {
+		vals[i] = uint64(i)
+	}
+	return BulkLoad(Config{DefaultEncoding: enc}, keys, vals), probe
+}
+
+func benchOverwrite(b *testing.B, enc core.Encoding) {
+	t, probe := writeBenchTree(enc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.Insert(probe[i&(writeBenchKeys-1)], uint64(i)&(writeBenchKeys-1))
+	}
+}
+
+func BenchmarkOverwriteSuccinct(b *testing.B) { benchOverwrite(b, EncSuccinct) }
+func BenchmarkOverwritePacked(b *testing.B)   { benchOverwrite(b, EncPacked) }
+func BenchmarkOverwriteGapped(b *testing.B)   { benchOverwrite(b, EncGapped) }
+
+// benchInsertDelete times one insert of a fresh key plus its delete.
+func benchInsertDelete(b *testing.B, enc core.Encoding) {
+	t, probe := writeBenchTree(enc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := probe[i&(writeBenchKeys-1)] | 1
+		t.Insert(k, uint64(i))
+		t.Delete(k)
+	}
+}
+
+func BenchmarkInsertDeleteSuccinct(b *testing.B) { benchInsertDelete(b, EncSuccinct) }
+func BenchmarkInsertDeleteGapped(b *testing.B)   { benchInsertDelete(b, EncGapped) }
+
+// TestWriteAllocs bounds what an overwrite allocates on every encoding:
+// the leaf box, the payload header and the new values — no clone of the
+// keys and no heap-allocated descent stack.
+func TestWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	keys, vals := sortedPairs(4096, 21)
+	for _, enc := range allEncodings() {
+		tr := BulkLoad(Config{DefaultEncoding: enc}, keys, vals)
+		i := 0
+		got := testing.AllocsPerRun(500, func() {
+			tr.Insert(keys[(i*37)%len(keys)], vals[i%len(vals)])
+			i++
+		})
+		if got > 4 {
+			t.Errorf("%s: overwrite allocates %.1f objects, want <= 4", EncodingName(enc), got)
+		}
+	}
+}
