@@ -20,10 +20,11 @@
 // Quick start:
 //
 //	tree := ahi.BulkLoadBTree(ahi.BTreeOptions{MemoryBudget: 64 << 20}, keys, vals)
-//	s := tree.NewSession() // one per goroutine
+//	s := tree.NewSession() // a plain BTree serves one session at a time
 //	v, ok := s.Lookup(42)
 //
-//	// Serving at scale: shard the key space and look up in batches.
+//	// Serving at scale, and from more than one goroutine: shard the key
+//	// space and look up in batches.
 //	srv := ahi.BulkLoadShardedBTree(ahi.BTreeOptions{Shards: 4}, keys, vals)
 //	srv.LookupBatch(queryKeys, resultVals, resultFound) // positional results
 //
@@ -114,12 +115,17 @@ const (
 	EncGapped   = btree.EncGapped
 )
 
-// BTree is the workload-adaptive Hybrid B+-tree (AHI-BTree). Create
-// per-goroutine Sessions for tracked operations; the embedded Tree field
-// offers untracked access and size introspection.
+// BTree is the workload-adaptive Hybrid B+-tree (AHI-BTree). Tracked
+// operations go through a Session; the embedded Tree field offers
+// untracked access and size introspection. A BTree built from
+// BTreeOptions serves one session at a time: the options cannot select
+// the concurrent sample stores of §3.1.5, its adaptation manager is
+// single-threaded, and two sessions in use at once race in the sampler.
+// Concurrent callers use a ShardedBTree, one shard included.
 type BTree = btree.Adaptive
 
-// BTreeSession performs tracked B+-tree operations for one goroutine.
+// BTreeSession performs tracked B+-tree operations; one goroutine at a
+// time may use it.
 type BTreeSession = btree.Session
 
 // PlainBTree is the non-adaptive B+-tree with a single, fixed leaf
@@ -163,8 +169,9 @@ type BTreeOptions struct {
 	// BulkLoadShardedBTree). Each shard owns its own adaptation manager;
 	// MemoryBudget is the total across shards, re-split by hotness.
 	Shards int
-	// Workers bounds batch fan-out concurrency across shards
-	// (default GOMAXPROCS, capped at Shards).
+	// Workers bounds the goroutines batch segments are handed to
+	// (default GOMAXPROCS, capped at Shards; 1 keeps every batch on its
+	// caller). It does not bound callers: any number run concurrently.
 	Workers int
 	// AsyncMigrations moves leaf re-encodings off the critical path into
 	// a bounded worker pipeline (call Close on the tree when retiring it).
@@ -317,10 +324,14 @@ func BulkLoadPlainBTree(enc Encoding, keys, vals []uint64) *PlainBTree {
 
 // ShardedBTree is the serving front-end: BTreeOptions.Shards key-range
 // partitions, each an adaptive B+-tree with its own adaptation manager,
-// with batch routing (LookupBatch/InsertBatch group a request batch by
-// shard and fan out across a bounded worker pool) and a shared memory
-// budget re-split by per-shard hotness. All methods are safe for
-// concurrent use; unlike *BTree no per-goroutine sessions are needed.
+// with batch routing (LookupBatch/InsertBatch/ScanBatch group a request
+// batch by shard; large segments beyond the caller's own go to a bounded
+// worker pool) and a shared memory budget re-split by per-shard hotness.
+// All methods are safe from any number of goroutines, and callers of one
+// shard run concurrently: each call checks a session out of the shard,
+// and the front runs its shard managers in §3.1.5's thread-local
+// sampling mode. Scan and ScanBatch callbacks may call back into the same
+// ShardedBTree.
 type ShardedBTree = shard.ShardedBTree
 
 // NewShardedBTree creates an empty sharded adaptive B+-tree; shards split

@@ -285,6 +285,9 @@ func (m *Manager[ID, Ctx]) SetMemoryBudget(b int64) {
 	m.budgetOverride.Store(b)
 }
 
+// MemoryBudget returns the override in force (0: none was set).
+func (m *Manager[ID, Ctx]) MemoryBudget() int64 { return m.budgetOverride.Load() }
+
 // budget resolves the configured budget in bytes; MaxInt64 when unbounded.
 func (m *Manager[ID, Ctx]) budget(u UnitCounts) int64 {
 	if o := m.budgetOverride.Load(); o > 0 {

@@ -82,7 +82,7 @@ func Open(cfg Config) (*ShardedBTree, *RecoveryStats, error) {
 		}
 	}
 	for i, a := range trees {
-		s.shards[i] = &shardState{a: a, session: a.NewSession()}
+		s.shards[i] = &shardState{a: a}
 		st := &stats.PerShard[i]
 		if st.WarmStart {
 			stats.WarmShards++

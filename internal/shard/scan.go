@@ -13,9 +13,9 @@ import (
 // continues on the next shard at its first routed key (the same
 // continuation protocol as the sequential Scan above, batched). Rounds
 // proceed left to right — round r runs every request's current shard
-// sub-batch through the per-shard fused ScanBatch kernel, distinct shards
-// in parallel on the bounded worker pool — and after each round the
-// partial results are stitched into the caller's sink in request order.
+// sub-batch through the per-shard fused ScanBatch kernel, placed by fanOut
+// like a batch's segments — and after each round the partial results are
+// stitched into the caller's sink in request order, with no session held.
 // Per-request segments therefore arrive in ascending key order across
 // shard boundaries; segments of different requests interleave.
 
@@ -48,10 +48,10 @@ func (rs *scanRoute) ensure(ns int) {
 // ScanBatch serves len(reqs) range requests across the shard front-end
 // and returns the total pairs delivered. Requests spanning several shards
 // are split and continued; per-shard sub-batches run the fused
-// btree.ScanBatch kernel, in parallel across the worker pool when more
-// than one shard is touched. Emitted segments follow the ScanSink
-// contract (ascending per request, valid only during Emit); all Emit
-// calls happen on the caller's goroutine.
+// btree.ScanBatch kernel, large ones beside the caller's own on the worker
+// pool. Emitted segments follow the ScanSink contract (ascending per
+// request, valid only during Emit); all Emit calls happen on the caller's
+// goroutine.
 func (s *ShardedBTree) ScanBatch(reqs []btree.ScanReq, sink btree.ScanSink) int {
 	if len(reqs) == 0 {
 		return 0
@@ -65,9 +65,9 @@ func (s *ShardedBTree) ScanBatch(reqs []btree.ScanReq, sink btree.ScanSink) int 
 	if len(s.shards) == 1 {
 		sh := s.shards[0]
 		sh.ops.Add(int64(len(reqs)))
-		sh.mu.Lock()
-		total = sh.session.ScanBatch(reqs, sink)
-		sh.mu.Unlock()
+		ses := sh.acquire()
+		total = ses.ScanBatch(reqs, sink)
+		sh.release(ses)
 	} else {
 		total, fan = s.scanBatchFanOut(reqs, sink)
 		s.maybeRebalance()
@@ -97,6 +97,18 @@ func (s *ShardedBTree) scanBatchFanOut(reqs []btree.ScanReq, sink btree.ScanSink
 			req: int32(i), g: int32(s.shardOf(r.From)), from: r.From, rem: int32(r.N),
 		})
 	}
+	// A request weighs as one key, whatever its length: bulk decode is
+	// bound by memory bandwidth, so with one request a shard a handoff
+	// loses 37 % at 4096 pairs and gains 11 % at 65536 (EXPERIMENTS.md,
+	// shardfront).
+	size := func(g int) int { return len(rs.subs[g]) }
+	run := func(g int, ses *btree.Session) {
+		sub := rs.subs[g]
+		s.shards[g].ops.Add(int64(len(sub)))
+		buf := rs.bufs[g]
+		buf.Reset(len(sub))
+		ses.ScanBatch(sub, buf)
+	}
 	total, maxFan := 0, 0
 	for len(parts) > 0 {
 		for g := range rs.subs[:ns] {
@@ -115,37 +127,7 @@ func (s *ShardedBTree) scanBatchFanOut(reqs []btree.ScanReq, sink btree.ScanSink
 		if touched > maxFan {
 			maxFan = touched
 		}
-		run := func(g int) {
-			sh := s.shards[g]
-			sub := rs.subs[g]
-			sh.ops.Add(int64(len(sub)))
-			buf := rs.bufs[g]
-			buf.Reset(len(sub))
-			sh.mu.Lock()
-			sh.session.ScanBatch(sub, buf)
-			sh.mu.Unlock()
-		}
-		if touched <= 1 || cap(s.sem) <= 1 {
-			for g := 0; g < ns; g++ {
-				if len(rs.subs[g]) > 0 {
-					run(g)
-				}
-			}
-		} else {
-			var wg sync.WaitGroup
-			for g := 0; g < ns; g++ {
-				if len(rs.subs[g]) == 0 {
-					continue
-				}
-				wg.Add(1)
-				s.sem <- struct{}{}
-				go func(g int) {
-					defer func() { <-s.sem; wg.Done() }()
-					run(g)
-				}(g)
-			}
-			wg.Wait()
-		}
+		s.fanOut(size, run)
 		// Stitch this round's partial results in request order, then build
 		// the continuation set: a request whose shard delivered fewer pairs
 		// than asked has exhausted that shard's key range and resumes on

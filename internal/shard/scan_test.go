@@ -19,13 +19,18 @@ func TestShardScanBatchMatchesScanOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(shards)))
 		var buf btree.ScanBuffer
 		for round := 0; round < 20; round++ {
-			nreq := 1 + rng.Intn(10)
+			nreq, maxN := 1+rng.Intn(10), 8_000
+			if round%4 == 3 {
+				// Enough requests a shard that sub-batches are handed to
+				// other goroutines.
+				nreq, maxN = 2*fanOutMinKeys*shards, 300
+			}
 			reqs := make([]btree.ScanReq, nreq)
 			for i := range reqs {
 				reqs[i] = btree.ScanReq{
 					// Long lengths force cross-shard continuations at 16 shards.
 					From: uint64(rng.Intn(len(keys) * 5)),
-					N:    rng.Intn(8_000),
+					N:    rng.Intn(maxN),
 				}
 			}
 			buf.Reset(nreq)
@@ -128,6 +133,9 @@ func TestShardScanBatchUnderConcurrentWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for round := 0; round < 60; round++ {
 		nreq := 6
+		if round%4 == 3 {
+			nreq = 8 * 2 * fanOutMinKeys // sub-batches run on other goroutines
+		}
 		reqs := make([]btree.ScanReq, nreq)
 		for i := range reqs {
 			reqs[i] = btree.ScanReq{From: uint64(rng.Intn(30_000) * 5), N: 2_000}

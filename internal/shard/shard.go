@@ -15,11 +15,17 @@
 //
 //   - Batch fan-out: a request batch is grouped by destination shard with
 //     one counting-sort pass (counts → offsets → gather), producing one
-//     contiguous sub-batch per shard in a pooled scratch buffer. Sub-
-//     batches run on the per-shard batch kernels; when more than one shard
-//     is touched and Workers > 1, sub-batches fan out across a bounded
-//     worker pool, bounded by a semaphore, and results scatter back to the
-//     caller's positional slices.
+//     contiguous segment per shard in a pooled scratch buffer. Segments
+//     run on the per-shard batch kernels: the caller keeps the largest
+//     one and every one below fanOutMinKeys, only the other large ones go
+//     to the semaphore-bounded pool (see fanOut). Results scatter back to
+//     the caller's positional slices.
+//
+//   - Sessions: no lock is held across an index operation. Every call
+//     checks a btree.Session out of its shard and returns it, so callers
+//     of one shard run concurrently, a Scan or ScanBatch callback may
+//     call back into the front, and the per-shard managers sample
+//     thread-locally (§3.1.5, TLS), one sampler per session.
 //
 //   - Budget split: the configured memory budget is the total across all
 //     shards. Every RebalanceEvery batches (and on demand via Rebalance)
@@ -32,12 +38,14 @@ package shard
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"ahi/internal/btree"
+	"ahi/internal/core"
 	"ahi/internal/obs"
 )
 
@@ -88,19 +96,62 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// shardState is one partition: an adaptive tree plus its serialized
-// session. Tree and manager are concurrency-safe, but sessions are not —
-// single-key operations and sub-batches take the shard mutex and go
-// through the shard's one session, so per-shard work serializes while
-// distinct shards proceed in parallel.
+// shardState is one partition: an adaptive tree plus the sessions its
+// callers check out. Tree and manager are concurrency-safe, a session is
+// not, so every operation takes one for its duration: the lowest one
+// checked in, or a new one when the bitmap read empty — every session was
+// out at that instant, so their number grows to the peak of overlapping
+// callers and no further. A lone caller stays on session 0, for two atomic
+// read-modify-writes a call; nothing locks.
 type shardState struct {
-	a       *btree.Adaptive
-	mu      sync.Mutex
-	session *btree.Session
+	a        *btree.Adaptive
+	sessions sessionPage
 	// ops counts routed operations since construction, decayed at every
 	// rebalance — the hotness weight of the budget split.
 	ops atomic.Int64
 }
+
+// sessionPage is 64 of a shard's sessions; a shard whose callers overlap
+// further chains another page.
+type sessionPage struct {
+	idle atomic.Uint64 // bit i: ses[i] is checked in
+	made atomic.Int32  // ses[:made] exist or are being made
+	ses  [64]*session
+	next atomic.Pointer[sessionPage]
+}
+
+type session struct {
+	*btree.Session
+	page *sessionPage
+	bit  uint64
+}
+
+// take checks ses[i] out if it is checked in.
+func (pg *sessionPage) take(i int) bool {
+	bit := uint64(1) << i
+	return pg.idle.And(^bit)&bit != 0
+}
+
+func (sh *shardState) acquire() *session {
+	for pg := &sh.sessions; ; pg = pg.next.Load() {
+		for m := pg.idle.Load(); m != 0; m = pg.idle.Load() {
+			if i := bits.TrailingZeros64(m); pg.take(i) {
+				return pg.ses[i]
+			}
+		}
+		if pg.made.Load() < 64 {
+			if i := pg.made.Add(1) - 1; i < 64 {
+				pg.ses[i] = &session{sh.a.NewSession(), pg, 1 << i}
+				return pg.ses[i]
+			}
+		}
+		if pg.next.Load() == nil {
+			pg.next.CompareAndSwap(nil, new(sessionPage))
+		}
+	}
+}
+
+func (sh *shardState) release(ses *session) { ses.page.idle.Or(ses.bit) }
 
 // ShardedBTree is the key-range-partitioned serving front-end.
 type ShardedBTree struct {
@@ -108,9 +159,10 @@ type ShardedBTree struct {
 	bounds []uint64 // bounds[i] = first key of shard i+1; len = Shards-1
 	shards []*shardState
 
-	sem     chan struct{} // bounded fan-out pool
-	batches atomic.Int64  // batch counter driving automatic rebalance
-	total   int64         // total memory budget split across shards
+	sem         chan struct{} // bounded fan-out pool
+	batches     atomic.Int64  // batch counter driving automatic rebalance
+	rebalancing atomic.Bool   // a Rebalance is running (single-flight)
+	total       int64         // total memory budget split across shards
 
 	// migrators is the shared cross-shard migration executor (nil when
 	// async migrations are off or the shared pool is disabled).
@@ -179,7 +231,7 @@ func build(cfg Config, bounds []uint64, keys, vals []uint64) *ShardedBTree {
 		} else {
 			a = btree.NewAdaptive(acfg)
 		}
-		s.shards[i] = &shardState{a: a, session: a.NewSession()}
+		s.shards[i] = &shardState{a: a}
 	}
 	s.finishBuild(cfg)
 	return s
@@ -226,6 +278,12 @@ func (s *ShardedBTree) perShardCfg(cfg Config, i int) btree.AdaptiveConfig {
 	if cfg.Obs != nil {
 		acfg.Obs = cfg.Obs
 		acfg.ObsSource = fmt.Sprintf("shard%d", i)
+	}
+	if acfg.Mode == core.SingleThreaded {
+		// Sessions run concurrently, so the manager must take their samples
+		// concurrently. TLS, not GS: as fast on serve-shift, but GS costs
+		// 5 % more heap_bytes_per_key (EXPERIMENTS.md, shardfront).
+		acfg.Mode, acfg.Workers = core.TLS, runtime.GOMAXPROCS(0)
 	}
 	return acfg
 }
@@ -283,13 +341,13 @@ func (s *ShardedBTree) Shards() int { return len(s.shards) }
 // Shard exposes shard i's adaptive tree (bench/test introspection).
 func (s *ShardedBTree) Shard(i int) *btree.Adaptive { return s.shards[i].a }
 
-// Lookup routes a single-key lookup through the owning shard's session.
+// Lookup routes a single-key lookup through a session of the owning shard.
 func (s *ShardedBTree) Lookup(k uint64) (uint64, bool) {
 	sh := s.shards[s.shardOf(k)]
 	sh.ops.Add(1)
-	sh.mu.Lock()
-	v, ok := sh.session.Lookup(k)
-	sh.mu.Unlock()
+	ses := sh.acquire()
+	v, ok := ses.Lookup(k)
+	sh.release(ses)
 	return v, ok
 }
 
@@ -297,9 +355,9 @@ func (s *ShardedBTree) Lookup(k uint64) (uint64, bool) {
 func (s *ShardedBTree) Insert(k, v uint64) bool {
 	sh := s.shards[s.shardOf(k)]
 	sh.ops.Add(1)
-	sh.mu.Lock()
-	ok := sh.session.Insert(k, v)
-	sh.mu.Unlock()
+	ses := sh.acquire()
+	ok := ses.Insert(k, v)
+	sh.release(ses)
 	return ok
 }
 
@@ -307,9 +365,9 @@ func (s *ShardedBTree) Insert(k, v uint64) bool {
 func (s *ShardedBTree) Delete(k uint64) bool {
 	sh := s.shards[s.shardOf(k)]
 	sh.ops.Add(1)
-	sh.mu.Lock()
-	ok := sh.session.Delete(k)
-	sh.mu.Unlock()
+	ses := sh.acquire()
+	ok := ses.Delete(k)
+	sh.release(ses)
 	return ok
 }
 
@@ -328,9 +386,9 @@ func (s *ShardedBTree) Scan(from uint64, n int, fn func(k, v uint64) bool) int {
 	for i := s.shardOf(from); i < len(s.shards) && visited < n && !stopped; i++ {
 		sh := s.shards[i]
 		sh.ops.Add(1)
-		sh.mu.Lock()
-		visited += sh.session.Scan(from, n-visited, wrapped)
-		sh.mu.Unlock()
+		ses := sh.acquire()
+		visited += ses.Scan(from, n-visited, wrapped)
+		sh.release(ses)
 		if i < len(s.bounds) {
 			from = s.bounds[i] // continue at the next shard's first key
 		}
@@ -376,6 +434,9 @@ func (rs *routeScratch) size(shards, n int) {
 	rs.gf = rs.gf[:n]
 }
 
+// segLen is the number of keys group routed to shard g.
+func (rs *routeScratch) segLen(g int) int { return rs.offsets[g+1] - rs.offsets[g] }
+
 // group gathers the batch into per-shard contiguous segments; segment g is
 // [offsets[g], offsets[g+1]) of the flat arrays. Returns how many shards
 // are touched.
@@ -408,50 +469,93 @@ func (s *ShardedBTree) group(keys []uint64, rs *routeScratch) int {
 	return touched
 }
 
-// fanOut runs fn(shard, lo, hi) for every non-empty shard segment —
-// inline when only one shard is touched (or the pool is sized 1), across
-// the bounded worker pool otherwise.
-func (s *ShardedBTree) fanOut(rs *routeScratch, touched int, fn func(g, lo, hi int)) {
-	ns := len(s.shards)
-	if touched <= 1 || cap(s.sem) <= 1 {
-		for g := 0; g < ns; g++ {
-			if lo, hi := rs.offsets[g], rs.offsets[g+1]; hi > lo {
-				fn(g, lo, hi)
+// fanOutMinKeys is the smallest segment that gets a goroutine of its own:
+// a handoff costs a goroutine start and two thread wake-ups. One caller,
+// uniform keys, 4 Succinct shards, 2 cores, ns a key handed over against
+// inline (EXPERIMENTS.md, shardfront): 32 keys a segment 426 against 338,
+// 64 keys 334 against 294, 128 keys 274 against 317, 512 keys 176 against
+// 244. Cached keys cost a fifth of these, so they cross over later still.
+const fanOutMinKeys = 128
+
+// fanOut runs fn on a checked-out session of every shard whose segment
+// size(g) is positive. The caller runs the largest segment and every one
+// below fanOutMinKeys; only the other large ones go to the bounded pool,
+// so one big segment with a few stray keys beside it — what a hot range
+// produces — stays on the caller. Workers: 1 never fans out.
+func (s *ShardedBTree) fanOut(size func(g int) int, fn func(g int, ses *btree.Session)) {
+	large, own, ownLen := 0, 0, 0
+	if cap(s.sem) > 1 {
+		for g := range s.shards {
+			if n := size(g); n >= fanOutMinKeys {
+				large++
+				if n > ownLen {
+					own, ownLen = g, n
+				}
+			}
+		}
+	}
+	if large < 2 {
+		for g := range s.shards {
+			if size(g) > 0 {
+				s.runOn(g, fn)
 			}
 		}
 		return
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < ns; g++ {
-		lo, hi := rs.offsets[g], rs.offsets[g+1]
-		if hi <= lo {
+	for g := range s.shards {
+		if g == own || size(g) < fanOutMinKeys {
 			continue
 		}
 		wg.Add(1)
 		s.sem <- struct{}{}
-		go func(g, lo, hi int) {
+		go func(g int) {
 			defer func() { <-s.sem; wg.Done() }()
-			fn(g, lo, hi)
-		}(g, lo, hi)
+			s.runOn(g, fn)
+		}(g)
+	}
+	for g := range s.shards {
+		if n := size(g); n > 0 && (g == own || n < fanOutMinKeys) {
+			s.runOn(g, fn)
+		}
 	}
 	wg.Wait()
 }
 
+func (s *ShardedBTree) runOn(g int, fn func(g int, ses *btree.Session)) {
+	sh := s.shards[g]
+	ses := sh.acquire()
+	fn(g, ses.Session)
+	sh.release(ses)
+}
+
 // LookupBatch looks up len(keys) keys, storing results positionally in
-// vals and found. The batch is grouped by shard, each sub-batch runs the
-// shard tree's interleaved batch-lookup kernel, and sub-batches fan out
-// across the worker pool.
+// vals and found. The batch is grouped by shard and each segment runs the
+// shard tree's interleaved batch-lookup kernel (see fanOut for where).
 func (s *ShardedBTree) LookupBatch(keys, vals []uint64, found []bool) {
+	s.batch(obs.OpLookupBatch, (*btree.Session).LookupBatch, keys, vals, found)
+}
+
+// InsertBatch inserts len(keys) pairs; inserted[i] reports whether keys[i]
+// was new. Duplicate keys in one batch resolve in submission order within
+// their shard (last value wins).
+func (s *ShardedBTree) InsertBatch(keys, vals []uint64, inserted []bool) {
+	s.batch(obs.OpInsertBatch, (*btree.Session).InsertBatch, keys, vals, inserted)
+}
+
+// batch routes one LookupBatch or InsertBatch call: op is the session's
+// kernel, vals its input (insert) or output (lookup), flags its output.
+func (s *ShardedBTree) batch(kind obs.OpKind, op func(ses *btree.Session, keys, vals []uint64, flags []bool), keys, vals []uint64, flags []bool) {
 	n := len(keys)
-	if len(vals) < n || len(found) < n {
-		panic("shard: LookupBatch result slices shorter than keys")
+	if len(vals) < n || len(flags) < n {
+		panic("shard: batch value or result slices shorter than keys")
 	}
 	if n == 0 {
 		return
 	}
 	var p obs.OpProbe
 	if s.frontRec != nil {
-		s.beginFront(&p, obs.OpLookupBatch, keys)
+		s.beginFront(&p, kind, keys)
 	}
 	touched := 1
 	if len(s.shards) == 1 {
@@ -459,70 +563,29 @@ func (s *ShardedBTree) LookupBatch(keys, vals []uint64, found []bool) {
 		// the caller's slices directly.
 		sh := s.shards[0]
 		sh.ops.Add(int64(n))
-		sh.mu.Lock()
-		sh.session.LookupBatch(keys, vals[:n], found[:n])
-		sh.mu.Unlock()
+		ses := sh.acquire()
+		op(ses.Session, keys, vals[:n], flags[:n])
+		sh.release(ses)
 	} else {
 		rs := routePool.Get().(*routeScratch)
 		touched = s.group(keys, rs)
-		s.fanOut(rs, touched, func(g, lo, hi int) {
-			sh := s.shards[g]
-			sh.ops.Add(int64(hi - lo))
-			sh.mu.Lock()
-			sh.session.LookupBatch(rs.gk[lo:hi], rs.gv[lo:hi], rs.gf[lo:hi])
-			sh.mu.Unlock()
+		if kind == obs.OpInsertBatch {
+			for i := 0; i < n; i++ {
+				rs.gv[i] = vals[rs.gidx[i]]
+			}
+		}
+		s.fanOut(rs.segLen, func(g int, ses *btree.Session) {
+			lo, hi := rs.offsets[g], rs.offsets[g+1]
+			s.shards[g].ops.Add(int64(hi - lo))
+			op(ses, rs.gk[lo:hi], rs.gv[lo:hi], rs.gf[lo:hi])
 		})
 		for i := 0; i < n; i++ {
-			vals[rs.gidx[i]] = rs.gv[i]
-			found[rs.gidx[i]] = rs.gf[i]
+			flags[rs.gidx[i]] = rs.gf[i]
 		}
-		routePool.Put(rs)
-		s.maybeRebalance()
-	}
-	if s.frontRec != nil {
-		p.Ev.Ops = int32(n)
-		p.Ev.Fanout = int32(touched)
-		p.End()
-	}
-}
-
-// InsertBatch inserts len(keys) pairs; inserted[i] reports whether keys[i]
-// was new. Duplicate keys in one batch resolve in submission order within
-// their shard (last value wins).
-func (s *ShardedBTree) InsertBatch(keys, vals []uint64, inserted []bool) {
-	n := len(keys)
-	if len(vals) < n || len(inserted) < n {
-		panic("shard: InsertBatch slices shorter than keys")
-	}
-	if n == 0 {
-		return
-	}
-	var p obs.OpProbe
-	if s.frontRec != nil {
-		s.beginFront(&p, obs.OpInsertBatch, keys)
-	}
-	touched := 1
-	if len(s.shards) == 1 {
-		sh := s.shards[0]
-		sh.ops.Add(int64(n))
-		sh.mu.Lock()
-		sh.session.InsertBatch(keys, vals[:n], inserted[:n])
-		sh.mu.Unlock()
-	} else {
-		rs := routePool.Get().(*routeScratch)
-		touched = s.group(keys, rs)
-		for i := 0; i < n; i++ {
-			rs.gv[i] = vals[rs.gidx[i]]
-		}
-		s.fanOut(rs, touched, func(g, lo, hi int) {
-			sh := s.shards[g]
-			sh.ops.Add(int64(hi - lo))
-			sh.mu.Lock()
-			sh.session.InsertBatch(rs.gk[lo:hi], rs.gv[lo:hi], rs.gf[lo:hi])
-			sh.mu.Unlock()
-		})
-		for i := 0; i < n; i++ {
-			inserted[rs.gidx[i]] = rs.gf[i]
+		if kind == obs.OpLookupBatch {
+			for i := 0; i < n; i++ {
+				vals[rs.gidx[i]] = rs.gv[i]
+			}
 		}
 		routePool.Put(rs)
 		s.maybeRebalance()
@@ -548,30 +611,33 @@ func (s *ShardedBTree) maybeRebalance() {
 // Rebalance re-splits the total memory budget across shards by hotness:
 // 25% evenly (a floor so cold shards keep a little expansion headroom),
 // 75% proportional to each shard's decayed operation count. No-op without
-// an absolute total budget.
+// an absolute total budget. Single-flight — a call that finds a run in
+// progress returns: two runs interleaving their per-shard loops leave
+// shares of different weight sums in force, adding up to more than total.
 func (s *ShardedBTree) Rebalance() {
-	if s.total <= 0 {
+	if s.total <= 0 || !s.rebalancing.CompareAndSwap(false, true) {
 		return
 	}
+	defer s.rebalancing.Store(false)
 	ns := int64(len(s.shards))
 	// Hotness weight: decayed operation count plus the shard's migration
 	// backlog (scaled up — a queued re-encoding is worth more signal than
 	// one routed op, it means the shard is actively churning encodings).
 	// Queue-depth awareness sends budget where adaptation pressure is,
-	// not just where traffic was.
-	weight := func(sh *shardState) int64 {
-		return sh.ops.Load() + 64*int64(sh.a.MigrationBacklog())
-	}
+	// not just where traffic was. Read once: callers keep counting, and
+	// the shares must come from the sum they are divided by.
+	weights := make([]int64, ns)
 	var sum int64
-	for _, sh := range s.shards {
-		sum += weight(sh)
+	for i, sh := range s.shards {
+		weights[i] = sh.ops.Load() + 64*int64(sh.a.MigrationBacklog())
+		sum += weights[i]
 	}
 	reserve := s.total / 4
 	weighted := s.total - reserve
-	for _, sh := range s.shards {
+	for i, sh := range s.shards {
 		share := reserve / ns
 		if sum > 0 {
-			share += weighted * weight(sh) / sum
+			share += weighted * weights[i] / sum
 		} else {
 			share += weighted / ns
 		}
@@ -620,10 +686,12 @@ func (s *ShardedBTree) DrainMigrations() {
 	}
 }
 
-// Close flushes and stops every shard's migration pipeline. The shared
-// migrator pool stops first so no worker races the managers' shutdown
-// flush; work still queued at that point is executed by Close itself.
+// Close merges the sessions' samples, then flushes and stops every shard's
+// migration pipeline. The shared migrator pool stops before the managers
+// so no worker races their shutdown flush; work still queued at that
+// point is executed by Close itself.
 func (s *ShardedBTree) Close() {
+	s.Flush()
 	if s.migrators != nil {
 		s.migrators.stop()
 	}
@@ -632,11 +700,19 @@ func (s *ShardedBTree) Close() {
 	}
 }
 
-// Flush merges buffered thread-local samples on every shard session.
+// Flush merges the buffered thread-local samples of every idle session
+// into its shard's manager — all of them when no call is in flight. It
+// holds one session at a time, so a caller arriving meanwhile finds the
+// others.
 func (s *ShardedBTree) Flush() {
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.session.Flush()
-		sh.mu.Unlock()
+		for pg := &sh.sessions; pg != nil; pg = pg.next.Load() {
+			for i := range pg.ses {
+				if pg.take(i) {
+					pg.ses[i].Flush()
+					sh.release(pg.ses[i])
+				}
+			}
+		}
 	}
 }

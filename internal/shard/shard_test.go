@@ -63,42 +63,50 @@ func TestBulkLoadFewKeys(t *testing.T) {
 	}
 }
 
+// segmentShapes are per-shard segment sizes of a 4-shard batch, one for
+// every branch of fanOut: a lone segment, one large segment with stray
+// keys beside it (the hot-range shape, which must stay on the caller),
+// and equal segments below and above the handoff threshold.
+var segmentShapes = [][4]int{
+	{0, 3 * fanOutMinKeys, 0, 0},
+	{1, 2 * fanOutMinKeys, 1, 1},
+	{fanOutMinKeys - 1, fanOutMinKeys - 1, fanOutMinKeys - 1, fanOutMinKeys - 1},
+	{fanOutMinKeys, fanOutMinKeys, fanOutMinKeys, fanOutMinKeys},
+	{2 * fanOutMinKeys, fanOutMinKeys + 1, 5, 2 * fanOutMinKeys},
+}
+
 // TestBatchMatchesSingleOps cross-checks sharded batch lookups/inserts
-// against routed single-key operations, inline and fanned out.
+// against routed single-key operations, inline and fanned out: random
+// batches on every shard count, then every segment shape on 4 shards.
 func TestBatchMatchesSingleOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, shards := range []int{1, 4, 16} {
 		for _, workers := range []int{1, 4} {
 			s := New(testConfig(shards, workers))
 			ref := make(map[uint64]uint64)
-			for round := 0; round < 30; round++ {
-				n := 1 + rng.Intn(256)
-				ks := make([]uint64, n)
-				vs := make([]uint64, n)
-				ins := make([]bool, n)
-				for i := range ks {
-					ks[i] = rng.Uint64() // spans all shards
-					if i%3 == 0 {
-						ks[i] = uint64(rng.Intn(5000)) // and a dense hot range
-					}
+			// check inserts the batch, then reads it back (with as many
+			// absent keys) through LookupBatch and through single Lookups.
+			check := func(ks []uint64) {
+				t.Helper()
+				n := len(ks)
+				vs, ins := make([]uint64, n), make([]bool, n)
+				for i := range vs {
 					vs[i] = rng.Uint64()
 				}
 				s.InsertBatch(ks, vs, ins)
 				for i, k := range ks {
-					ref[k] = vs[i]
-					_ = ins[i]
-				}
-				// Mixed queries: some present, some misses.
-				q := make([]uint64, 64)
-				got := make([]uint64, 64)
-				ok := make([]bool, 64)
-				for i := range q {
-					if i%2 == 0 && len(ks) > 0 {
-						q[i] = ks[rng.Intn(len(ks))]
-					} else {
-						q[i] = rng.Uint64()
+					// A repeated key is new at its first position only.
+					if _, had := ref[k]; ins[i] == had {
+						t.Fatalf("shards=%d workers=%d: InsertBatch(%d) new=%v, key present before: %v",
+							shards, workers, k, ins[i], had)
 					}
+					ref[k] = vs[i]
 				}
+				q := make([]uint64, 0, 2*n)
+				for _, k := range ks {
+					q = append(q, k, k^1) // the neighbour is mostly absent
+				}
+				got, ok := make([]uint64, len(q)), make([]bool, len(q))
 				s.LookupBatch(q, got, ok)
 				for i, k := range q {
 					wv, wok := ref[k]
@@ -106,6 +114,32 @@ func TestBatchMatchesSingleOps(t *testing.T) {
 						t.Fatalf("shards=%d workers=%d: LookupBatch(%d)=(%d,%v) want (%d,%v)",
 							shards, workers, k, got[i], ok[i], wv, wok)
 					}
+					if v, found := s.Lookup(k); found != ok[i] || (found && v != got[i]) {
+						t.Fatalf("shards=%d workers=%d: Lookup(%d)=(%d,%v), LookupBatch said (%d,%v)",
+							shards, workers, k, v, found, got[i], ok[i])
+					}
+				}
+			}
+			for round := 0; round < 30; round++ {
+				ks := make([]uint64, 1+rng.Intn(256))
+				for i := range ks {
+					ks[i] = rng.Uint64() // spans all shards
+					if i%3 == 0 {
+						ks[i] = uint64(rng.Intn(5000)) // and a dense hot range
+					}
+				}
+				check(ks)
+			}
+			if shards == 4 {
+				for _, shape := range segmentShapes {
+					var ks []uint64
+					for g, n := range shape {
+						for i := 0; i < n; i++ {
+							ks = append(ks, uint64(g)<<62+uint64(rng.Intn(1<<20)))
+						}
+					}
+					rng.Shuffle(len(ks), func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
+					check(ks)
 				}
 			}
 			if s.Len() != len(ref) {
