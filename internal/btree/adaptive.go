@@ -5,6 +5,7 @@ import (
 	"ahi/internal/core"
 	"ahi/internal/hashmap"
 	"ahi/internal/obs"
+	"ahi/internal/wal"
 )
 
 // LeafCtx is the context the adaptation manager stores per tracked leaf:
@@ -396,31 +397,35 @@ func (a *Adaptive) NewSession() *Session {
 // adaptation signal must not see the cache's hit filtering — and their
 // result is admitted pre-warmed (the sampler just declared the key hot).
 func (s *Session) Lookup(k uint64) (uint64, bool) {
-	if s.rec != nil {
-		return s.lookupTraced(k)
-	}
+	ev := s.beginOp(obs.OpLookup, k)
 	sample := s.sampler.IsSample()
-	if s.c == nil {
-		v, leaf, ok := s.a.Tree.lookupLeaf(k)
-		if sample {
-			s.sampler.Track(leaf, core.Read, LeafCtx{})
-		}
-		return v, ok
-	}
 	var snap uint64 // taken before the tree read; Admit re-validates it
-	if sample {
-		snap = s.c.Snap(k)
-	} else if v, sn, ok := s.c.ProbeOrSnap(k); ok {
-		return v, true
-	} else {
-		snap = sn
+	if s.c != nil {
+		if sample {
+			snap = s.c.Snap(k)
+		} else if v, sn, torn, hit := s.c.ProbeOrSnapProf(k); hit {
+			if ev != nil {
+				ev.CacheTorn, ev.CacheHit, ev.Found = torn, true, true
+				s.finishOp()
+			}
+			return v, true
+		} else {
+			snap = sn
+			if ev != nil {
+				ev.CacheTorn = torn
+			}
+		}
 	}
-	v, leaf, ok := s.a.Tree.lookupLeaf(k)
+	v, leaf, ok := s.a.Tree.lookupLeaf(k, ev)
 	if sample {
 		s.sampler.Track(leaf, core.Read, LeafCtx{})
 	}
-	if ok {
+	if ok && s.c != nil {
 		s.c.Admit(k, v, snap, sample, sample || s.admitGate())
+	}
+	if ev != nil {
+		ev.Found = ok
+		s.finishOp()
 	}
 	return v, ok
 }
@@ -441,34 +446,51 @@ func (s *Session) admitGate() bool {
 
 // Insert is a tracked insert. A write that eagerly expanded its leaf is
 // always tracked — sampled or not — so the deferred compaction of §5.2 can
-// find the leaf once it cools down.
+// find the leaf once it cools down. On a durable tree the write is logged
+// before it is applied and acked once the log committed it (durable.go).
 func (s *Session) Insert(k, v uint64) bool {
-	if s.a.dur != nil {
-		return s.insertDurable(k, v)
-	}
-	if s.rec != nil {
-		return s.insertTraced(k, v)
+	ev := s.beginOp(obs.OpInsert, k)
+	d := s.a.dur
+	var lsn uint64
+	if d != nil {
+		s.walBuf = wal.EncodeInsert(s.walBuf[:0], k, v)
+		lsn = d.begin(wal.RecInsert, s.walBuf)
 	}
 	sample := s.sampler.IsSample()
-	inserted, leaf, expanded := s.a.Tree.insertTracked(k, v)
+	inserted, leaf, expanded := s.a.Tree.insertTracked(k, v, ev)
+	if d != nil {
+		d.commit(lsn, 1, ev)
+	}
 	if sample || expanded {
 		s.sampler.Track(leaf, core.Insert, LeafCtx{})
+	}
+	if ev != nil {
+		ev.Found = inserted
+		s.finishOp()
 	}
 	return inserted
 }
 
-// Delete is a tracked delete.
+// Delete is a tracked delete, logged like Insert on a durable tree.
 func (s *Session) Delete(k uint64) bool {
-	if s.a.dur != nil {
-		return s.deleteDurable(k)
-	}
-	if s.rec != nil {
-		return s.deleteTraced(k)
+	ev := s.beginOp(obs.OpDelete, k)
+	d := s.a.dur
+	var lsn uint64
+	if d != nil {
+		s.walBuf = wal.EncodeDelete(s.walBuf[:0], k)
+		lsn = d.begin(wal.RecDelete, s.walBuf)
 	}
 	sample := s.sampler.IsSample()
-	ok, leaf := s.a.Tree.deleteTracked(k, nil)
+	ok, leaf := s.a.Tree.deleteTracked(k, ev)
+	if d != nil {
+		d.commit(lsn, 1, ev)
+	}
 	if sample {
 		s.sampler.Track(leaf, core.Delete, LeafCtx{})
+	}
+	if ev != nil {
+		ev.Found = ok
+		s.finishOp()
 	}
 	return ok
 }
@@ -476,15 +498,17 @@ func (s *Session) Delete(k uint64) bool {
 // Scan is a tracked range scan: when the scan is sampled, every visited
 // leaf is tracked with the Scan access type (§4.1.3).
 func (s *Session) Scan(from uint64, n int, fn func(k, v uint64) bool) int {
-	if s.rec != nil {
-		return s.scanTraced(from, n, fn)
+	ev := s.beginOp(obs.OpScan, from)
+	var onLeaf func(*Leaf)
+	if s.sampler.IsSample() {
+		onLeaf = s.trackScanFn
 	}
-	if !s.sampler.IsSample() {
-		return s.a.Tree.Scan(from, n, fn)
+	visited, leaves := s.a.Tree.scanTracked(from, n, fn, onLeaf)
+	if ev != nil {
+		ev.Ops, ev.Leaves, ev.BulkDecode = int32(visited), int32(leaves), true
+		s.finishOp()
 	}
-	return s.a.Tree.scanLeaves(from, n, fn, func(l *Leaf) {
-		s.sampler.Track(l, core.Scan, LeafCtx{})
-	})
+	return visited
 }
 
 // ScanBatch serves len(reqs) range requests through one fused B-link walk
@@ -493,21 +517,26 @@ func (s *Session) Scan(from uint64, n int, fn func(k, v uint64) bool) int {
 // advances exactly as len(reqs) per-request scans would; when any request
 // of the batch is sampled, every leaf the fused walk visits is tracked
 // with the Scan access type — fusion loses the leaf→request attribution,
-// so a sampled batch over-tracks only within its own walk.
+// so a sampled batch over-tracks only within its own walk. The flight
+// recorder gets one coarse event per batch: pairs delivered (Ops),
+// request count (Fanout) and leaves visited.
 func (s *Session) ScanBatch(reqs []ScanReq, sink ScanSink) int {
-	if s.rec != nil {
-		return s.scanBatchTraced(reqs, sink)
+	var k0 uint64
+	if len(reqs) > 0 {
+		k0 = reqs[0].From
 	}
-	n, _ := s.scanBatchFast(reqs, sink)
-	return n
-}
-
-func (s *Session) scanBatchFast(reqs []ScanReq, sink ScanSink) (int, int) {
+	ev := s.beginOp(obs.OpScanBatch, k0)
 	s.sampleBuf = s.sampler.SampleOffsets(len(reqs), s.sampleBuf[:0])
-	if len(s.sampleBuf) == 0 {
-		return s.a.Tree.scanBatchTracked(reqs, sink, nil)
+	var onLeaf func(*Leaf)
+	if len(s.sampleBuf) > 0 {
+		onLeaf = s.trackScanFn
 	}
-	return s.a.Tree.scanBatchTracked(reqs, sink, s.trackScanFn)
+	n, leaves := s.a.Tree.scanWalk(reqs, sink, nil, onLeaf)
+	if ev != nil {
+		ev.Ops, ev.Fanout, ev.Leaves, ev.BulkDecode = int32(n), int32(len(reqs)), int32(leaves), true
+		s.finishOp()
+	}
+	return n
 }
 
 // trackScan is the sampled-scan leaf callback (bound once).
@@ -524,7 +553,7 @@ func (s *Session) Flush() { s.sampler.Flush() }
 func (a *Adaptive) Train(keyFreqs map[uint64]uint64) int {
 	leafFreq := make(map[*Leaf]uint64)
 	for k, f := range keyFreqs {
-		_, leaf, _ := a.Tree.lookupLeaf(k)
+		_, leaf, _ := a.Tree.lookupLeaf(k, nil)
 		leafFreq[leaf] += f
 	}
 	freqs := make([]core.IDFreq[*Leaf, LeafCtx], 0, len(leafFreq))

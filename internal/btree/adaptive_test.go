@@ -52,7 +52,7 @@ func TestAdaptiveExpandsHotLeaves(t *testing.T) {
 	}
 	t.Logf("leaves: succinct=%d packed=%d gapped=%d", sc, pc, gc)
 	// The hottest key's leaf must be gapped.
-	_, leaf, _ := a.Tree.lookupLeaf(keys[0])
+	_, leaf, _ := a.Tree.lookupLeaf(keys[0], nil)
 	if leaf.Encoding() != EncGapped {
 		t.Fatalf("hottest leaf encoding = %s", EncodingName(leaf.Encoding()))
 	}
@@ -87,7 +87,7 @@ func TestAdaptivePhaseShiftCompacts(t *testing.T) {
 	for i := 0; i < 2_000_000; i++ {
 		s.Lookup(keys[rng.Intn(hot)])
 	}
-	_, leafA, _ := a.Tree.lookupLeaf(keys[0])
+	_, leafA, _ := a.Tree.lookupLeaf(keys[0], nil)
 	if leafA.Encoding() == EncSuccinct {
 		t.Fatal("phase-1 hot leaf not expanded")
 	}
@@ -97,11 +97,11 @@ func TestAdaptivePhaseShiftCompacts(t *testing.T) {
 	for i := 0; i < 6_000_000; i++ {
 		s.Lookup(keys[lo+rng.Intn(hot)])
 	}
-	_, leafB, _ := a.Tree.lookupLeaf(keys[len(keys)-1])
+	_, leafB, _ := a.Tree.lookupLeaf(keys[len(keys)-1], nil)
 	if leafB.Encoding() != EncGapped {
 		t.Fatal("phase-2 hot leaf not expanded")
 	}
-	_, leafA, _ = a.Tree.lookupLeaf(keys[0])
+	_, leafA, _ = a.Tree.lookupLeaf(keys[0], nil)
 	if leafA.Encoding() == EncGapped {
 		t.Fatal("stale hot leaf never compacted")
 	}
@@ -122,7 +122,7 @@ func TestAdaptiveInsertEagerExpansion(t *testing.T) {
 	if v, ok := s.Lookup(newKey); !ok || v != 42 {
 		t.Fatal("insert lost")
 	}
-	_, leaf, _ := a.Tree.lookupLeaf(newKey)
+	_, leaf, _ := a.Tree.lookupLeaf(newKey, nil)
 	if leaf.Encoding() != EncGapped {
 		t.Fatalf("write target not eagerly expanded: %s", EncodingName(leaf.Encoding()))
 	}
@@ -141,7 +141,7 @@ func TestAdaptiveScanTracking(t *testing.T) {
 	if a.Mgr.Migrations() == 0 {
 		t.Fatal("scan tracking produced no migrations")
 	}
-	_, leaf, _ := a.Tree.lookupLeaf(keys[10])
+	_, leaf, _ := a.Tree.lookupLeaf(keys[10], nil)
 	if leaf.Encoding() == EncSuccinct {
 		t.Fatal("scan-hot leaf not expanded")
 	}
@@ -172,11 +172,11 @@ func TestTrainedHybridIndex(t *testing.T) {
 	if migs == 0 {
 		t.Fatal("training migrated nothing")
 	}
-	_, hotLeaf, _ := a.Tree.lookupLeaf(keys[0])
+	_, hotLeaf, _ := a.Tree.lookupLeaf(keys[0], nil)
 	if hotLeaf.Encoding() != EncGapped {
 		t.Fatal("trained hot leaf not expanded")
 	}
-	_, coldLeaf, _ := a.Tree.lookupLeaf(keys[len(keys)-1])
+	_, coldLeaf, _ := a.Tree.lookupLeaf(keys[len(keys)-1], nil)
 	if coldLeaf.Encoding() != EncSuccinct {
 		t.Fatal("cold leaf touched by training")
 	}

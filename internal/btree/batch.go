@@ -4,6 +4,8 @@ import (
 	"sync"
 
 	"ahi/internal/core"
+	"ahi/internal/obs"
+	"ahi/internal/wal"
 )
 
 // Batch traversal. A root-to-leaf walk is a chain of dependent loads: each
@@ -178,7 +180,7 @@ func (t *Tree) lookupBatchTracked(keys, vals []uint64, found []bool, track func(
 	}
 	if n < batchMin {
 		for i, k := range keys {
-			v, leaf, ok := t.lookupLeaf(k)
+			v, leaf, ok := t.lookupLeaf(k, nil)
 			vals[i], found[i] = v, ok
 			if track != nil {
 				track(i, leaf)
@@ -192,7 +194,7 @@ func (t *Tree) lookupBatchTracked(keys, vals []uint64, found []bool, track func(
 	// One reader pin covers the whole interleaved kernel: every leaf
 	// image the ring or the run-server loads stays valid until the batch
 	// returns.
-	slot := t.epochs.pin()
+	slot := t.epochs.pin(nil)
 	defer t.epochs.unpin(slot)
 
 	// Serve the sorted head sequentially first. Under a skewed
@@ -200,8 +202,8 @@ func (t *Tree) lookupBatchTracked(keys, vals []uint64, found []bool, track func(
 	// keys collapsing onto one or a few adjacent leaves: one descent plus
 	// B-link hops serves the whole cluster, whereas priming the ring there
 	// would issue up to batchRing redundant descents to the same leaf.
-	leaf, _ := t.descend(keys[order[0]], nil)
-	leaf, lb := moveRightLeaf(leaf, keys[order[0]])
+	leaf, _ := t.descend(keys[order[0]], nil, nil)
+	leaf, lb := moveRightLeaf(leaf, keys[order[0]], nil)
 	cursor := t.serveRuns(leaf, lb, keys, vals, found, order, 0, 1, track)
 	if cursor >= n {
 		batchPool.Put(sc)
@@ -246,7 +248,7 @@ func (t *Tree) lookupBatchTracked(keys, vals []uint64, found []bool, track func(
 			// keys this leaf covers off the shared cursor. Every key left
 			// of the cursor is claimed by exactly one slot, so nothing is
 			// processed twice.
-			leaf, lb := moveRightLeaf(c.leaf, k)
+			leaf, lb := moveRightLeaf(c.leaf, k, nil)
 			cursor = t.serveRuns(leaf, lb, keys, vals, found, order, st.j, cursor, track)
 			if cursor < n {
 				st.j = cursor
@@ -477,7 +479,7 @@ func (t *Tree) insertBatchTracked(keys, vals []uint64, inserted []bool, track fu
 	}
 	if n < batchMin {
 		for i, k := range keys {
-			ins, leaf, exp := t.insertTracked(k, vals[i])
+			ins, leaf, exp := t.insertTracked(k, vals[i], nil)
 			inserted[i] = ins
 			if track != nil {
 				track(i, leaf, exp)
@@ -595,28 +597,45 @@ func (t *Tree) insertRun(keys, vals []uint64, inserted []bool,
 //
 // The whole path is allocation-free: scratch lives on the session (one
 // goroutine) and the tracking callbacks are bound once at construction.
+//
+// Batch ops leave one coarse event per call in the flight recorder (kind,
+// size, duration and the cross-op signals) rather than per-key stage
+// detail: the batch kernels are interleaved across keys, so per-key
+// attribution would mean per-key probes — exactly the overhead batching
+// exists to amortize.
 func (s *Session) LookupBatch(keys, vals []uint64, found []bool) {
-	if s.rec != nil {
-		s.lookupBatchTraced(keys, vals, found)
-		return
+	ev := s.beginOp(obs.OpLookupBatch, firstKey(keys))
+	if s.c != nil {
+		s.lookupBatchCached(keys, vals, found)
+	} else {
+		// Draw the sampling decisions up front so the skip counter advances
+		// exactly as under per-key lookups. Samples are rare (skip >= 50), so
+		// the offsets list is almost always empty and the draw is O(samples).
+		s.sampleBuf = s.sampler.SampleOffsets(len(keys), s.sampleBuf[:0])
+		var track func(int, *Leaf)
+		if len(s.sampleBuf) > 0 {
+			track = s.trackReadFn
+		}
+		s.a.Tree.lookupBatchTracked(keys, vals, found, track)
 	}
-	s.lookupBatchFast(keys, vals, found)
+	if ev != nil {
+		ev.Ops = int32(len(keys))
+		s.finishOp()
+	}
 }
 
-func (s *Session) lookupBatchFast(keys, vals []uint64, found []bool) {
-	n := len(keys)
-	// Draw the sampling decisions up front so the skip counter advances
-	// exactly as under per-key lookups. Samples are rare (skip >= 50), so
-	// the offsets list is almost always empty and the draw is O(samples).
-	if s.c == nil {
-		s.sampleBuf = s.sampler.SampleOffsets(n, s.sampleBuf[:0])
-		if len(s.sampleBuf) == 0 {
-			s.a.Tree.LookupBatch(keys, vals, found)
-			return
-		}
-		s.a.Tree.lookupBatchTracked(keys, vals, found, s.trackReadFn)
-		return
+// firstKey is the key a batch's flight-recorder event is filed under.
+func firstKey(keys []uint64) uint64 {
+	if len(keys) == 0 {
+		return 0
 	}
+	return keys[0]
+}
+
+// lookupBatchCached is the cache-on half of LookupBatch: probe, descend
+// for the misses and the sampled keys, admit.
+func (s *Session) lookupBatchCached(keys, vals []uint64, found []bool) {
+	n := len(keys)
 	if len(vals) < n || len(found) < n {
 		panic("btree: LookupBatch result slices shorter than keys")
 	}
@@ -695,20 +714,22 @@ func (s *Session) trackMiss(j int, l *Leaf) {
 // here: the tree's write paths invalidate overwritten keys before the
 // batch returns.
 func (s *Session) InsertBatch(keys, vals []uint64, inserted []bool) {
-	if s.a.dur != nil {
-		s.insertBatchDurable(keys, vals, inserted)
-		return
+	ev := s.beginOp(obs.OpInsertBatch, firstKey(keys))
+	d := s.a.dur
+	var lsn uint64
+	if d != nil {
+		s.walBuf = wal.EncodeBatch(s.walBuf[:0], keys, vals)
+		lsn = d.begin(wal.RecBatch, s.walBuf)
 	}
-	if s.rec != nil {
-		s.insertBatchTraced(keys, vals, inserted)
-		return
-	}
-	s.insertBatchFast(keys, vals, inserted)
-}
-
-func (s *Session) insertBatchFast(keys, vals []uint64, inserted []bool) {
 	s.sampleBuf = s.sampler.SampleOffsets(len(keys), s.sampleBuf[:0])
 	s.a.Tree.insertBatchTracked(keys, vals, inserted, s.trackInsFn)
+	if d != nil {
+		d.commit(lsn, int64(len(keys)), ev)
+	}
+	if ev != nil {
+		ev.Ops = int32(len(keys))
+		s.finishOp()
+	}
 }
 
 // trackInsert is the insert-batch callback (bound once).

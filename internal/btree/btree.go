@@ -7,6 +7,7 @@ import (
 
 	"ahi/internal/cache"
 	"ahi/internal/core"
+	"ahi/internal/obs"
 )
 
 // Concurrency note. The paper synchronizes the Hybrid B+-tree with
@@ -317,31 +318,46 @@ type descentPath [8]*Inner
 
 // descend walks from the root to the leaf responsible for k, recording
 // the visited inner nodes in path when path != nil, and returns the leaf
-// plus the inner node it was reached from.
-func (t *Tree) descend(k uint64, path *descentPath) (*Leaf, *Inner) {
+// plus the inner node it was reached from. It is the one single-key walk
+// from the root: every point and range operation starts here. The levels
+// and right-link chases it counted go to ev when the caller traces the
+// operation (added, so a write's re-descents accumulate); a nil ev costs
+// the one branch at the leaf level.
+func (t *Tree) descend(k uint64, path *descentPath, ev *obs.OpEvent) (*Leaf, *Inner) {
 	node := t.root.Load()
+	var depth, hops int32
 	for {
 		b := node.box.Load()
 		if !b.covers(k) && b.next != nil {
 			node = b.next
+			hops++
 			continue
 		}
+		depth++
 		if path != nil {
 			path[b.depth-1] = node
 		}
 		c := b.children[b.childIdx(k)]
 		if b.leafLevel() {
+			if ev != nil {
+				ev.Depth += depth
+				ev.RightHops += hops
+			}
 			return c.leaf, node
 		}
 		node = c.inner
 	}
 }
 
-// moveRightLeaf hops leaf images until the one covering k is found.
-func moveRightLeaf(l *Leaf, k uint64) (*Leaf, *leafBox) {
-	for {
+// moveRightLeaf hops leaf images until the one covering k is found,
+// adding the hops to ev like descend.
+func moveRightLeaf(l *Leaf, k uint64, ev *obs.OpEvent) (*Leaf, *leafBox) {
+	for hops := int32(0); ; hops++ {
 		b := l.box.Load()
 		if b.covers(k) || b.next == nil {
+			if ev != nil {
+				ev.RightHops += hops
+			}
 			return l, b
 		}
 		l = b.next
@@ -350,18 +366,23 @@ func moveRightLeaf(l *Leaf, k uint64) (*Leaf, *leafBox) {
 
 // Lookup returns the value stored under k.
 func (t *Tree) Lookup(k uint64) (uint64, bool) {
-	v, _, ok := t.lookupLeaf(k)
+	v, _, ok := t.lookupLeaf(k, nil)
 	return v, ok
 }
 
 // lookupLeaf additionally returns the leaf that held (or would hold) k.
-func (t *Tree) lookupLeaf(k uint64) (uint64, *Leaf, bool) {
-	slot := t.epochs.pin()
-	leaf, _ := t.descend(k, nil)
-	leaf, b := moveRightLeaf(leaf, k)
+// A traced caller passes its event: the pin, the descent and the negative
+// filter leave their stage signals in it.
+func (t *Tree) lookupLeaf(k uint64, ev *obs.OpEvent) (uint64, *Leaf, bool) {
+	slot := t.epochs.pin(ev)
+	leaf, _ := t.descend(k, nil, ev)
+	leaf, b := moveRightLeaf(leaf, k, ev)
 	if s, ok := b.p.(*succinct); ok && !s.mayContain(k) {
 		// Negative filter: definitely absent, skip the unpacking search.
 		t.negHits.Add(1)
+		if ev != nil {
+			ev.NegFiltered = true
+		}
 		t.epochs.unpin(slot)
 		return 0, leaf, false
 	}
@@ -374,94 +395,21 @@ func (t *Tree) lookupLeaf(k uint64) (uint64, *Leaf, bool) {
 	return 0, leaf, false
 }
 
-// Scan visits up to n key/value pairs with key >= from in ascending order
-// and returns how many were visited. The callback may stop the scan early
-// by returning false; visited counts the pairs delivered.
-func (t *Tree) Scan(from uint64, n int, fn func(k, v uint64) bool) int {
-	return t.scanLeaves(from, n, fn, nil)
-}
-
-// scanLeaves is Scan plus a per-leaf callback for access tracking. Each
-// leaf image is bulk-decoded into pooled scratch (payload.decodeRange)
-// before the callback loop, so compact encodings pay their shift/mask tax
-// once per word instead of once per pair. The walk re-pins its reader
-// slot every scanRepinLeaves hops: a huge n no longer holds one epoch
-// stamp across the whole walk, so long scans cannot stall leaf
-// reclamation beyond a bounded window. Only the GC-stable *Leaf pointer
-// crosses a re-pin boundary — the next image is re-loaded under the fresh
-// stamp, never carried over.
-func (t *Tree) scanLeaves(from uint64, n int, fn func(k, v uint64) bool, onLeaf func(*Leaf)) int {
-	if n <= 0 {
-		return 0
-	}
-	slot := t.epochs.pin()
-	leaf, _ := t.descend(from, nil)
-	leaf, b := moveRightLeaf(leaf, from)
-	sc := scanPool.Get().(*scanScratch)
-	visited := 0
-	hops := 0
-	i, _ := b.p.search(from)
-	for {
-		if onLeaf != nil {
-			onLeaf(leaf)
-		}
-		cnt := b.p.count()
-		hi := cnt
-		if rem := n - visited; hi-i > rem {
-			hi = i + rem
-		}
-		if hi > i {
-			sc.size(hi - i)
-			m := b.p.decodeRange(i, hi, sc.ks, sc.vs)
-			for j := 0; j < m; j++ {
-				if !fn(sc.ks[j], sc.vs[j]) {
-					scanPool.Put(sc)
-					t.epochs.unpin(slot)
-					return visited + j + 1
-				}
-			}
-			visited += m
-		}
-		if visited >= n || b.next == nil {
-			break
-		}
-		nl := b.next
-		hops++
-		if hops >= scanRepinLeaves {
-			t.epochs.unpin(slot)
-			slot = t.epochs.pin()
-			hops = 0
-		}
-		leaf = nl
-		b = nl.box.Load()
-		i = 0
-	}
-	scanPool.Put(sc)
-	t.epochs.unpin(slot)
-	return visited
-}
-
 // Insert stores v under k, returning true when k was newly inserted
 // (false: an existing value was overwritten).
 func (t *Tree) Insert(k, v uint64) bool {
-	inserted, _, _ := t.insertTracked(k, v)
+	inserted, _, _ := t.insertTracked(k, v, nil)
 	return inserted
 }
 
 // insertTracked also returns the leaf that received the key and whether
 // the write eagerly expanded the leaf's encoding (the adaptive session
 // must then track the leaf even when the access is not sampled, or the
-// expansion could never be compacted again).
-func (t *Tree) insertTracked(k, v uint64) (bool, *Leaf, bool) {
-	return t.insertTrackedProf(k, v, nil)
-}
-
-// insertTrackedProf is insertTracked with optional write-retry accounting
-// for the flight recorder: retries (when non-nil) counts each time the
-// insert lost its leaf lock or found a dead leaf and had to re-descend.
-func (t *Tree) insertTrackedProf(k, v uint64, retries *int32) (bool, *Leaf, bool) {
+// expansion could never be compacted again). ev is the traced caller's
+// event (see lockLeaf).
+func (t *Tree) insertTracked(k, v uint64, ev *obs.OpEvent) (bool, *Leaf, bool) {
 	var path descentPath
-	leaf, b := t.lockLeaf(k, &path, retries)
+	leaf, b := t.lockLeaf(k, &path, ev)
 	inserted, expanded := t.putLocked(leaf, b, &path, k, v)
 	return inserted, leaf, expanded
 }
@@ -469,10 +417,11 @@ func (t *Tree) insertTrackedProf(k, v uint64, retries *int32) (bool, *Leaf, bool
 // lockLeaf descends to the leaf covering k and returns it write-locked
 // together with its current image, moving right while locked (a split may
 // have shifted the range) and re-descending when a leaf on the way turned
-// obsolete.
-func (t *Tree) lockLeaf(k uint64, path *descentPath, retries *int32) (*Leaf, *leafBox) {
+// obsolete. Each such re-descent counts into ev.WriteRetries when the
+// caller traces the write; a write's event carries no depth or right-hops.
+func (t *Tree) lockLeaf(k uint64, path *descentPath, ev *obs.OpEvent) (*Leaf, *leafBox) {
 	for {
-		leaf, _ := t.descend(k, path)
+		leaf, _ := t.descend(k, path, nil)
 		for leaf.lock.writeLock() {
 			b := leaf.box.Load()
 			if b.covers(k) || b.next == nil {
@@ -481,8 +430,8 @@ func (t *Tree) lockLeaf(k uint64, path *descentPath, retries *int32) (*Leaf, *le
 			leaf.lock.unlock()
 			leaf = b.next
 		}
-		if retries != nil {
-			*retries++
+		if ev != nil {
+			ev.WriteRetries++
 		}
 	}
 }
@@ -544,10 +493,10 @@ func (t *Tree) Delete(k uint64) bool {
 	return ok
 }
 
-// deleteTracked also returns the leaf that held (or would hold) k, and
-// counts re-descents into retries like insertTrackedProf.
-func (t *Tree) deleteTracked(k uint64, retries *int32) (bool, *Leaf) {
-	leaf, b := t.lockLeaf(k, nil, retries)
+// deleteTracked also returns the leaf that held (or would hold) k; ev is
+// the traced caller's event (see lockLeaf).
+func (t *Tree) deleteTracked(k uint64, ev *obs.OpEvent) (bool, *Leaf) {
+	leaf, b := t.lockLeaf(k, nil, ev)
 	i, found := b.p.search(k)
 	if !found {
 		leaf.lock.unlock()
@@ -663,24 +612,13 @@ func (t *Tree) insertSeparator(path *descentPath, sep uint64, right childRef, ch
 	t.insertSeparator(path, upSep, childRef{inner: rightInner}, nb.depth)
 }
 
-// insertSeparatorFromRoot re-descends from the current root to the level
-// childDepth+1 and retries the separator insert (taken when the recorded
-// path lacks that level because the root grew concurrently).
+// insertSeparatorFromRoot descends afresh for sep and retries the
+// separator insert with that path (taken when the recorded path lacks the
+// level childDepth+1 because the root grew concurrently). The descent runs
+// on to the leaf level; insertSeparator reads the path from childDepth up.
 func (t *Tree) insertSeparatorFromRoot(sep uint64, right childRef, childDepth uint8) {
 	var path descentPath
-	node := t.root.Load()
-	for {
-		b := node.box.Load()
-		if !b.covers(sep) && b.next != nil {
-			node = b.next
-			continue
-		}
-		path[b.depth-1] = node
-		if b.depth == childDepth+1 {
-			break
-		}
-		node = b.children[b.childIdx(sep)].inner
-	}
+	t.descend(sep, &path, nil)
 	t.insertSeparator(&path, sep, right, childDepth)
 }
 
@@ -765,7 +703,7 @@ func (t *Tree) MigrateLeaf(l *Leaf, target core.Encoding) bool {
 		// cannot finish its grace period (and have its payload recycled)
 		// until we unpin, so the decode below reads stable memory even if
 		// a concurrent migration displaces the box meanwhile.
-		slot := t.epochs.pin()
+		slot := t.epochs.pin(nil)
 		b := l.box.Load()
 		if b.p.encoding() == target {
 			t.epochs.unpin(slot)
@@ -812,22 +750,25 @@ func (t *Tree) MigrateLeaf(l *Leaf, target core.Encoding) bool {
 // concurrent splits only through the sibling links. The walk holds one
 // reader pin, so images the callback loads stay valid throughout.
 func (t *Tree) WalkLeaves(fn func(*Leaf) bool) {
-	slot := t.epochs.pin()
+	t.walkImages(func(l *Leaf, _ *leafBox) bool { return fn(l) })
+}
+
+// walkImages is WalkLeaves for a caller that reads the leaves' pairs: fn
+// gets the image whose sibling link the walk follows. An image fn loaded
+// itself may be older than the link; after a split in between, the link
+// leads to the new sibling and fn has seen that sibling's keys already.
+func (t *Tree) walkImages(fn func(*Leaf, *leafBox) bool) {
+	slot := t.epochs.pin(nil)
 	defer t.epochs.unpin(slot)
-	node := t.root.Load()
-	for {
-		b := node.box.Load()
-		if b.leafLevel() {
-			leaf := b.children[0].leaf
-			for leaf != nil {
-				if !fn(leaf) {
-					return
-				}
-				leaf = leaf.box.Load().next
-			}
+	// No separator is 0 (one is always above its left sibling's smallest
+	// key), so the descent for key 0 ends at the leftmost leaf.
+	leaf, _ := t.descend(0, nil, nil)
+	for leaf != nil {
+		b := leaf.box.Load()
+		if !fn(leaf, b) {
 			return
 		}
-		node = b.children[0].inner
+		leaf = b.next
 	}
 }
 
@@ -835,16 +776,7 @@ func (t *Tree) WalkLeaves(fn func(*Leaf) bool) {
 // and across leaves, separator consistency, and key count. It must only
 // be called while no writers are active.
 func (t *Tree) Validate() error {
-	// Walk to the leftmost leaf.
-	node := t.root.Load()
-	for {
-		b := node.box.Load()
-		if b.leafLevel() {
-			break
-		}
-		node = b.children[0].inner
-	}
-	leaf := node.box.Load().children[0].leaf
+	leaf, _ := t.descend(0, nil, nil) // the leftmost leaf, see WalkLeaves
 	var prev uint64
 	first := true
 	count := 0

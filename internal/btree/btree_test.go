@@ -304,6 +304,47 @@ func TestExpandOnInsert(t *testing.T) {
 	}
 }
 
+// TestSplitPublishesSeparatorWithoutPath: a writer whose recorded path
+// lacks the parent level — the root grew under it — publishes its split's
+// separator through a fresh descent (insertSeparatorFromRoot). An empty
+// path on a two-level tree is that situation without the race.
+func TestSplitPublishesSeparatorWithoutPath(t *testing.T) {
+	n := LeafCap * (innerCap + 8) // the second leaf-level node has room
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i) * 2
+	}
+	tr := BulkLoad(Config{DefaultEncoding: EncGapped, Occupancy: 1}, keys, keys)
+	if d := tr.root.Load().box.Load().depth; d != 2 {
+		t.Fatalf("root depth %d, want 2", d)
+	}
+	inners := tr.innerCount.Load()
+	k := keys[n-2*LeafCap] + 1
+	leaf, b := tr.lockLeaf(k, nil, nil)
+	var path descentPath
+	if inserted, _ := tr.putLocked(leaf, b, &path, k, k); !inserted {
+		t.Fatalf("key %d not inserted", k)
+	}
+	right := leaf.box.Load().next
+	if right == b.next {
+		t.Fatal("a full leaf did not split")
+	}
+	if got, _ := tr.descend(right.box.Load().p.keyAt(0), nil, nil); got != right {
+		t.Fatalf("descent reaches leaf %d, want the new right leaf %d: separator not in the parent", got.ID(), right.ID())
+	}
+	if got := tr.innerCount.Load(); got != inners {
+		t.Fatalf("inner nodes %d -> %d: the separator grew a root instead", inners, got)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range append(keys, k) {
+		if v, ok := tr.Lookup(q); !ok || v != q {
+			t.Fatalf("Lookup(%d) = (%d,%v)", q, v, ok)
+		}
+	}
+}
+
 func TestConcurrentInsertLookup(t *testing.T) {
 	tr := New(Config{DefaultEncoding: EncGapped})
 	const workers = 8

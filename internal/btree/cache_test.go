@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ahi/internal/core"
+	"ahi/internal/obs"
 	"ahi/internal/workload"
 )
 
@@ -112,7 +113,7 @@ func TestCacheInvalidationRace(t *testing.T) {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(99))
 		for !stop.Load() {
-			_, leaf, _ := a.Tree.lookupLeaf(keys[rng.Intn(n)])
+			_, leaf, _ := a.Tree.lookupLeaf(keys[rng.Intn(n)], nil)
 			a.Tree.MigrateLeaf(leaf, core.Encoding(rng.Intn(3)))
 		}
 	}()
@@ -202,7 +203,7 @@ func FuzzCacheOracle(f *testing.F) {
 					t.Fatalf("Lookup(%d)=(%d,%v) want (%d,%v)", k, got, ok, want, wok)
 				}
 			case 4: // migrate the leaf holding the last touched key
-				_, leaf, _ := a.Tree.lookupLeaf(last)
+				_, leaf, _ := a.Tree.lookupLeaf(last, nil)
 				a.Tree.MigrateLeaf(leaf, core.Encoding(tape[i]%3))
 				// The migrated leaf's keys must still read correctly.
 				got, ok := s.Lookup(last)
@@ -252,5 +253,60 @@ func TestLookupBatchZeroAlloc(t *testing.T) {
 				t.Fatalf("LookupBatch allocates %.1f allocs/op, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestSessionOpsZeroAlloc extends the guarantee to the single-key session
+// operations, for an untraced session and for a traced one whose ops are
+// sampled out: Lookup and Scan — which rides the ScanBatch walk — allocate
+// nothing, an overwriting Insert allocates what the tree's own write does
+// (the next leaf image), and a sampled NewIterator allocates the iterator
+// and no tracking closure. The nil probe and the armed one cost no object.
+func TestSessionOpsZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, traced := range []bool{false, true} {
+		keys, vals := sortedPairs(100000, 3)
+		base := BulkLoad(Config{DefaultEncoding: EncSuccinct}, keys, vals)
+		cfg := AdaptiveConfig{
+			Tree:          Config{DefaultEncoding: EncSuccinct, NegFilterBits: 6},
+			InitialSkip:   1 << 30,
+			FixedSkip:     true,
+			MemoryBudget:  base.Bytes() * 2,
+			CacheFraction: 0.2,
+		}
+		if traced {
+			cfg.Obs = obs.New(0, 0)
+			// Sampled out, and never slow: a committed event is an object.
+			cfg.Obs.EnableTracing(obs.FlightConfig{SampleEvery: 1 << 30, SlowThresholdNs: 1 << 62})
+		}
+		a := BulkLoadAdaptive(cfg, keys, vals)
+		s := a.NewSession()
+		i, pairs := 0, 0
+		count := func(k, v uint64) bool { pairs++; return true }
+		for name, op := range map[string]func(){
+			"Lookup":   func() { s.Lookup(keys[(i*37)%len(keys)] + uint64(i&1)); i++ },
+			"Scan10":   func() { s.Scan(keys[(i*37)%len(keys)], 10, count); i++ },
+			"Scan1000": func() { s.Scan(keys[(i*37)%len(keys)], 1000, count); i++ },
+		} {
+			op() // warm the pools
+			if got := testing.AllocsPerRun(200, op); got != 0 {
+				t.Errorf("traced=%v: %s allocates %.1f objects/op, want 0", traced, name, got)
+			}
+		}
+		treeWrite := testing.AllocsPerRun(200, func() { a.Tree.Insert(keys[(i*37)%len(keys)], uint64(i)); i++ })
+		if got := testing.AllocsPerRun(200, func() { s.Insert(keys[(i*37)%len(keys)], uint64(i)); i++ }); got > treeWrite {
+			t.Errorf("traced=%v: Session.Insert allocates %.1f objects/op, Tree.Insert %.1f", traced, got, treeWrite)
+		}
+		a.Close()
+
+		cfg.InitialSkip = 0 // with FixedSkip: every op is a sample
+		a = BulkLoadAdaptive(cfg, keys, vals)
+		s = a.NewSession()
+		if got := testing.AllocsPerRun(200, func() { s.NewIterator() }); got != 1 {
+			t.Errorf("traced=%v: a sampled NewIterator allocates %.1f objects, want 1", traced, got)
+		}
+		a.Close()
 	}
 }

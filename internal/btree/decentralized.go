@@ -87,23 +87,24 @@ func (d *Decentralized) touch(l *Leaf, write bool) {
 
 // Lookup tracks and performs a point query.
 func (d *Decentralized) Lookup(k uint64) (uint64, bool) {
-	v, leaf, ok := d.Tree.lookupLeaf(k)
+	v, leaf, ok := d.Tree.lookupLeaf(k, nil)
 	d.touch(leaf, false)
 	return v, ok
 }
 
 // Insert tracks and performs an insert.
 func (d *Decentralized) Insert(k, v uint64) bool {
-	inserted, leaf, _ := d.Tree.insertTracked(k, v)
+	inserted, leaf, _ := d.Tree.insertTracked(k, v, nil)
 	d.touch(leaf, true)
 	return inserted
 }
 
 // Scan tracks every visited leaf and performs a range scan.
 func (d *Decentralized) Scan(from uint64, n int, fn func(k, v uint64) bool) int {
-	return d.Tree.scanLeaves(from, n, fn, func(l *Leaf) {
+	visited, _ := d.Tree.scanTracked(from, n, fn, func(l *Leaf) {
 		d.touch(l, false)
 	})
+	return visited
 }
 
 // adapt is the full sweep: classify by IU counters, expand the top-k

@@ -21,7 +21,7 @@ func TestDecentralizedAdaptsToSkew(t *testing.T) {
 	if d.Adaptations() == 0 {
 		t.Fatal("no sweeps ran")
 	}
-	_, leaf, _ := d.Tree.lookupLeaf(keys[0])
+	_, leaf, _ := d.Tree.lookupLeaf(keys[0], nil)
 	if leaf.Encoding() != EncGapped {
 		t.Fatal("hottest leaf not expanded")
 	}
@@ -55,7 +55,7 @@ func TestDecentralizedScanAndInsert(t *testing.T) {
 	for i := 0; i < 100_000; i++ {
 		d.Lookup(keys[7])
 	}
-	_, leaf, _ := d.Tree.lookupLeaf(keys[7])
+	_, leaf, _ := d.Tree.lookupLeaf(keys[7], nil)
 	if leaf.Encoding() != EncGapped {
 		t.Fatal("hot leaf not expanded without budget")
 	}
@@ -69,7 +69,7 @@ func TestDecentralizedPhaseShift(t *testing.T) {
 	for i := 0; i < 400_000; i++ {
 		d.Lookup(keys[i%300])
 	}
-	_, hotA, _ := d.Tree.lookupLeaf(keys[0])
+	_, hotA, _ := d.Tree.lookupLeaf(keys[0], nil)
 	if hotA.Encoding() != EncGapped {
 		t.Fatal("phase-1 leaf not expanded")
 	}
@@ -78,11 +78,11 @@ func TestDecentralizedPhaseShift(t *testing.T) {
 	for i := 0; i < 2_000_000; i++ {
 		d.Lookup(keys[lo+i%300])
 	}
-	_, hotA, _ = d.Tree.lookupLeaf(keys[0])
+	_, hotA, _ = d.Tree.lookupLeaf(keys[0], nil)
 	if hotA.Encoding() == EncGapped {
 		t.Fatal("stale expansion survived aging")
 	}
-	_, hotB, _ := d.Tree.lookupLeaf(keys[len(keys)-1])
+	_, hotB, _ := d.Tree.lookupLeaf(keys[len(keys)-1], nil)
 	if hotB.Encoding() != EncGapped {
 		t.Fatal("new hot range not expanded")
 	}

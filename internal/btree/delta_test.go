@@ -164,7 +164,7 @@ func TestSplitAtLeafCap(t *testing.T) {
 					vals[i] = uint64(i) + 7
 				}
 				tr := BulkLoad(Config{DefaultEncoding: enc, Occupancy: 1, ExpandOnInsert: expand}, keys, vals)
-				_, leaf, _ := tr.lookupLeaf(keys[0])
+				_, leaf, _ := tr.lookupLeaf(keys[0], nil)
 				held := leaf.box.Load()
 				if held.p.count() != LeafCap {
 					t.Fatalf("bulk load made a leaf of %d keys, want %d", held.p.count(), LeafCap)
@@ -220,7 +220,7 @@ func TestDeleteTrackedReturnsLeaf(t *testing.T) {
 		tr.Insert(i*3, i)
 	}
 	for _, k := range []uint64{0, 3 * 2500, 3 * 4999, 7 /* absent */} {
-		_, want, _ := tr.lookupLeaf(k)
+		_, want, _ := tr.lookupLeaf(k, nil)
 		present := k%3 == 0
 		if ok, leaf := tr.deleteTracked(k, nil); ok != present || leaf != want {
 			t.Fatalf("deleteTracked(%d) = (%v, leaf %d), want (%v, leaf %d)", k, ok, leaf.ID(), present, want.ID())
@@ -319,9 +319,9 @@ func TestSharedKeysVsSlabRecycling(t *testing.T) {
 			// the check below instead of hanging).
 			for iter := 0; iter < 400 || (tr.epochs.recycledTotal.Load() < 8 && iter < 1<<20); iter++ {
 				k := keys[rng.Intn(n)]
-				slot := tr.epochs.pin()
-				leaf, _ := tr.descend(k, nil)
-				_, b := moveRightLeaf(leaf, k)
+				slot := tr.epochs.pin(nil)
+				leaf, _ := tr.descend(k, nil, nil)
+				_, b := moveRightLeaf(leaf, k, nil)
 				for y := 0; y < 3; y++ {
 					runtime.Gosched() // let overwrites and migrations displace b
 				}

@@ -367,6 +367,9 @@ type ckptState struct {
 // encodeCheckpoint snapshots every leaf under one reader pin. The walk
 // sees a consistent-enough image: each leaf's box is immutable, and any
 // write racing the walk is > barrier and will be replayed on recovery.
+// It writes the images the walk itself followed (walkImages): one loaded
+// here could predate a split the walk's link is already past, and the
+// blob would hold the moved keys twice — recovery refuses it as corrupt.
 func (a *Adaptive) encodeCheckpoint() []byte {
 	t := a.Tree
 	blob := make([]byte, 0, 1<<16)
@@ -378,8 +381,8 @@ func (a *Adaptive) encodeCheckpoint() []byte {
 	blob = append(blob, 0, 0, 0, 0)
 	var leaves uint32
 	var keys, vals []uint64
-	t.WalkLeaves(func(l *Leaf) bool {
-		p := l.box.Load().p
+	t.walkImages(func(_ *Leaf, b *leafBox) bool {
+		p := b.p
 		keys, vals = p.appendAll(keys[:0], vals[:0])
 		if len(keys) == 0 {
 			return true
@@ -469,127 +472,39 @@ func treeFromCheckpoint(cfg Config, blob []byte) (*Tree, ckptState, error) {
 	return t, cs, nil
 }
 
-// --- Durable session write paths ---------------------------------------
+// --- The WAL bracket of a session write -------------------------------
+//
+// Insert, Delete and InsertBatch log through this one pair: begin appends
+// the record under the shared checkpoint barrier, the caller applies the
+// write to the tree, commit drops the barrier and waits for the log's
+// commit point before the write is acked.
 
-func (s *Session) insertDurable(k, v uint64) bool {
-	if s.rec != nil {
-		return s.insertDurableTraced(k, v)
-	}
-	d := s.a.dur
-	s.walBuf = wal.EncodeInsert(s.walBuf[:0], k, v)
+// begin takes the barrier shared and appends one record.
+func (d *durState) begin(typ uint8, payload []byte) uint64 {
 	d.mu.RLock()
-	lsn, err := d.log.Append(wal.RecInsert, s.walBuf)
+	lsn, err := d.log.Append(typ, payload)
 	if err != nil {
 		d.mu.RUnlock()
 		walPanic("append", err)
 	}
-	sample := s.sampler.IsSample()
-	inserted, leaf, expanded := s.a.Tree.insertTracked(k, v)
-	d.mu.RUnlock()
-	if err := d.log.Commit(lsn); err != nil {
-		walPanic("commit", err)
-	}
-	d.noteRecords(1)
-	if sample || expanded {
-		s.sampler.Track(leaf, core.Insert, LeafCtx{})
-	}
-	return inserted
+	return lsn
 }
 
-func (s *Session) insertDurableTraced(k, v uint64) bool {
-	ev := s.beginOp(obs.OpInsert, k)
-	d := s.a.dur
-	s.walBuf = wal.EncodeInsert(s.walBuf[:0], k, v)
-	d.mu.RLock()
-	lsn, err := d.log.Append(wal.RecInsert, s.walBuf)
-	if err != nil {
-		d.mu.RUnlock()
-		walPanic("append", err)
-	}
-	sample := s.sampler.IsSample()
-	inserted, leaf, expanded := s.a.Tree.insertTrackedProf(k, v, &ev.WriteRetries)
+// commit releases the barrier begin took, waits until lsn is committed and
+// counts the records toward the next automatic checkpoint. A traced write
+// gets the commit wait — that and nothing after it, whatever the caller
+// does next — as its event's FsyncWaitNs.
+func (d *durState) commit(lsn uint64, records int64, ev *obs.OpEvent) {
 	d.mu.RUnlock()
-	cstart := time.Now()
-	if err := d.log.Commit(lsn); err != nil {
-		walPanic("commit", err)
-	}
-	ev.FsyncWaitNs = time.Since(cstart).Nanoseconds()
-	d.noteRecords(1)
-	if sample || expanded {
-		s.sampler.Track(leaf, core.Insert, LeafCtx{})
-	}
-	ev.Found = inserted
-	s.finishOp()
-	return inserted
-}
-
-func (s *Session) deleteDurable(k uint64) bool {
-	var ev *obs.OpEvent
-	var retries *int32
-	if s.rec != nil {
-		ev = s.beginOp(obs.OpDelete, k)
-		retries = &ev.WriteRetries
-	}
-	d := s.a.dur
-	s.walBuf = wal.EncodeDelete(s.walBuf[:0], k)
-	d.mu.RLock()
-	lsn, err := d.log.Append(wal.RecDelete, s.walBuf)
-	if err != nil {
-		d.mu.RUnlock()
-		walPanic("append", err)
-	}
-	sample := s.sampler.IsSample()
-	ok, leaf := s.a.Tree.deleteTracked(k, retries)
-	d.mu.RUnlock()
-	var cstart time.Time // read only when traced, so only then taken
+	var start time.Time // read only when traced, so only then taken
 	if ev != nil {
-		cstart = time.Now()
+		start = time.Now()
 	}
 	if err := d.log.Commit(lsn); err != nil {
 		walPanic("commit", err)
 	}
-	d.noteRecords(1)
-	if sample {
-		s.sampler.Track(leaf, core.Delete, LeafCtx{})
-	}
 	if ev != nil {
-		ev.FsyncWaitNs = time.Since(cstart).Nanoseconds()
-		ev.Found = ok
-		s.finishOp()
+		ev.FsyncWaitNs = time.Since(start).Nanoseconds()
 	}
-	return ok
-}
-
-func (s *Session) insertBatchDurable(keys, vals []uint64, inserted []bool) {
-	var ev *obs.OpEvent
-	if s.rec != nil {
-		var k0 uint64
-		if len(keys) > 0 {
-			k0 = keys[0]
-		}
-		ev = s.beginOp(obs.OpInsertBatch, k0)
-		ev.Ops = int32(len(keys))
-	}
-	d := s.a.dur
-	s.walBuf = wal.EncodeBatch(s.walBuf[:0], keys, vals)
-	d.mu.RLock()
-	lsn, err := d.log.Append(wal.RecBatch, s.walBuf)
-	if err != nil {
-		d.mu.RUnlock()
-		walPanic("append", err)
-	}
-	s.insertBatchFast(keys, vals, inserted)
-	d.mu.RUnlock()
-	var cstart time.Time
-	if ev != nil {
-		cstart = time.Now()
-	}
-	if err := d.log.Commit(lsn); err != nil {
-		walPanic("commit", err)
-	}
-	d.noteRecords(int64(len(keys)))
-	if ev != nil {
-		ev.FsyncWaitNs = time.Since(cstart).Nanoseconds()
-		s.finishOp()
-	}
+	d.noteRecords(records)
 }

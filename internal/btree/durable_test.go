@@ -2,6 +2,7 @@ package btree
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -252,6 +253,37 @@ func TestDurableCheckpointUnderWrites(t *testing.T) {
 	for k := uint64(0); k < workers*per; k++ {
 		if v, ok := s.Lookup(k); !ok || v != k+7 {
 			t.Fatalf("key %d lost across checkpointed recovery: %d %v", k, v, ok)
+		}
+	}
+}
+
+// TestCheckpointBlobUnderSplits takes checkpoint images of a tree whose
+// leaves split under the walk. Every blob must restore: an image that read
+// a leaf's pairs before a split and its sibling link after it holds the
+// moved keys twice, and recovery refuses it.
+func TestCheckpointBlobUnderSplits(t *testing.T) {
+	cfg := Config{DefaultEncoding: EncGapped}
+	a := NewAdaptive(AdaptiveConfig{Tree: cfg, MemoryBudget: 64 << 20, Mode: core.GS})
+	defer a.Close()
+	for k := uint64(0); k < 4096; k++ {
+		a.Tree.Insert(k<<32, k)
+	}
+	done := make(chan struct{})
+	go func() { // random keys: the splits land all over the chain
+		defer close(done)
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 150000; i++ {
+			a.Tree.Insert(rng.Uint64()>>20, uint64(i))
+		}
+	}()
+	for n := 0; ; n++ {
+		if _, _, err := treeFromCheckpoint(cfg, a.encodeCheckpoint()); err != nil {
+			t.Fatalf("checkpoint image %d: %v", n, err)
+		}
+		select {
+		case <-done:
+			return
+		default:
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"ahi/internal/obs"
 )
 
 // This file implements epoch-based reclamation for retired leaf images.
@@ -83,8 +85,9 @@ func newEpochs() *epochs {
 
 // pin claims a reader slot stamped with the current global epoch. Safe on
 // a nil receiver (reclamation disabled): returns nil, and unpin(nil) is a
-// no-op — read paths call pin/unpin unconditionally.
-func (e *epochs) pin() *readerSlot {
+// no-op — read paths call pin/unpin unconditionally. ev, when non-nil,
+// counts in PinSpins each full-table scan that found every slot busy.
+func (e *epochs) pin(ev *obs.OpEvent) *readerSlot {
 	if e == nil {
 		return nil
 	}
@@ -100,27 +103,9 @@ func (e *epochs) pin() *readerSlot {
 		// All slots busy: yield and retry with a fresh stamp (a stale
 		// stamp would be safe — it only delays reclamation — but the
 		// reload keeps the lag honest while we wait).
-		runtime.Gosched()
-		g = e.global.Load()
-	}
-}
-
-// pinProf is pin with wait accounting for the flight recorder: each
-// full-table scan that found every slot busy increments *spins.
-func (e *epochs) pinProf(spins *int32) *readerSlot {
-	if e == nil {
-		return nil
-	}
-	g := e.global.Load()
-	start := int(e.hint.Add(1))
-	for {
-		for i := 0; i < epochSlots; i++ {
-			s := &e.slots[(start+i)&(epochSlots-1)]
-			if s.v.Load() == 0 && s.v.CompareAndSwap(0, g<<1|1) {
-				return s
-			}
+		if ev != nil {
+			ev.PinSpins++
 		}
-		*spins++
 		runtime.Gosched()
 		g = e.global.Load()
 	}

@@ -26,11 +26,11 @@ func epochTree(tb testing.TB, n int) (*Tree, []uint64, []uint64) {
 
 func TestEpochPinUnpinStamps(t *testing.T) {
 	e := newEpochs()
-	s1 := e.pin()
+	s1 := e.pin(nil)
 	if s1 == nil || s1.v.Load() != 1 { // epoch 0 stamped as 0<<1|1
 		t.Fatalf("pin stamped %v, want 1", s1)
 	}
-	s2 := e.pin()
+	s2 := e.pin(nil)
 	if s2 == s1 {
 		t.Fatal("two concurrent pins share a slot")
 	}
@@ -41,13 +41,13 @@ func TestEpochPinUnpinStamps(t *testing.T) {
 	e.unpin(s2)
 	// Nil receiver (reclamation disabled) must be a no-op end to end.
 	var nilE *epochs
-	nilE.unpin(nilE.pin())
+	nilE.unpin(nilE.pin(nil))
 	nilE.retire(&leafBox{})
 }
 
 func TestEpochReclaimBlockedByActiveReader(t *testing.T) {
 	e := newEpochs()
-	slot := e.pin() // reader enters before any retirement
+	slot := e.pin(nil) // reader enters before any retirement
 	boxes := make([]*leafBox, 0, reclaimThreshold)
 	for i := 0; i < reclaimThreshold; i++ {
 		b := &leafBox{p: newGapped(nil, nil)}
@@ -84,7 +84,7 @@ func TestEpochLateReaderDoesNotBlockOlderGarbage(t *testing.T) {
 	}
 	// This reader pinned after all 8 retirements: its stamp is >= every
 	// retired epoch, so it cannot reach any of those images.
-	slot := e.pin()
+	slot := e.pin(nil)
 	e.reclaim()
 	if got := e.reclaimedTotal.Load(); got != 8 {
 		t.Fatalf("reclaimed %d, want 8 (late reader must not block old garbage)", got)
@@ -99,7 +99,7 @@ func TestEpochLateReaderDoesNotBlockOlderGarbage(t *testing.T) {
 func TestMigrateLeafSingleReencode(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		tr, keys, _ := epochTree(t, 200)
-		_, leaf, _ := tr.lookupLeaf(keys[0])
+		_, leaf, _ := tr.lookupLeaf(keys[0], nil)
 		var applied atomic.Int64
 		var wg sync.WaitGroup
 		start := make(chan struct{})

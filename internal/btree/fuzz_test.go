@@ -42,7 +42,7 @@ func FuzzTreeAgainstModel(f *testing.F) {
 					t.Fatalf("Lookup(%d)=(%d,%v) want (%d,%v)", k, got, ok, want, wok)
 				}
 			case 4: // migrate the leaf holding the last inserted key
-				_, leaf, _ := tr.lookupLeaf(lastLeafKey)
+				_, leaf, _ := tr.lookupLeaf(lastLeafKey, nil)
 				tr.MigrateLeaf(leaf, core.Encoding(tape[i]%3))
 			}
 		}

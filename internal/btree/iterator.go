@@ -1,7 +1,5 @@
 package btree
 
-import "ahi/internal/core"
-
 // Iterator is a pull-style ordered cursor over the tree. Each leaf it
 // enters is decoded into the iterator's private buffer under a short
 // reader pin, so the cursor observes an immutable per-leaf snapshot —
@@ -32,9 +30,9 @@ func (t *Tree) NewIterator() *Iterator { return &Iterator{tree: t} }
 // Seek positions at the first key >= k.
 func (it *Iterator) Seek(k uint64) bool {
 	t := it.tree
-	slot := t.epochs.pin()
-	leaf, _ := t.descend(k, nil)
-	leaf, box := moveRightLeaf(leaf, k)
+	slot := t.epochs.pin(nil)
+	leaf, _ := t.descend(k, nil, nil)
+	leaf, box := moveRightLeaf(leaf, k, nil)
 	it.enter(leaf, box)
 	t.epochs.unpin(slot)
 	i, _ := searchBinaryScalar(it.keys, k)
@@ -78,7 +76,7 @@ func (it *Iterator) skipEmpty() bool {
 			return false
 		}
 		t := it.tree
-		slot := t.epochs.pin()
+		slot := t.epochs.pin(nil)
 		it.enter(n, n.box.Load())
 		t.epochs.unpin(slot)
 		it.i = 0
@@ -113,9 +111,7 @@ func (it *Iterator) Value() uint64 { return it.vals[it.i] }
 func (s *Session) NewIterator() *Iterator {
 	it := s.a.Tree.NewIterator()
 	if s.sampler.IsSample() {
-		it.onLeaf = func(l *Leaf) {
-			s.sampler.Track(l, core.Scan, LeafCtx{})
-		}
+		it.onLeaf = s.trackScanFn
 	}
 	return it
 }

@@ -1,6 +1,9 @@
 package btree
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // Batched range-scan serving. A range scan is the access pattern the
 // compact leaf encodings are supposed to reward: once positioned, the
@@ -26,11 +29,16 @@ import "sync"
 //     steady-state batch performs zero allocations.
 //
 // Epoch discipline: the walk runs under a reader pin, re-pinned every
-// scanRepinLeaves hops (see scanLeaves) so an arbitrarily long fused walk
-// cannot stall leaf reclamation; every leaf image loaded under a pin is
-// dropped before that pin is released — only GC-stable *Leaf pointers
-// cross a re-pin boundary. Results reflect the per-leaf snapshot at the
-// moment the leaf's image is loaded, exactly like Scan and Iterator.
+// scanRepinLeaves hops so an arbitrarily long fused walk cannot stall leaf
+// reclamation; every leaf image loaded under a pin is dropped before that
+// pin is released — only GC-stable *Leaf pointers cross a re-pin boundary.
+// Results reflect the per-leaf snapshot at the moment the leaf's image is
+// loaded, exactly like Iterator.
+//
+// This walk is the package's one range walk: Scan is a batch of one
+// request whose pairs go to the caller's callback instead of a sink, so
+// callback scans and fused batches share the positioning, the bulk decode,
+// the re-pin rule and the per-leaf tracking hook.
 
 // ScanReq is one range request of a batch: up to N pairs with key >= From
 // in ascending key order.
@@ -129,7 +137,33 @@ const scanRepinLeaves = 8
 type scanActive struct {
 	req int32 // request index (caller's numbering)
 	off int32 // start offset within the current leaf
-	rem int32 // pairs still wanted
+	rem int   // pairs still wanted; as wide as ScanReq.N
+}
+
+// end is the offset in the current leaf where the request's window stops
+// if the leaf is long enough. A request may want math.MaxInt pairs ("to
+// the end"), so the sum saturates.
+func (a scanActive) end() int {
+	if e := int(a.off) + a.rem; e >= 0 {
+		return e
+	}
+	return math.MaxInt
+}
+
+// feed hands pairs to Scan's callback until it returns false; it returns
+// how many it handed over, the stopping pair included, and whether the
+// callback asked to stop. Its own function and never inlined: a call
+// clobbers every register, and inside the walk the loop would reload a
+// dozen of the walk's spilled variables after each pair (0.8 ns a pair).
+//
+//go:noinline
+func feed(fn func(k, v uint64) bool, ks, vs []uint64) (int, bool) {
+	for i, k := range ks {
+		if !fn(k, vs[i]) {
+			return i + 1, true
+		}
+	}
+	return len(ks), false
 }
 
 // scanScratch is the pooled per-walk state: bulk-decode buffers sized to
@@ -171,24 +205,52 @@ func (sc *scanScratch) size(n int) {
 // sink; use a ScanBuffer to collect them without allocation. Requests may
 // overlap arbitrarily — overlapping windows share leaf decodes.
 func (t *Tree) ScanBatch(reqs []ScanReq, sink ScanSink) int {
-	n, _ := t.scanBatchTracked(reqs, sink, nil)
+	n, _ := t.scanWalk(reqs, sink, nil, nil)
 	return n
 }
 
-// scanBatchTracked is ScanBatch plus a per-visited-leaf callback for
-// access tracking; it returns (pairs delivered, leaves visited).
-func (t *Tree) scanBatchTracked(reqs []ScanReq, sink ScanSink, onLeaf func(*Leaf)) (int, int) {
+// Scan visits up to n key/value pairs with key >= from in ascending order
+// and returns how many were visited. The callback may stop the scan early
+// by returning false; visited counts the pairs delivered.
+func (t *Tree) Scan(from uint64, n int, fn func(k, v uint64) bool) int {
+	visited, _ := t.scanTracked(from, n, fn, nil)
+	return visited
+}
+
+// scanTracked is Scan plus the per-leaf tracking callback; it returns
+// (pairs handed to fn, leaves visited).
+func (t *Tree) scanTracked(from uint64, n int, fn func(k, v uint64) bool, onLeaf func(*Leaf)) (int, int) {
+	req := [1]ScanReq{{From: from, N: n}}
+	return t.scanWalk(req[:], nil, fn, onLeaf)
+}
+
+// scanWalk is the range walk: ScanBatch plus a per-visited-leaf callback
+// for access tracking. The pairs of each request go to sink, or, when fn
+// is not nil, one by one to fn until it returns false (Scan: fn is only
+// ever called, never stored, so the caller's closure stays on its stack).
+// It returns (pairs delivered, leaves visited).
+func (t *Tree) scanWalk(reqs []ScanReq, sink ScanSink, fn func(k, v uint64) bool, onLeaf func(*Leaf)) (int, int) {
 	if len(reqs) == 0 {
 		return 0, 0
 	}
 	sc := scanPool.Get().(*scanScratch)
-	bs := batchPool.Get().(*batchScratch)
-	froms := sc.froms[:0]
-	for _, r := range reqs {
-		froms = append(froms, r.From)
+	// A batch of one — every Scan — has nothing to sort and no second
+	// start leaf to overlap its misses with: it skips the sort scratch (a
+	// pool round trip and a sort of one) and the start-leaf touch (a load
+	// per cache line of a payload it may want ten pairs of).
+	single := len(reqs) == 1
+	var one [1]int
+	order := one[:]
+	var bs *batchScratch
+	if !single {
+		bs = batchPool.Get().(*batchScratch)
+		froms := sc.froms[:0]
+		for _, r := range reqs {
+			froms = append(froms, r.From)
+		}
+		sc.froms = froms
+		order = bs.sortOrder(froms)
 	}
-	sc.froms = froms
-	order := bs.sortOrder(froms)
 	direct, _ := sink.(scanDirectSink)
 
 	// Lookahead ring: box images of upcoming leaves, loaded ahead of the
@@ -199,9 +261,10 @@ func (t *Tree) scanBatchTracked(reqs []ScanReq, sink ScanSink, onLeaf func(*Leaf
 
 	active := sc.active[:0]
 	delivered, visited := 0, 0
+	stopped := false // fn returned false
 	pi := 0
 	hops := 0
-	slot := t.epochs.pin()
+	slot := t.epochs.pin(nil)
 	var leaf *Leaf
 	var box *leafBox
 
@@ -216,10 +279,12 @@ func (t *Tree) scanBatchTracked(reqs []ScanReq, sink ScanSink, onLeaf func(*Leaf
 			starts = append(starts, nil)
 			continue
 		}
-		l, _ := t.descend(reqs[r].From, nil)
-		nl, nb := moveRightLeaf(l, reqs[r].From)
+		l, _ := t.descend(reqs[r].From, nil, nil)
+		nl, nb := moveRightLeaf(l, reqs[r].From, nil)
 		starts = append(starts, nl)
-		sc.sink += nb.p.touch()
+		if !single {
+			sc.sink += nb.p.touch()
+		}
 	}
 	sc.starts = starts
 
@@ -232,7 +297,7 @@ func (t *Tree) scanBatchTracked(reqs []ScanReq, sink ScanSink, onLeaf func(*Leaf
 			if pi == len(order) {
 				break
 			}
-			leaf, box = moveRightLeaf(starts[pi], reqs[order[pi]].From)
+			leaf, box = moveRightLeaf(starts[pi], reqs[order[pi]].From, nil)
 			ringN = 0
 		}
 		// Activate every pending request this leaf covers. Sorted starts
@@ -249,7 +314,7 @@ func (t *Tree) scanBatchTracked(reqs []ScanReq, sink ScanSink, onLeaf func(*Leaf
 				break
 			}
 			pos, _ := box.p.search(reqs[r].From)
-			active = append(active, scanActive{req: int32(r), off: int32(pos), rem: int32(reqs[r].N)})
+			active = append(active, scanActive{req: int32(r), off: int32(pos), rem: reqs[r].N})
 			pi++
 		}
 		visited++
@@ -268,13 +333,17 @@ func (t *Tree) scanBatchTracked(reqs []ScanReq, sink ScanSink, onLeaf func(*Leaf
 			}
 			need := 0
 			for _, a := range active {
-				if end := int(a.off) + int(a.rem); end > need {
+				if end := a.end(); end > need {
 					need = end
 				}
 			}
 			// Leaves past the current one the walk will still visit,
 			// estimated at half occupancy so a sparse run of leaves cannot
-			// starve the prefetch.
+			// starve the prefetch. Demand beyond the ring's reach is all
+			// the same to it (and may be math.MaxInt).
+			if need > cnt+batchRing*LeafCap {
+				need = cnt + batchRing*LeafCap
+			}
 			if ahead := (need - cnt + LeafCap/2 - 1) / (LeafCap / 2); limit > ahead {
 				limit = ahead
 			}
@@ -293,7 +362,7 @@ func (t *Tree) scanBatchTracked(reqs []ScanReq, sink ScanSink, onLeaf func(*Leaf
 				// decode straight into the sink's retained buffer, skipping
 				// the scratch round-trip and Emit's copy.
 				a := &active[0]
-				end := int(a.off) + int(a.rem)
+				end := a.end()
 				if end > cnt {
 					end = cnt
 				}
@@ -301,7 +370,7 @@ func (t *Tree) scanBatchTracked(reqs []ScanReq, sink ScanSink, onLeaf func(*Leaf
 					dk, dv := direct.dst(int(a.req), m)
 					box.p.decodeRange(int(a.off), end, dk, dv)
 					delivered += m
-					a.rem -= int32(m)
+					a.rem -= m
 				}
 				if a.rem <= 0 || box.next == nil {
 					active = active[:0]
@@ -315,7 +384,7 @@ func (t *Tree) scanBatchTracked(reqs []ScanReq, sink ScanSink, onLeaf func(*Leaf
 					if int(a.off) < lo {
 						lo = int(a.off)
 					}
-					if end := int(a.off) + int(a.rem); end > hi {
+					if end := a.end(); end > hi {
 						hi = end
 					}
 				}
@@ -328,14 +397,19 @@ func (t *Tree) scanBatchTracked(reqs []ScanReq, sink ScanSink, onLeaf func(*Leaf
 				}
 				live := active[:0]
 				for _, a := range active {
-					end := int(a.off) + int(a.rem)
+					end := a.end()
 					if end > hi {
 						end = hi
 					}
 					if m := end - int(a.off); m > 0 {
-						sink.Emit(int(a.req), sc.ks[int(a.off)-lo:end-lo], sc.vs[int(a.off)-lo:end-lo])
+						ks, vs := sc.ks[int(a.off)-lo:end-lo], sc.vs[int(a.off)-lo:end-lo]
+						if fn == nil {
+							sink.Emit(int(a.req), ks, vs)
+						} else {
+							m, stopped = feed(fn, ks, vs)
+						}
 						delivered += m
-						a.rem -= int32(m)
+						a.rem -= m
 					}
 					if a.rem > 0 && box.next != nil {
 						a.off = 0
@@ -343,6 +417,9 @@ func (t *Tree) scanBatchTracked(reqs []ScanReq, sink ScanSink, onLeaf func(*Leaf
 					}
 				}
 				active = live
+				if stopped {
+					break
+				}
 			}
 		}
 		// Advance: continue right while requests remain attached; otherwise
@@ -359,7 +436,7 @@ func (t *Tree) scanBatchTracked(reqs []ScanReq, sink ScanSink, onLeaf func(*Leaf
 				box = nil
 				ringN = 0
 				t.epochs.unpin(slot)
-				slot = t.epochs.pin()
+				slot = t.epochs.pin(nil)
 				hops = 0
 			}
 			leaf = nl
@@ -375,7 +452,7 @@ func (t *Tree) scanBatchTracked(reqs []ScanReq, sink ScanSink, onLeaf func(*Leaf
 				hops++
 				if hops >= scanRepinLeaves {
 					t.epochs.unpin(slot)
-					slot = t.epochs.pin()
+					slot = t.epochs.pin(nil)
 					hops = 0
 					nb = nl.box.Load()
 				}
@@ -392,7 +469,9 @@ func (t *Tree) scanBatchTracked(reqs []ScanReq, sink ScanSink, onLeaf func(*Leaf
 	clear(sc.starts) // don't retain leaves beyond the call
 	sc.starts = sc.starts[:0]
 	scanPool.Put(sc)
-	batchPool.Put(bs)
+	if !single {
+		batchPool.Put(bs)
+	}
 	t.epochs.unpin(slot)
 	return delivered, visited
 }
@@ -405,10 +484,10 @@ func (t *Tree) ScanElementwise(from uint64, n int, fn func(k, v uint64) bool) in
 	if n <= 0 {
 		return 0
 	}
-	slot := t.epochs.pin()
+	slot := t.epochs.pin(nil)
 	defer t.epochs.unpin(slot)
-	leaf, _ := t.descend(from, nil)
-	_, b := moveRightLeaf(leaf, from)
+	leaf, _ := t.descend(from, nil, nil)
+	_, b := moveRightLeaf(leaf, from, nil)
 	visited := 0
 	i, _ := b.p.search(from)
 	for visited < n {

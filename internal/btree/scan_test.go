@@ -1,7 +1,9 @@
 package btree
 
 import (
+	"math"
 	"math/rand"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -107,6 +109,80 @@ func TestScanBatchEdgeCases(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if buf.Len(i) != 40 {
 			t.Fatalf("duplicate req %d delivered %d pairs", i, buf.Len(i))
+		}
+	}
+}
+
+// hugeNs are request lengths past what an int32 holds: "everything from
+// here on" is written Scan(from, math.MaxInt, …). Narrowed to 32 bits the
+// first three read as negative, zero and 10.
+func hugeNs(t *testing.T) []int {
+	if strconv.IntSize < 64 {
+		t.Skip("int is 32 bits wide")
+	}
+	ns := []int64{1<<31 + 5, 1 << 32, 1<<32 + 10, math.MaxInt64}
+	out := make([]int, len(ns))
+	for i, n := range ns {
+		out[i] = int(n)
+	}
+	return out
+}
+
+// TestScanHugeN: a request for more pairs than an int32 counts delivers
+// the whole tail, on the callback and the batch form of Tree and Session.
+func TestScanHugeN(t *testing.T) {
+	keys, vals := sortedPairs(1000, 21)
+	oracle := make(map[uint64]uint64, len(keys))
+	for i, k := range keys {
+		oracle[k] = vals[i]
+	}
+	a := BulkLoadAdaptive(AdaptiveConfig{Tree: Config{DefaultEncoding: EncSuccinct}}, keys, vals)
+	defer a.Close()
+	s := a.NewSession()
+	var buf ScanBuffer
+	for _, n := range hugeNs(t) {
+		for _, from := range []uint64{0, keys[500], keys[999] + 1} {
+			want := 0
+			for k := range oracle {
+				if k >= from {
+					want++
+				}
+			}
+			check := func(what string, got int, ks, vs []uint64) {
+				t.Helper()
+				if got != want || len(ks) != want {
+					t.Fatalf("%s from %d N %d: returned %d, delivered %d pairs, want %d", what, from, n, got, len(ks), want)
+				}
+				for i, k := range ks {
+					if v, ok := oracle[k]; !ok || v != vs[i] || k < from || (i > 0 && k <= ks[i-1]) {
+						t.Fatalf("%s from %d N %d: pair %d is (%d,%d)", what, from, n, i, k, vs[i])
+					}
+				}
+			}
+			for what, scan := range map[string]func(uint64, int, func(k, v uint64) bool) int{
+				"Tree.Scan": a.Tree.Scan, "Session.Scan": s.Scan,
+			} {
+				var ks, vs []uint64
+				got := scan(from, n, func(k, v uint64) bool {
+					ks, vs = append(ks, k), append(vs, v)
+					return true
+				})
+				check(what, got, ks, vs)
+			}
+			for what, scan := range map[string]func([]ScanReq, ScanSink) int{
+				"Tree.ScanBatch": a.Tree.ScanBatch, "Session.ScanBatch": s.ScanBatch,
+			} {
+				// A second, short request makes the batch take the shared
+				// decode; alone the huge one decodes into the buffer directly.
+				for _, reqs := range [][]ScanReq{{{From: from, N: n}}, {{From: from, N: n}, {From: keys[0], N: 3}}} {
+					buf.Reset(len(reqs))
+					got := scan(reqs, &buf)
+					for _, r := range reqs[1:] {
+						got -= r.N
+					}
+					check(what, got, buf.Keys(0), buf.Vals(0))
+				}
+			}
 		}
 	}
 }
@@ -337,7 +413,7 @@ func TestScanBatchReturnValuesAndLeafCount(t *testing.T) {
 	var buf ScanBuffer
 	buf.Reset(1)
 	var tracked int32
-	n, leaves := tr.scanBatchTracked([]ScanReq{{From: 0, N: 1000}}, &buf, func(*Leaf) {
+	n, leaves := tr.scanWalk([]ScanReq{{From: 0, N: 1000}}, &buf, nil, func(*Leaf) {
 		atomic.AddInt32(&tracked, 1)
 	})
 	if n != 1000 {
@@ -428,4 +504,29 @@ func BenchmarkScanBulkSuccinct(b *testing.B) {
 		}
 	}
 	_ = sink
+}
+
+// BenchmarkScanSuccinct times one callback Scan of 10, 100 and 1000 pairs
+// from a random start: the short lengths show Scan's fixed cost per call,
+// the long one its decode rate (EXPERIMENTS.md, readengine).
+func BenchmarkScanSuccinct(b *testing.B) {
+	tr, n := benchScanTree(b)
+	rng := rand.New(rand.NewSource(1))
+	starts := make([]uint64, 1024)
+	for i := range starts {
+		starts[i] = uint64(rng.Intn(n-1000)) * 3
+	}
+	for _, pairs := range []int{10, 100, 1000} {
+		b.Run(strconv.Itoa(pairs), func(b *testing.B) {
+			var sink uint64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tr.Scan(starts[i&1023], pairs, func(k, v uint64) bool {
+					sink += v
+					return true
+				})
+			}
+			_ = sink
+		})
+	}
 }

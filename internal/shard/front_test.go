@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -428,6 +429,39 @@ func TestSessionsGrowToOverlap(t *testing.T) {
 			t.Errorf("after a caller beside a Flush loop: %d sessions, %d checked out, had %d", n, busy, callers)
 		}
 		s.Close()
+	}
+}
+
+// TestAcquireUnderContention: eight callers check sessions of one shard
+// out and straight back in, so most of them lose the race for the lowest
+// idle bit most of the time. A loser must move on to another session or
+// make one, and no two callers may hold the same session.
+func TestAcquireUnderContention(t *testing.T) {
+	keys, vals := loadKeys(1_000)
+	s := BulkLoad(testConfig(2, 2), keys, vals)
+	defer s.Close()
+	const callers = 8
+	sh := s.shards[0]
+	var held [64]atomic.Int32
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100_000; i++ {
+				ses := sh.acquire()
+				h := &held[bits.TrailingZeros64(ses.bit)]
+				if h.Add(1) != 1 {
+					t.Error("two callers hold one session")
+				}
+				h.Add(-1)
+				sh.release(ses)
+			}
+		}()
+	}
+	wg.Wait()
+	if n, busy := sh.countSessions(); n > callers || busy != 0 {
+		t.Errorf("%d sessions made, %d still checked out, want at most %d and 0", n, busy, callers)
 	}
 }
 

@@ -24,7 +24,7 @@ type scanPart struct {
 	req  int32  // original request index
 	g    int32  // shard serving the current round
 	pos  int32  // position within shard g's sub-batch this round
-	rem  int32  // pairs still wanted
+	rem  int    // pairs still wanted; as wide as ScanReq.N
 	from uint64 // continuation key
 }
 
@@ -94,7 +94,7 @@ func (s *ShardedBTree) scanBatchFanOut(reqs []btree.ScanReq, sink btree.ScanSink
 			continue
 		}
 		parts = append(parts, scanPart{
-			req: int32(i), g: int32(s.shardOf(r.From)), from: r.From, rem: int32(r.N),
+			req: int32(i), g: int32(s.shardOf(r.From)), from: r.From, rem: r.N,
 		})
 	}
 	// A request weighs as one key, whatever its length: bulk decode is
@@ -122,7 +122,7 @@ func (s *ShardedBTree) scanBatchFanOut(reqs []btree.ScanReq, sink btree.ScanSink
 				touched++
 			}
 			pt.pos = int32(len(rs.subs[g]))
-			rs.subs[g] = append(rs.subs[g], btree.ScanReq{From: pt.from, N: int(pt.rem)})
+			rs.subs[g] = append(rs.subs[g], btree.ScanReq{From: pt.from, N: pt.rem})
 		}
 		if touched > maxFan {
 			maxFan = touched
@@ -139,7 +139,7 @@ func (s *ShardedBTree) scanBatchFanOut(reqs []btree.ScanReq, sink btree.ScanSink
 			if n := buf.Len(int(pt.pos)); n > 0 {
 				sink.Emit(int(pt.req), buf.Keys(int(pt.pos)), buf.Vals(int(pt.pos)))
 				total += n
-				pt.rem -= int32(n)
+				pt.rem -= n
 			}
 			if pt.rem > 0 && int(pt.g) < ns-1 {
 				pt.from = s.bounds[pt.g]

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"math"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -179,5 +181,36 @@ func TestShardScanBatchEdgeCases(t *testing.T) {
 	s.ScanBatch([]btree.ScanReq{{From: 0, N: len(keys) * 2}}, &buf)
 	if buf.Len(0) != len(keys) {
 		t.Fatalf("full drain delivered %d pairs, want %d", buf.Len(0), len(keys))
+	}
+	// So does one that asks for more pairs than an int32 counts (narrowed,
+	// these N read as negative, zero and 10), from every shard of three.
+	if strconv.IntSize < 64 {
+		return
+	}
+	oracle := make(map[uint64]uint64, len(keys))
+	for i, k := range keys {
+		oracle[k] = vals[i]
+	}
+	s3 := BulkLoad(testConfig(3, 2), keys, vals)
+	defer s3.Close()
+	for _, n64 := range []int64{1<<31 + 5, 1 << 32, 1<<32 + 10, math.MaxInt64} {
+		for _, from := range []uint64{0, keys[4_000], keys[9_000], keys[len(keys)-1] + 1} {
+			want := 0
+			for k := range oracle {
+				if k >= from {
+					want++
+				}
+			}
+			buf.Reset(1)
+			got := s3.ScanBatch([]btree.ScanReq{{From: from, N: int(n64)}}, &buf)
+			if got != want || buf.Len(0) != want {
+				t.Fatalf("from %d N %d: returned %d, delivered %d pairs, want %d", from, n64, got, buf.Len(0), want)
+			}
+			for i, k := range buf.Keys(0) {
+				if v, ok := oracle[k]; !ok || v != buf.Vals(0)[i] || k < from || (i > 0 && k <= buf.Keys(0)[i-1]) {
+					t.Fatalf("from %d N %d: pair %d is (%d,%d)", from, n64, i, k, buf.Vals(0)[i])
+				}
+			}
+		}
 	}
 }

@@ -126,10 +126,18 @@ type session struct {
 	bit  uint64
 }
 
-// take checks ses[i] out if it is checked in.
+// take checks ses[i] out if it is checked in. A compare-and-swap loop and
+// not idle.And(^bit)&bit: inlined into acquire, go1.24.0/amd64 keeps And's
+// scratch mask in the register that holds acquire's receiver, and a caller
+// that lost the race for the bit went on to dereference the mask.
 func (pg *sessionPage) take(i int) bool {
 	bit := uint64(1) << i
-	return pg.idle.And(^bit)&bit != 0
+	for m := pg.idle.Load(); m&bit != 0; m = pg.idle.Load() {
+		if pg.idle.CompareAndSwap(m, m&^bit) {
+			return true
+		}
+	}
+	return false
 }
 
 func (sh *shardState) acquire() *session {
