@@ -217,10 +217,10 @@ func registerReadPathMetrics(reg *obs.Registry, source string, t *Tree) {
 }
 
 // ResizeCache re-targets the result cache to the configured fraction of
-// a new memory budget (shard rebalancing moves budgets between trees).
-// Growth is clamped to the cache's original allocation; a resize drops
-// the cached working set, so callers should resize only on real budget
-// shifts. No-op without a cache.
+// a new memory budget (shard rebalancing moves budgets between trees),
+// growing or shrinking it. A resize that changes the bucket count swaps
+// in an empty table of the new size, dropping the cached working set; one
+// that does not is free. No-op without a cache.
 func (a *Adaptive) ResizeCache(budget int64) {
 	if a.Tree.rcache == nil {
 		return

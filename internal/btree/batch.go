@@ -556,8 +556,24 @@ func (t *Tree) insertRun(keys, vals []uint64, inserted []bool,
 	}
 	np := t.encode(target, gk, gv)
 	kvPool.Put(scratch)
+	// Overwrites (inserted[idx] == false) bracket the swap in the cache;
+	// fresh keys have nothing cached.
+	if t.rcache != nil {
+		for jj := cursor; jj < j; jj++ {
+			if idx := order[jj]; !inserted[idx] {
+				t.rcache.BeginWrite(keys[idx])
+			}
+		}
+	}
 	t.swapLeafBox(leaf, b, b.with(np))
 	leaf.lock.unlock()
+	if t.rcache != nil {
+		for jj := cursor; jj < j; jj++ {
+			if idx := order[jj]; !inserted[idx] {
+				t.rcache.EndWrite(keys[idx])
+			}
+		}
+	}
 	if track != nil {
 		// Tracked AFTER the lock is released: a tracked insert can complete a
 		// sampling phase, whose synchronous adaptation may migrate this very
@@ -566,15 +582,6 @@ func (t *Tree) insertRun(keys, vals []uint64, inserted []bool,
 		// and later keys see it already Gapped.
 		for jj := cursor; jj < j; jj++ {
 			track(order[jj], leaf, expanded && jj == cursor)
-		}
-	}
-	if t.rcache != nil {
-		// Overwrites (inserted[idx] == false) must leave the cache before
-		// this batch returns; fresh keys have nothing cached.
-		for jj := cursor; jj < j; jj++ {
-			if idx := order[jj]; !inserted[idx] {
-				t.rcache.Invalidate(keys[idx])
-			}
 		}
 	}
 	if newKeys > 0 {
@@ -643,6 +650,8 @@ func (s *Session) lookupBatchCached(keys, vals []uint64, found []bool) {
 	cb.grow(n)
 	cb.sampled = s.sampler.SampleOffsets(n, cb.sampled[:0])
 	miss, si := 0, 0
+	// Probes are tallied here and reach the shared counters once per
+	// batch: a per-key atomic add is a write to a line every caller reads.
 	for i := 0; i < n; i++ {
 		k := keys[i]
 		// Stripe snapshots are taken BEFORE the tree read (inside
@@ -652,7 +661,7 @@ func (s *Session) lookupBatchCached(keys, vals []uint64, found []bool) {
 		if si < len(cb.sampled) && cb.sampled[si] == i {
 			si++ // sampled: full walk, keeps the adaptation signal intact
 			snap = s.c.Snap(k)
-		} else if v, sn, ok := s.c.ProbeOrSnap(k); ok {
+		} else if v, sn, ok := s.c.ProbeOrSnapUncounted(k); ok {
 			vals[i], found[i] = v, true
 			continue
 		} else {
@@ -661,6 +670,7 @@ func (s *Session) lookupBatchCached(keys, vals []uint64, found []bool) {
 		cb.keys[miss], cb.pos[miss], cb.snaps[miss] = k, int32(i), snap
 		miss++
 	}
+	s.c.AddProbes(int64(n-miss), int64(miss-len(cb.sampled)))
 	if miss == 0 {
 		return
 	}

@@ -445,9 +445,10 @@ func (t *Tree) putLocked(leaf *Leaf, b *leafBox, path *descentPath, k, v uint64)
 	p := b.p
 	pos, found := p.search(k)
 	if found {
+		t.cacheBegin(k)
 		t.swapLeafBox(leaf, b, b.with(p.withValue(pos, v)))
 		leaf.lock.unlock()
-		t.cacheInvalidate(k)
+		t.cacheEnd(k)
 		return false, false
 	}
 	enc := p.encoding()
@@ -502,10 +503,11 @@ func (t *Tree) deleteTracked(k uint64, ev *obs.OpEvent) (bool, *Leaf) {
 		leaf.lock.unlock()
 		return false, leaf
 	}
+	t.cacheBegin(k)
 	t.swapLeafBox(leaf, b, b.with(removeAt(b.p, i, t.cfg.NegFilterBits)))
 	leaf.lock.unlock()
+	t.cacheEnd(k)
 	t.keyCount.Add(-1)
-	t.cacheInvalidate(k)
 	return true, leaf
 }
 
@@ -519,12 +521,19 @@ func (t *Tree) encode(enc core.Encoding, keys, vals []uint64) payload {
 	return encodePayload(enc, keys, vals)
 }
 
-// cacheInvalidate removes k from the attached result cache after a tree
-// write. Nil-safe; called after the leaf swap is published so a probe
-// that misses re-reads the new image.
-func (t *Tree) cacheInvalidate(k uint64) {
+// cacheBegin and cacheEnd bracket the leaf swap that writes k, so the
+// attached result cache drops k before the new image is published and
+// admits nothing for it until the swap is done (cache.BeginWrite).
+// Nil-safe.
+func (t *Tree) cacheBegin(k uint64) {
 	if t.rcache != nil {
-		t.rcache.Invalidate(k)
+		t.rcache.BeginWrite(k)
+	}
+}
+
+func (t *Tree) cacheEnd(k uint64) {
+	if t.rcache != nil {
+		t.rcache.EndWrite(k)
 	}
 }
 

@@ -229,6 +229,9 @@ func TestLookupBatchZeroAlloc(t *testing.T) {
 		frac float64
 	}{{"NoCache", 0}, {"Cache", 0.2}} {
 		t.Run(tc.name, func(t *testing.T) {
+			if raceEnabled && tc.frac == 0 {
+				t.Skip("sync.Pool drops items under the race detector; the non-race run enforces this")
+			}
 			keys, vals := sortedPairs(100000, 3)
 			base := BulkLoad(Config{DefaultEncoding: EncSuccinct}, keys, vals)
 			a := BulkLoadAdaptive(AdaptiveConfig{
@@ -251,6 +254,17 @@ func TestLookupBatchZeroAlloc(t *testing.T) {
 				s.LookupBatch(qk, qv, qf)
 			}); avg != 0 {
 				t.Fatalf("LookupBatch allocates %.1f allocs/op, want 0", avg)
+			}
+			if tc.frac == 0 {
+				return
+			}
+			// Counted once per batch, the probes still land exactly: no
+			// key is sampled, so every key is one hit or one miss.
+			before := a.CacheStats()
+			s.LookupBatch(qk, qv, qf)
+			after := a.CacheStats()
+			if got := (after.Hits - before.Hits) + (after.Misses - before.Misses); got != int64(len(qk)) {
+				t.Fatalf("one batch of %d keys counted %d probes", len(qk), got)
 			}
 		})
 	}

@@ -1,24 +1,46 @@
 // Package cache implements a lock-cheap hot-key result cache for the
 // adaptive index read path.
 //
-// Layout: a fixed allocation of set-associative buckets (4–7 ways, sized
-// to spend the configured byte budget — see New). Every slot
-// field is atomic and guarded by a per-slot seqlock (ver odd = writer in
-// the critical section), so readers never block and the package is clean
-// under -race. Admission follows the S3-FIFO/CLOCK spirit: new entries
-// enter on probation (freq 0), probe hits bump a saturating frequency,
-// eviction picks the minimum-frequency way and ages the rest. Entries
-// observed by the hotness sampler are admitted pre-warmed.
+// Layout: set-associative buckets (4–7 ways, sized to spend the configured
+// byte budget — see New) in an immutable table published through an
+// atomic pointer. Every slot field is atomic and guarded by a per-slot
+// seqlock (ver odd = writer in the critical section), so readers never
+// block and the package is clean under -race. Admission follows the
+// S3-FIFO/CLOCK spirit: new entries enter on probation (freq 0), probe
+// hits bump a saturating frequency, eviction picks the minimum-frequency
+// way and ages the rest. Entries observed by the hotness sampler are
+// admitted pre-warmed.
 //
 // Strictness: values enter only through Admit, which carries a stripe
-// epoch snapshot taken BEFORE the tree lookup that produced the value.
-// Every tree write (insert-overwrite, delete, leaf migration/rekey) first
-// bumps the key's stripe epoch and then clears any matching slot. Admit
-// re-checks the stripe epoch while holding the slot seqlock and aborts if
-// it moved; invalidation scans spin on (never skip) locked slots. Either
-// the admitter's in-lock check sees the bump and aborts, or the admitter
-// finished first and the invalidation scan waits on its lock and clears
-// the entry. Stale hits are therefore impossible once a write returns.
+// snapshot taken BEFORE the tree lookup that produced the value. A stripe
+// word counts writes begun (high half) and writes in flight (low half).
+// A tree write brackets its leaf swap with BeginWrite, which bumps both
+// halves and then clears any matching slot, and EndWrite, which drops the
+// in-flight count. Admit refuses a snapshot that saw a write in flight
+// and re-checks the stripe while holding the slot seqlock, aborting if it
+// moved; the clear spins on (never skips) locked slots. Either the
+// admitter's in-lock check sees the bump and aborts, or the admitter
+// finished first and the clear waits on its lock and removes the entry —
+// before the new value is in the tree. So once any reader can see a
+// write's value, no older value of that key is in the cache, and none can
+// enter while the write is in flight: reads are linearizable, not only
+// fresh after the write returns. Invalidate is the one-shot form (bump
+// and clear) for a write already applied elsewhere.
+//
+// Resizing: Resize publishes a fresh, empty table of the new size and
+// leaves the old one to the garbage collector; no slot is ever cleared or
+// re-indexed in place. Each operation loads the table once, so it works
+// on one table throughout; the clear of BeginWrite and Invalidate loads
+// it after its stripe bump. The stripes live outside the tables and
+// survive a swap, so an Admit into any table still aborts on a write that
+// bumped its stripe after the snapshot, and an admitter that passed its
+// check before that bump loaded its table before the writer did: that
+// table is the writer's (whose clear removes the entry) or an older one.
+// An entry left in a superseded table is reachable only by a probe that
+// loaded that table before the swap, and a write whose clear went to a
+// newer table puts its value in the tree only after that swap — after
+// the probe began — so the probe linearizes before the write. A probe
+// that starts after the swap sees only the newer tables.
 package cache
 
 import (
@@ -42,6 +64,11 @@ const (
 	// stripeCount is the number of invalidation epochs. Writers bump one
 	// stripe per key; admitters validate against it.
 	stripeCount = 256
+	// epochOne and inFlight are the two halves of a stripe word: the
+	// count of writes begun (and migration fences) above, the count of
+	// writes between BeginWrite and EndWrite below.
+	epochOne = 1 << 32
+	inFlight = epochOne - 1
 	// maxMeta caps the CLOCK frequency at 3: meta = (freq<<1)|1.
 	maxMeta = 7
 	// minBytes is the smallest useful cache: below one bucket of slack
@@ -70,13 +97,24 @@ type Stats struct {
 	Evictions     int64 // occupied slots overwritten by admission
 }
 
-// Cache is a per-tree (per-shard) result cache. The slot array is
-// allocated once; Resize moves an active-bucket mask within it so the
-// accounted footprint can follow budget rebalancing without reallocation.
+// table is one immutable slot layout: the slots of mask+1 buckets. Only
+// the slot contents change after construction; a resize publishes a new
+// table instead.
+type table struct {
+	slots []slot
+	mask  uint64 // bucket count - 1 (power of two)
+}
+
+func newTable(buckets, ways uint64) *table {
+	return &table{slots: make([]slot, buckets*ways), mask: buckets - 1}
+}
+
+// Cache is a per-tree (per-shard) result cache. Its slot table is swapped
+// whole by Resize, so the accounted footprint follows budget rebalancing
+// in both directions.
 type Cache struct {
-	slots   []slot
-	ways    uint64        // bucket associativity, fixed at construction
-	mask    atomic.Uint64 // active bucket count - 1 (power of two)
+	tab     atomic.Pointer[table]
+	ways    uint64 // bucket associativity, fixed at construction
 	stripes [stripeCount]atomic.Uint64
 
 	hits     atomic.Int64
@@ -87,7 +125,6 @@ type Cache struct {
 	evicts   atomic.Int64
 
 	resizeMu sync.Mutex
-	alloc    uint64 // allocated bucket count
 }
 
 // New builds a cache fitting in bytes: the largest power-of-two bucket
@@ -104,12 +141,8 @@ func New(bytes int64) *Cache {
 	if w > maxWays {
 		w = maxWays
 	}
-	c := &Cache{
-		slots: make([]slot, buckets*w),
-		ways:  w,
-		alloc: buckets,
-	}
-	c.mask.Store(buckets - 1)
+	c := &Cache{ways: w}
+	c.tab.Store(newTable(buckets, w))
 	return c
 }
 
@@ -143,10 +176,11 @@ func (c *Cache) Snap(k uint64) uint64 {
 }
 
 // Probe looks k up. A hit is always the value of a tree read linearized
-// no earlier than the last completed write of k (writers clear slots
-// synchronously before returning).
+// no earlier than the last write of k any reader could see (writers clear
+// k's slots before publishing a new value; see BeginWrite).
 func (c *Cache) Probe(k uint64) (uint64, bool) {
 	v, _, _, ok := c.probe(mix(k), k, false)
+	c.count(ok)
 	return v, ok
 }
 
@@ -155,7 +189,26 @@ func (c *Cache) Probe(k uint64) (uint64, bool) {
 // on a miss it is the invalidation epoch to pass to Admit.
 func (c *Cache) ProbeOrSnap(k uint64) (v, snap uint64, ok bool) {
 	v, snap, _, ok = c.probe(mix(k), k, true)
+	c.count(ok)
 	return v, snap, ok
+}
+
+// ProbeOrSnapUncounted is ProbeOrSnap without touching the shared hit and
+// miss counters: a batch caller tallies its outcomes in locals and reports
+// them once with AddProbes, so its probes write no line other callers read.
+func (c *Cache) ProbeOrSnapUncounted(k uint64) (v, snap uint64, ok bool) {
+	v, snap, _, ok = c.probe(mix(k), k, true)
+	return v, snap, ok
+}
+
+// AddProbes credits the outcomes of uncounted probes to the counters.
+func (c *Cache) AddProbes(hits, misses int64) {
+	if hits != 0 {
+		c.hits.Add(hits)
+	}
+	if misses != 0 {
+		c.misses.Add(misses)
+	}
 }
 
 // ProbeOrSnapProf is ProbeOrSnap plus the probe's torn-slot count: how
@@ -163,13 +216,24 @@ func (c *Cache) ProbeOrSnap(k uint64) (v, snap uint64, ok bool) {
 // between the reads). The flight recorder tags ops whose probe raced
 // concurrent cache writers with it.
 func (c *Cache) ProbeOrSnapProf(k uint64) (v, snap uint64, torn int32, ok bool) {
-	return c.probe(mix(k), k, true)
+	v, snap, torn, ok = c.probe(mix(k), k, true)
+	c.count(ok)
+	return v, snap, torn, ok
+}
+
+func (c *Cache) count(hit bool) {
+	if hit {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
 }
 
 func (c *Cache) probe(h, k uint64, wantSnap bool) (v, snap uint64, torn int32, ok bool) {
-	base := (h & c.mask.Load()) * c.ways
+	t := c.tab.Load()
+	base := (h & t.mask) * c.ways
 	for i := uint64(0); i < c.ways; i++ {
-		sl := &c.slots[base+i]
+		sl := &t.slots[base+i]
 		v1 := sl.ver.Load()
 		key := sl.key.Load()
 		if v1&1 != 0 {
@@ -191,10 +255,8 @@ func (c *Cache) probe(h, k uint64, wantSnap bool) (v, snap uint64, torn int32, o
 		if m < maxMeta {
 			sl.meta.CompareAndSwap(m, m+2) // best-effort frequency bump
 		}
-		c.hits.Add(1)
 		return val, 0, torn, true
 	}
-	c.misses.Add(1)
 	if wantSnap {
 		snap = c.stripes[h>>56].Load()
 	}
@@ -213,18 +275,19 @@ func (c *Cache) probe(h, k uint64, wantSnap bool) (v, snap uint64, torn int32, o
 func (c *Cache) Admit(k, v uint64, snap uint64, hot, evictOK bool) {
 	h := mix(k)
 	stripe := &c.stripes[h>>56]
-	if stripe.Load() != snap {
+	if snap&inFlight != 0 || stripe.Load() != snap {
 		c.rejected.Add(1)
 		return
 	}
-	base := (h & c.mask.Load()) * c.ways
+	t := c.tab.Load()
+	base := (h & t.mask) * c.ways
 	// Victim choice: k's own slot if cached, else an empty way, else the
 	// minimum-frequency way (CLOCK).
 	var victim *slot
 	ownerK := false
 	minMeta := uint64(maxMeta + 2)
 	for i := uint64(0); i < c.ways; i++ {
-		sl := &c.slots[base+i]
+		sl := &t.slots[base+i]
 		m := sl.meta.Load()
 		if m&1 == 0 {
 			if minMeta != 0 {
@@ -252,7 +315,7 @@ func (c *Cache) Admit(k, v uint64, snap uint64, hot, evictOK bool) {
 		// established entries keep their earned frequency.
 		if minMeta > 1 {
 			for i := uint64(0); i < c.ways; i++ {
-				sl := &c.slots[base+i]
+				sl := &t.slots[base+i]
 				if sl == victim {
 					continue
 				}
@@ -290,16 +353,43 @@ func (c *Cache) Admit(k, v uint64, snap uint64, hot, evictOK bool) {
 	c.admitted.Add(1)
 }
 
+// BeginWrite opens a tree write of k: it marks k's stripe in flight —
+// aborting in-flight admissions and refusing new ones — then clears k's
+// slots. Call it before the write becomes visible to readers and
+// EndWrite after.
+func (c *Cache) BeginWrite(k uint64) {
+	h := mix(k)
+	c.stripes[h>>56].Add(epochOne | 1)
+	c.clear(h, k)
+}
+
+// EndWrite closes a BeginWrite of k: admissions snapshotting k's stripe
+// from now on read the written value.
+func (c *Cache) EndWrite(k uint64) {
+	c.stripes[mix(k)>>56].Add(^uint64(0))
+}
+
 // Invalidate removes k after a tree write (overwrite, delete, rekey).
 // It bumps k's stripe epoch first — aborting in-flight admissions — then
-// clears matching slots, spinning on locked ones so a racing admission
-// that already passed its epoch check cannot leave a stale entry behind.
+// clears matching slots. A reader that saw the written value before
+// Invalidate ran may still hit the older one until it returns; the tree
+// write paths use BeginWrite/EndWrite instead.
 func (c *Cache) Invalidate(k uint64) {
 	h := mix(k)
-	c.stripes[h>>56].Add(1)
-	base := (h & c.mask.Load()) * c.ways
+	c.stripes[h>>56].Add(epochOne)
+	c.clear(h, k)
+}
+
+// clear removes k's slots after its stripe bump, spinning on locked ones
+// so a racing admission that already passed its epoch check cannot leave
+// a stale entry behind.
+func (c *Cache) clear(h, k uint64) {
+	// Load the table after the bump: an admitter into any table published
+	// before this load re-checks the stripe under its slot lock.
+	t := c.tab.Load()
+	base := (h & t.mask) * c.ways
 	for i := uint64(0); i < c.ways; i++ {
-		sl := &c.slots[base+i]
+		sl := &t.slots[base+i]
 		for {
 			v0 := sl.ver.Load()
 			if v0&1 != 0 {
@@ -334,17 +424,18 @@ func (c *Cache) BumpStripes(mask *[4]uint64) {
 	for w := 0; w < 4; w++ {
 		set := mask[w]
 		for set != 0 {
-			c.stripes[w*64+bits.TrailingZeros64(set)].Add(1)
+			c.stripes[w*64+bits.TrailingZeros64(set)].Add(epochOne)
 			set &= set - 1
 		}
 	}
 }
 
-// Resize adjusts the active footprint toward bytes, clamped to the
-// original allocation. The whole table is cleared first: entries parked
-// in buckets that move out of (or back into) the active range must never
-// become reachable again with stale contents. Rebalance-driven resizes
-// are rare enough that losing the working set is acceptable.
+// Resize re-targets the footprint to bytes: when the bucket count
+// changes, growing or shrinking, it publishes a fresh, empty table of that
+// size and drops the old one to the garbage collector (see the package
+// comment for why entries left in it cannot be read stale). Rebalance
+// cadence is far coarser than cache refill, so the lost working set is
+// cheap; the associativity stays as constructed.
 func (c *Cache) Resize(bytes int64) {
 	c.resizeMu.Lock()
 	defer c.resizeMu.Unlock()
@@ -352,55 +443,29 @@ func (c *Cache) Resize(bytes int64) {
 	if bytes >= minBytes {
 		buckets = pow2Floor(uint64(bytes) / (c.ways * slotBytes))
 	}
-	if buckets > c.alloc {
-		buckets = c.alloc
+	if buckets-1 != c.tab.Load().mask {
+		c.tab.Store(newTable(buckets, c.ways))
 	}
-	if buckets-1 == c.mask.Load() {
-		return
-	}
-	// Clear before publishing the new mask: a probe racing the resize
-	// sees either its old bucket (cleared below, under the slot lock) or
-	// the new one (also cleared) — never a stale survivor.
-	for i := range c.slots {
-		sl := &c.slots[i]
-		for {
-			v0 := sl.ver.Load()
-			if v0&1 != 0 {
-				runtime.Gosched()
-				continue
-			}
-			if sl.meta.Load() == 0 {
-				break
-			}
-			if !sl.ver.CompareAndSwap(v0, v0+1) {
-				continue
-			}
-			sl.meta.Store(0)
-			sl.ver.Store(v0 + 2)
-			break
-		}
-	}
-	c.mask.Store(buckets - 1)
 }
 
-// Bytes reports the active accounted footprint — what the adaptation
-// manager charges against the memory budget.
+// Bytes reports the accounted footprint — what the adaptation manager
+// charges against the memory budget.
 func (c *Cache) Bytes() int64 {
 	if c == nil {
 		return 0
 	}
-	return int64((c.mask.Load() + 1) * c.ways * slotBytes)
+	return int64(len(c.tab.Load().slots) * slotBytes)
 }
 
-// Len counts occupied active slots (diagnostic; O(active slots)).
+// Len counts occupied slots (diagnostic; O(slots)).
 func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
 	n := 0
-	active := (c.mask.Load() + 1) * c.ways
-	for i := uint64(0); i < active; i++ {
-		if c.slots[i].meta.Load()&1 == 1 {
+	t := c.tab.Load()
+	for i := range t.slots {
+		if t.slots[i].meta.Load()&1 == 1 {
 			n++
 		}
 	}

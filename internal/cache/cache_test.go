@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestNewSizing(t *testing.T) {
@@ -27,7 +28,7 @@ func TestNewSizing(t *testing.T) {
 	if wide.ways != 6 || wide.Bytes() != 3<<19 {
 		t.Fatalf("1.5MB cache: ways=%d bytes=%d, want 6 ways spending all 1572864", wide.ways, wide.Bytes())
 	}
-	if got := uint64(c.Bytes()) / slotBytes; wide.ways*(wide.mask.Load()+1) <= got {
+	if got := uint64(c.Bytes()) / slotBytes; uint64(len(wide.tab.Load().slots)) <= got {
 		t.Fatal("widened cache should hold more slots than the pow2 floor")
 	}
 	if (*Cache)(nil).Bytes() != 0 || (*Cache)(nil).Len() != 0 {
@@ -59,6 +60,27 @@ func TestProbeAdmitInvalidate(t *testing.T) {
 	}
 }
 
+// TestUncountedProbes: batch probes leave the shared counters alone until
+// the caller reports its tally, which then lands exactly.
+func TestUncountedProbes(t *testing.T) {
+	c := New(1 << 16)
+	c.Admit(1, 10, c.Snap(1), false, true)
+	if v, _, ok := c.ProbeOrSnapUncounted(1); !ok || v != 10 {
+		t.Fatalf("uncounted probe of a cached key = %d,%v", v, ok)
+	}
+	snap := c.Snap(2)
+	if _, sn, ok := c.ProbeOrSnapUncounted(2); ok || sn != snap {
+		t.Fatalf("uncounted miss: ok=%v snap=%d want %d", ok, sn, snap)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("uncounted probes moved the counters: %+v", st)
+	}
+	c.AddProbes(1, 1)
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("AddProbes: %+v", st)
+	}
+}
+
 func TestAdmitAbortsOnStaleSnap(t *testing.T) {
 	c := New(1 << 16)
 	snap := c.Snap(7)
@@ -74,6 +96,23 @@ func TestAdmitAbortsOnStaleSnap(t *testing.T) {
 	c.Admit(7, 99, c.Snap(7), false, true)
 	if v, ok := c.Probe(7); !ok || v != 99 {
 		t.Fatalf("fresh admit lost: %d,%v", v, ok)
+	}
+	// BeginWrite clears the entry, and a snapshot taken while the write is
+	// in flight admits nothing, even once the stripe stops moving.
+	c.BeginWrite(7)
+	if _, ok := c.Probe(7); ok {
+		t.Fatal("hit after BeginWrite")
+	}
+	snap = c.Snap(7)
+	c.Admit(7, 98, snap, true, true)
+	c.EndWrite(7)
+	c.Admit(7, 98, snap, true, true)
+	if _, ok := c.Probe(7); ok {
+		t.Fatal("admission from an in-flight snapshot was accepted")
+	}
+	c.Admit(7, 100, c.Snap(7), false, true)
+	if v, ok := c.Probe(7); !ok || v != 100 {
+		t.Fatalf("admit after EndWrite lost: %d,%v", v, ok)
 	}
 }
 
@@ -126,10 +165,10 @@ func TestHotAdmissionOutlivesProbation(t *testing.T) {
 func TestEvictGate(t *testing.T) {
 	c := New(minBytes)
 	// Collect keys that all land in the same bucket.
-	target := mix(1) & c.mask.Load()
+	target := mix(1) & c.tab.Load().mask
 	var fill []uint64
 	for k := uint64(1); len(fill) < ways+2; k++ {
-		if mix(k)&c.mask.Load() == target {
+		if mix(k)&c.tab.Load().mask == target {
 			fill = append(fill, k)
 		}
 	}
@@ -182,22 +221,52 @@ func TestUpdateInPlaceViaAdmit(t *testing.T) {
 
 func TestResize(t *testing.T) {
 	c := New(1 << 20)
-	full := c.Bytes()
+	start := c.Bytes()
 	c.Admit(9, 90, c.Snap(9), false, true)
+
+	// Grow past the construction size: a larger, empty, working table.
+	// Every resize below must leave none of the earlier entries behind,
+	// including one back to a size the cache had before.
+	c.Resize(1 << 22)
+	if c.Bytes() <= start || c.Bytes() > 1<<22 {
+		t.Fatalf("grow: Bytes = %d, want in (%d, %d]", c.Bytes(), start, 1<<22)
+	}
+	checkFreshTable(t, c)
+
+	// Shrink below it: a smaller, empty, working table.
+	grown := c.Bytes()
 	c.Resize(1 << 14)
-	if c.Bytes() >= full || c.Bytes() > 1<<14 {
-		t.Fatalf("shrink: Bytes = %d (full %d)", c.Bytes(), full)
+	if c.Bytes() >= start || c.Bytes() > 1<<14 {
+		t.Fatalf("shrink: Bytes = %d (start %d, grown %d)", c.Bytes(), start, grown)
 	}
+	checkFreshTable(t, c)
+
+	// Back to the construction size: still a fresh table.
+	c.Resize(1 << 20)
+	if c.Bytes() != start {
+		t.Fatalf("back to start: Bytes = %d, want %d", c.Bytes(), start)
+	}
+	checkFreshTable(t, c)
+
+	// Same bucket count: the table and its entries stay.
+	tab := c.tab.Load()
+	c.Resize(1<<20 + slotBytes)
+	if c.tab.Load() != tab {
+		t.Fatal("resize to the same bucket count swapped the table")
+	}
+	if v, ok := c.Probe(9); !ok || v != 91 {
+		t.Fatalf("same-size resize lost an entry: %d,%v", v, ok)
+	}
+}
+
+// checkFreshTable asserts c's table is empty and that it caches again.
+func checkFreshTable(t *testing.T, c *Cache) {
+	t.Helper()
 	if _, ok := c.Probe(9); ok {
-		t.Fatal("resize must clear the table")
-	}
-	// Grow back: clamped to the original allocation.
-	c.Resize(1 << 30)
-	if c.Bytes() != full {
-		t.Fatalf("grow: Bytes = %d, want %d", c.Bytes(), full)
+		t.Fatal("entry survived a resize")
 	}
 	if c.Len() != 0 {
-		t.Fatalf("Len = %d after clearing resize", c.Len())
+		t.Fatalf("Len = %d after resize", c.Len())
 	}
 	c.Admit(9, 91, c.Snap(9), false, true)
 	if v, ok := c.Probe(9); !ok || v != 91 {
@@ -206,13 +275,16 @@ func TestResize(t *testing.T) {
 }
 
 // TestConcurrentStrict hammers a small cache with writers that keep the
-// authoritative value monotonically increasing (bump stripe + invalidate,
-// like the tree write path) and readers that must never observe a value
-// going backwards — the observable symptom of a stale cache read.
+// authoritative value monotonically increasing (bracketed by BeginWrite
+// and EndWrite, like the tree write path) and readers that must never
+// observe a value going backwards — the observable symptom of a stale
+// cache read, including one that follows a read of the new value while
+// its write is still in flight.
 func TestConcurrentStrict(t *testing.T) {
 	c := New(minBytes) // tiny: maximize slot reuse and eviction races
 	const keys = 8
 	var truth [keys]atomic.Uint64
+	var writes atomic.Int64
 	var stop atomic.Bool
 	var writers, readers sync.WaitGroup
 
@@ -222,28 +294,35 @@ func TestConcurrentStrict(t *testing.T) {
 			defer writers.Done()
 			for i := seed; !stop.Load(); i++ {
 				k := i % keys
+				c.BeginWrite(k)
 				truth[k].Add(1)
-				c.Invalidate(k)
+				c.EndWrite(k)
+				writes.Add(1)
 			}
 		}(uint64(w))
 	}
-	// One goroutine resizing concurrently: must not break strictness.
+	// One goroutine swapping tables concurrently, below and above the
+	// construction size: must not break strictness.
 	writers.Add(1)
 	go func() {
 		defer writers.Done()
 		for !stop.Load() {
 			c.Resize(minBytes / 2)
-			c.Resize(minBytes)
+			c.Resize(8 * minBytes)
 		}
 	}()
 
+	start := time.Now()
 	errc := make(chan string, 4)
 	for r := 0; r < 4; r++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
 			var last [keys]uint64
-			for i := uint64(0); i < 200000; i++ {
+			// Run until the writers have made real progress too (readers
+			// alone can finish before a writer is ever scheduled), or for
+			// a bounded time where they are slow, as under -race.
+			for i := uint64(0); i < 200000 || (writes.Load() < 1000000 && time.Since(start) < 2*time.Second); i++ {
 				k := i % keys
 				v, ok := c.Probe(k)
 				if !ok {

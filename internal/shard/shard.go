@@ -651,8 +651,9 @@ func (s *ShardedBTree) Rebalance() {
 		}
 		sh.a.Mgr.SetMemoryBudget(share)
 		// The result cache is sized as a fraction of the shard's budget,
-		// so it follows the re-split (dropping its working set — the
-		// rebalance cadence is far coarser than cache refill).
+		// so it follows the re-split in both directions (a new bucket
+		// count drops its working set — the rebalance cadence is far
+		// coarser than cache refill).
 		sh.a.ResizeCache(share)
 		// Exponential decay so the split tracks shifting hot ranges
 		// instead of the all-time distribution.

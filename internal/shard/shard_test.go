@@ -208,6 +208,57 @@ func TestRebalanceSplitsBudgetByHotness(t *testing.T) {
 	}
 }
 
+// TestRebalanceMovesCacheBytes pins the budget contract of the result
+// caches: rebalancing grows the hot shard's cache past its even-split
+// allocation, and the caches together never exceed CacheFraction of the
+// total budget.
+func TestRebalanceMovesCacheBytes(t *testing.T) {
+	const total, frac = 4 << 20, 0.1
+	cfg := testConfig(4, 1)
+	cfg.Adaptive.MemoryBudget = total
+	cfg.Adaptive.CacheFraction = frac
+	cfg.RebalanceEvery = -1 // rebalance only when the test says so
+	keys, vals := loadKeys(8_000)
+	s := BulkLoad(cfg, keys, vals)
+	defer s.Close()
+	start := s.Shard(0).CacheBytes()
+	if start == 0 {
+		t.Fatal("shard 0 has no cache")
+	}
+
+	q := make([]uint64, 128)
+	got := make([]uint64, 128)
+	ok := make([]bool, 128)
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 20; round++ {
+		for b := 0; b < 10; b++ {
+			for i := range q {
+				q[i] = keys[rng.Intn(2000)] // first quarter = shard 0
+			}
+			s.LookupBatch(q, got, ok)
+			for i := range q {
+				if !ok[i] || got[i] != q[i]/5 {
+					t.Fatalf("round %d: Lookup(%d) = %d,%v", round, q[i], got[i], ok[i])
+				}
+			}
+		}
+		s.Rebalance()
+		var sum int64
+		for i := 0; i < s.Shards(); i++ {
+			sum += s.Shard(i).CacheBytes()
+		}
+		if float64(sum) > frac*total {
+			t.Fatalf("round %d: caches hold %d bytes, over %.0f%% of the %d budget", round, sum, 100*frac, total)
+		}
+	}
+	if hot := s.Shard(0).CacheBytes(); hot <= start {
+		t.Fatalf("hot shard's cache holds %d bytes, not above its even-split %d", hot, start)
+	}
+	if cold := s.Shard(3).CacheBytes(); cold >= start {
+		t.Fatalf("cold shard's cache holds %d bytes, not below its even-split %d", cold, start)
+	}
+}
+
 // TestShardedConcurrentBatches hammers batched and single ops from
 // multiple goroutines (run under -race).
 func TestShardedConcurrentBatches(t *testing.T) {
