@@ -258,10 +258,6 @@ func renderEpochs(w io.Writer, src string, snaps []obs.Snapshot) {
 				mib(last.BudgetBytes), mib(last.UsedBytes), mib(last.Headroom()))
 		}
 	}
-	if last.RetireDepth > 0 || last.EpochLag > 0 {
-		fmt.Fprintf(w, "reclaim: retire-list depth %d, reader epoch lag %d\n",
-			last.RetireDepth, last.EpochLag)
-	}
 	fmt.Fprintln(w)
 }
 

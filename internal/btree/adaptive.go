@@ -156,13 +156,6 @@ func wireAdaptive(t *Tree, cfg AdaptiveConfig) *Adaptive {
 			mcfg.ChargedBytes = t.rcache.Bytes
 		}
 	}
-	if cfg.AsyncMigrations {
-		// Concurrent migrations retire displaced leaf images instead of
-		// dropping them: enable the tree's epoch domain so readers pin
-		// and recycled Gapped slabs stay out of reach until they drain.
-		t.epochs = newEpochs()
-		mcfg.ReclaimStats = t.epochs.stats
-	}
 	if cfg.Obs != nil {
 		mcfg.Obs = cfg.Obs.Index(cfg.ObsSource,
 			func(e uint8) string { return EncodingName(core.Encoding(e)) })

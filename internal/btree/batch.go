@@ -191,12 +191,6 @@ func (t *Tree) lookupBatchTracked(keys, vals []uint64, found []bool, track func(
 	sc := batchPool.Get().(*batchScratch)
 	order := sc.sortOrder(keys)
 
-	// One reader pin covers the whole interleaved kernel: every leaf
-	// image the ring or the run-server loads stays valid until the batch
-	// returns.
-	slot := t.epochs.pin(nil)
-	defer t.epochs.unpin(slot)
-
 	// Serve the sorted head sequentially first. Under a skewed
 	// distribution the head of a sorted batch is a dense cluster of hot
 	// keys collapsing onto one or a few adjacent leaves: one descent plus

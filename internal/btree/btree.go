@@ -136,24 +136,18 @@ type Tree struct {
 	expansions  atomic.Int64
 	compactions atomic.Int64
 
-	// epochs is the grace-period reclamation domain for leaf images
-	// displaced by migrations (epoch.go). Nil — the default — disables
-	// reclamation: read paths skip pinning and retired images fall to
-	// the garbage collector. wireAdaptive enables it alongside the
-	// asynchronous migration pipeline.
-	epochs *epochs
-
 	// onLeafSplit, if set, is invoked after a leaf split with the split
 	// leaf and its (new) parent-side context; the adaptive layer uses it
 	// to refresh tracked contexts.
 	onLeafSplit func(left, right *Leaf)
 
 	// rcache is the attached hot-key result cache (nil = disabled).
-	// Write paths keep it strictly coherent: every mutation of k bumps
-	// k's invalidation stripe and clears matching slots before returning,
-	// and leaf migrations publish an invalidation epoch for the retired
-	// image's keys. Read integration (probe/admit) lives in the adaptive
-	// Session so it can reuse the hotness sampler as admission signal.
+	// Write paths keep it strictly coherent: every mutation of k brackets
+	// its leaf swap with k's invalidation stripe (cacheBegin/cacheEnd),
+	// and a leaf migration bumps the stripes of the displaced image's
+	// keys so admissions that read that image abort. Read integration
+	// (probe/admit) lives in the adaptive Session so it can reuse the
+	// hotness sampler as admission signal.
 	rcache *cache.Cache
 
 	// negHits counts point lookups short-circuited by a leaf's negative
@@ -371,10 +365,9 @@ func (t *Tree) Lookup(k uint64) (uint64, bool) {
 }
 
 // lookupLeaf additionally returns the leaf that held (or would hold) k.
-// A traced caller passes its event: the pin, the descent and the negative
-// filter leave their stage signals in it.
+// A traced caller passes its event: the descent and the negative filter
+// leave their stage signals in it.
 func (t *Tree) lookupLeaf(k uint64, ev *obs.OpEvent) (uint64, *Leaf, bool) {
-	slot := t.epochs.pin(ev)
 	leaf, _ := t.descend(k, nil, ev)
 	leaf, b := moveRightLeaf(leaf, k, ev)
 	if s, ok := b.p.(*succinct); ok && !s.mayContain(k) {
@@ -383,15 +376,11 @@ func (t *Tree) lookupLeaf(k uint64, ev *obs.OpEvent) (uint64, *Leaf, bool) {
 		if ev != nil {
 			ev.NegFiltered = true
 		}
-		t.epochs.unpin(slot)
 		return 0, leaf, false
 	}
 	if i, found := b.p.search(k); found {
-		v := b.p.valAt(i)
-		t.epochs.unpin(slot)
-		return v, leaf, true
+		return b.p.valAt(i), leaf, true
 	}
-	t.epochs.unpin(slot)
 	return 0, leaf, false
 }
 
@@ -694,32 +683,26 @@ func (t *Tree) Compactions() int64 { return t.compactions.Add(0) }
 
 // MigrateLeaf re-encodes one leaf to the target encoding. The new image
 // is built optimistically outside the leaf's lock from a box snapshot
-// (pinned, so the snapshot's payload cannot be recycled mid-decode); the
-// lock is then taken only for the O(1) pointer re-validation and swap.
+// (images are immutable, so the snapshot stays valid however long the
+// build takes); the lock is then taken only for the O(1) pointer
+// re-validation and swap.
 // Earlier revisions held the write lock across the whole O(decode+encode)
 // build, which stalled every writer — and, before copy-on-write boxes,
 // every reader — for the full re-encode. A box that changed between
 // snapshot and lock means foreground writes are landing on the leaf; one
 // retry covers the common single racing write, after which the migration
 // gives up and lets a later phase re-propose. It reports whether the
-// encoding changed. The displaced image is retired into the epoch domain
-// (when enabled) and freed only after all in-flight readers drain.
+// encoding changed. The displaced image is left to the garbage collector,
+// which frees it once no reader holds it.
 func (t *Tree) MigrateLeaf(l *Leaf, target core.Encoding) bool {
 	t.migActive.Add(1)
 	defer t.migActive.Add(-1)
 	for attempt := 0; ; attempt++ {
-		// Pin before loading the snapshot: a box loaded under the pin
-		// cannot finish its grace period (and have its payload recycled)
-		// until we unpin, so the decode below reads stable memory even if
-		// a concurrent migration displaces the box meanwhile.
-		slot := t.epochs.pin(nil)
 		b := l.box.Load()
 		if b.p.encoding() == target {
-			t.epochs.unpin(slot)
 			return false
 		}
 		np := reencode(b.p, target, t.cfg.NegFilterBits)
-		t.epochs.unpin(slot)
 		if !l.lock.writeLock() {
 			return false
 		}
@@ -738,7 +721,7 @@ func (t *Tree) MigrateLeaf(l *Leaf, target core.Encoding) bool {
 		t.swapLeafBox(l, b, b.with(np))
 		l.lock.unlock()
 		if t.rcache != nil {
-			// Publish an invalidation epoch for every key of the retired
+			// Bump the invalidation stripe of every key of the displaced
 			// image: cached values stay correct (migration preserves the
 			// key→value mapping) but in-flight admissions that read the
 			// displaced payload must abort rather than race the swap.
@@ -749,15 +732,14 @@ func (t *Tree) MigrateLeaf(l *Leaf, target core.Encoding) bool {
 			}
 			t.rcache.BumpStripes(&mask)
 		}
-		t.epochs.retire(b)
 		return true
 	}
 }
 
 // WalkLeaves visits every leaf left to right until fn returns false. It
 // takes a consistent entry into the chain but, like scans, observes
-// concurrent splits only through the sibling links. The walk holds one
-// reader pin, so images the callback loads stay valid throughout.
+// concurrent splits only through the sibling links. Leaf images are
+// immutable, so an image the callback loads stays valid while it holds it.
 func (t *Tree) WalkLeaves(fn func(*Leaf) bool) {
 	t.walkImages(func(l *Leaf, _ *leafBox) bool { return fn(l) })
 }
@@ -767,8 +749,6 @@ func (t *Tree) WalkLeaves(fn func(*Leaf) bool) {
 // itself may be older than the link; after a split in between, the link
 // leads to the new sibling and fn has seen that sibling's keys already.
 func (t *Tree) walkImages(fn func(*Leaf, *leafBox) bool) {
-	slot := t.epochs.pin(nil)
-	defer t.epochs.unpin(slot)
 	// No separator is 0 (one is always above its left sibling's smallest
 	// key), so the descent for key 0 ends at the leftmost leaf.
 	leaf, _ := t.descend(0, nil, nil)

@@ -66,8 +66,8 @@ func TestCacheBudgetEdge(t *testing.T) {
 
 // TestCacheInvalidationRace races cached readers against overwriting
 // writers and forced leaf migrations (the full invalidation surface:
-// per-key stripes bumped by writers, leaf-wide bumps by MigrateLeaf, and
-// epoch retirement of displaced images). Readers check every value they
+// per-key stripes bumped by writers and leaf-wide bumps by MigrateLeaf,
+// with readers holding displaced images). Readers check every value they
 // see is one some writer actually wrote for that exact key — a stale or
 // cross-key cache hit fails the decode. Run under -race.
 func TestCacheInvalidationRace(t *testing.T) {
@@ -85,7 +85,7 @@ func TestCacheInvalidationRace(t *testing.T) {
 		MemoryBudget:    base.Bytes() + 40*(LeafCap*16+leafHeaderBytes),
 		CacheFraction:   0.3,
 		Mode:            core.GS,
-		AsyncMigrations: true, // epoch reclamation on: retired images race too
+		AsyncMigrations: true,
 	}, keys, vals)
 	defer a.Close()
 

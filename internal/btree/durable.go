@@ -364,8 +364,7 @@ type ckptState struct {
 	skip, sampleSize uint32
 }
 
-// encodeCheckpoint snapshots every leaf under one reader pin. The walk
-// sees a consistent-enough image: each leaf's box is immutable, and any
+// encodeCheckpoint snapshots every leaf in one leaf walk. The walk sees a consistent-enough image: each leaf's box is immutable, and any
 // write racing the walk is > barrier and will be replayed on recovery.
 // It writes the images the walk itself followed (walkImages): one loaded
 // here could predate a split the walk's link is already past, and the

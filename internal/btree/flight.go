@@ -8,8 +8,7 @@ import "ahi/internal/obs"
 // operations brackets its one body with beginOp and finishOp; in between
 // the body hands the operation's event — the probe — to the stages it
 // runs through, and each stage leaves what it counted in it: the cache
-// probe its torn seqlock ways, pin its spins for a reader slot, descend
-// and moveRightLeaf the levels and B-link right-hops, the negative filter
+// probe its torn seqlock ways, descend and moveRightLeaf the levels and B-link right-hops, the negative filter
 // its rejection, lockLeaf a write's re-descents (and nothing about the
 // descents themselves: writes report no depth), the WAL bracket the
 // commit wait. finishOp adds what only the end of the op can see: overlap

@@ -1,13 +1,11 @@
 package btree
 
 // Iterator is a pull-style ordered cursor over the tree. Each leaf it
-// enters is decoded into the iterator's private buffer under a short
-// reader pin, so the cursor observes an immutable per-leaf snapshot —
-// like scans, it sees concurrent splits only through sibling links and
-// never blocks writers. Copying matters under epoch reclamation: a
-// cursor parked between Next calls holds no shared payload, so it can
-// neither block nor race with the recycling of a migrated leaf's old
-// image. The zero value is invalid; obtain one from Tree.NewIterator or
+// enters is decoded into the iterator's private buffer from the one
+// immutable image it loaded when it reached that leaf, so the cursor
+// observes a per-leaf snapshot — like scans, it sees concurrent splits
+// only through sibling links and never blocks writers or migrations.
+// The zero value is invalid; obtain one from Tree.NewIterator or
 // Session.NewIterator and position it with Seek/SeekFirst.
 type Iterator struct {
 	tree *Tree
@@ -30,11 +28,9 @@ func (t *Tree) NewIterator() *Iterator { return &Iterator{tree: t} }
 // Seek positions at the first key >= k.
 func (it *Iterator) Seek(k uint64) bool {
 	t := it.tree
-	slot := t.epochs.pin(nil)
 	leaf, _ := t.descend(k, nil, nil)
 	leaf, box := moveRightLeaf(leaf, k, nil)
 	it.enter(leaf, box)
-	t.epochs.unpin(slot)
 	i, _ := searchBinaryScalar(it.keys, k)
 	it.i = i
 	it.valid = true
@@ -46,8 +42,7 @@ func (it *Iterator) SeekFirst() bool { return it.Seek(0) }
 
 // enter decodes the leaf image into the cursor's buffer via the bulk
 // decodeRange kernel — one word-at-a-time unpack per leaf instead of an
-// element-wise copy. Must run under a reader pin when reclamation is
-// enabled.
+// element-wise copy.
 func (it *Iterator) enter(leaf *Leaf, box *leafBox) {
 	it.leaf = leaf
 	it.next = box.next
@@ -75,10 +70,7 @@ func (it *Iterator) skipEmpty() bool {
 			it.valid = false
 			return false
 		}
-		t := it.tree
-		slot := t.epochs.pin(nil)
 		it.enter(n, n.box.Load())
-		t.epochs.unpin(slot)
 		it.i = 0
 	}
 	return true

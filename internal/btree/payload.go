@@ -45,7 +45,7 @@ const leafHeaderBytes = 64
 // image from the current one (withValue, insertAt, removeAt below) under
 // the leaf's lock and swaps the box. DESIGN.md §9 "Leaf images and delta
 // writes" states the protocol: what a derived image shares with its
-// predecessor and what the slab pool may recycle.
+// predecessor. A displaced image is left to the garbage collector.
 type payload interface {
 	encoding() core.Encoding
 	count() int
@@ -95,17 +95,12 @@ func touchWords(ws []uint64) uint64 {
 type gapped struct {
 	keys []uint64 // len = count, cap = LeafCap
 	vals []uint64
-	// sharedKeys marks an image built by withValue: keys is its
-	// predecessor's array, which readers of the older image may still be
-	// scanning, so recyclePayload must never hand it to the slab pool.
-	sharedKeys bool
 }
 
-// allocGapped returns a Gapped image of n uninitialized pairs on a pooled
-// slab; the caller fills keys and vals before publishing it.
+// allocGapped returns a Gapped image of n uninitialized pairs at full leaf
+// capacity; the caller fills keys and vals before publishing it.
 func allocGapped(n int) *gapped {
-	sl := slabPool.Get().(*kvSlab)
-	return &gapped{keys: sl.keys[:n], vals: sl.vals[:n]}
+	return &gapped{keys: make([]uint64, n, LeafCap), vals: make([]uint64, n, LeafCap)}
 }
 
 func newGapped(keys, vals []uint64) *gapped {
@@ -113,37 +108,6 @@ func newGapped(keys, vals []uint64) *gapped {
 	copy(g.keys, keys)
 	copy(g.vals, vals)
 	return g
-}
-
-// kvSlab is a pair of LeafCap-capacity arrays backing a Gapped payload.
-// Slabs cycle between newGapped and the epoch reclaimer (epoch.go): a
-// retired Gapped image's arrays return to the pool once its grace period
-// has passed, so steady-state migration churn reuses payload memory
-// instead of allocating 4 KiB per re-encode.
-type kvSlab struct{ keys, vals []uint64 }
-
-var slabPool = sync.Pool{New: func() any {
-	return &kvSlab{
-		keys: make([]uint64, 0, LeafCap),
-		vals: make([]uint64, 0, LeafCap),
-	}
-}}
-
-// recyclePayload returns a retired payload's buffers to the slab pool,
-// reporting whether anything was recycled. Only Gapped payloads that own
-// both arrays qualify: an image whose keys are shared with another image
-// is refused (the grace period covers readers of the retired image only),
-// and Packed and Succinct footprints are irregular; all of those fall to
-// the garbage collector. The caller must guarantee no reader can still
-// hold the payload (the epoch grace period) — the arrays are overwritten
-// by the next allocGapped.
-func recyclePayload(p payload) bool {
-	g, ok := p.(*gapped)
-	if !ok || g.sharedKeys || cap(g.keys) != LeafCap || cap(g.vals) != LeafCap {
-		return false
-	}
-	slabPool.Put(&kvSlab{keys: g.keys[:0], vals: g.vals[:0]})
-	return true
 }
 
 func (g *gapped) encoding() core.Encoding { return EncGapped }
@@ -175,7 +139,7 @@ func (g *gapped) withValue(i int, v uint64) payload {
 	nv := make([]uint64, len(g.vals), cap(g.vals))
 	copy(nv, g.vals)
 	nv[i] = v
-	return &gapped{keys: g.keys, vals: nv, sharedKeys: true}
+	return &gapped{keys: g.keys, vals: nv}
 }
 
 // --- Packed -----------------------------------------------------------

@@ -28,17 +28,22 @@ import (
 //     ScanBuffer) — no per-pair callback on the fast path, and a
 //     steady-state batch performs zero allocations.
 //
-// Epoch discipline: the walk runs under a reader pin, re-pinned every
-// scanRepinLeaves hops so an arbitrarily long fused walk cannot stall leaf
-// reclamation; every leaf image loaded under a pin is dropped before that
-// pin is released — only GC-stable *Leaf pointers cross a re-pin boundary.
-// Results reflect the per-leaf snapshot at the moment the leaf's image is
-// loaded, exactly like Iterator.
+// Consistency contract: each leaf is read from one immutable image,
+// loaded when the walk reaches the leaf (or, through the lookahead ring,
+// at most batchRing leaves earlier). The walk sees concurrent splits only
+// through sibling links: an image loaded before its leaf split still
+// holds the moved keys and links past the new sibling, so no key is lost
+// or returned twice, and keys come back ascending within a request. A
+// returned value is one the leaf held in the image read — never a value
+// nobody wrote. Nothing in the walk blocks writers or migrations, and
+// no leaf memory is recycled under it: a displaced image lives on for as
+// long as the walk holds it, like any other Go value. Iterator gives the
+// same per-leaf guarantee.
 //
 // This walk is the package's one range walk: Scan is a batch of one
 // request whose pairs go to the caller's callback instead of a sink, so
-// callback scans and fused batches share the positioning, the bulk decode,
-// the re-pin rule and the per-leaf tracking hook.
+// callback scans and fused batches share the positioning, the bulk decode
+// and the per-leaf tracking hook.
 
 // ScanReq is one range request of a batch: up to N pairs with key >= From
 // in ascending key order.
@@ -125,14 +130,6 @@ func (b *ScanBuffer) Keys(req int) []uint64 { return b.ks[req] }
 // Vals returns request req's collected values.
 func (b *ScanBuffer) Vals(req int) []uint64 { return b.vs[req] }
 
-// scanRepinLeaves bounds how many leaf hops one reader pin may cover
-// before the scan re-pins with a fresh epoch stamp. Within the window the
-// scan pays nothing extra; at the boundary it pays one unpin/pin (two
-// atomic stores plus a CAS) and re-loads the next leaf's image — the
-// price of never letting a long scan hold the global reclamation epoch
-// back for more than a bounded number of leaves.
-const scanRepinLeaves = 8
-
 // scanActive is one request currently attached to the walk.
 type scanActive struct {
 	req int32 // request index (caller's numbering)
@@ -174,8 +171,7 @@ type scanScratch struct {
 	froms  []uint64
 	active []scanActive
 	// starts caches each request's pre-descended start leaf (by sorted
-	// position). Leaf structs are GC-stable, so the pointers stay valid
-	// across re-pins; the box image is re-loaded at use.
+	// position); the box image is loaded at use.
 	starts []*Leaf
 	// sink absorbs payload touch sums so the prefetch loads cannot be
 	// dead-code-eliminated.
@@ -255,7 +251,7 @@ func (t *Tree) scanWalk(reqs []ScanReq, sink ScanSink, fn func(k, v uint64) bool
 
 	// Lookahead ring: box images of upcoming leaves, loaded ahead of the
 	// current leaf's decode so their cache misses overlap with the unpack
-	// work. Entries never outlive the pin they were loaded under.
+	// work.
 	var ring [batchRing]*leafBox
 	ringN := 0
 
@@ -263,8 +259,6 @@ func (t *Tree) scanWalk(reqs []ScanReq, sink ScanSink, fn func(k, v uint64) bool
 	delivered, visited := 0, 0
 	stopped := false // fn returned false
 	pi := 0
-	hops := 0
-	slot := t.epochs.pin(nil)
 	var leaf *Leaf
 	var box *leafBox
 
@@ -323,14 +317,9 @@ func (t *Tree) scanWalk(reqs []ScanReq, sink ScanSink, fn func(k, v uint64) bool
 		}
 		cnt := box.p.count()
 		if len(active) > 0 {
-			// Top up the lookahead ring before decoding, staying inside the
-			// current pin window (prefetched images die at a re-pin) and
-			// within remaining demand: a short request must not chase box
-			// images of leaves the walk will never reach.
-			limit := scanRepinLeaves - hops
-			if limit > batchRing {
-				limit = batchRing
-			}
+			// Top up the lookahead ring before decoding, within remaining
+			// demand: a short request must not chase box images of leaves
+			// the walk will never reach.
 			need := 0
 			for _, a := range active {
 				if end := a.end(); end > need {
@@ -344,9 +333,7 @@ func (t *Tree) scanWalk(reqs []ScanReq, sink ScanSink, fn func(k, v uint64) bool
 			if need > cnt+batchRing*LeafCap {
 				need = cnt + batchRing*LeafCap
 			}
-			if ahead := (need - cnt + LeafCap/2 - 1) / (LeafCap / 2); limit > ahead {
-				limit = ahead
-			}
+			limit := min(batchRing, (need-cnt+LeafCap/2-1)/(LeafCap/2))
 			tail := box
 			if ringN > 0 {
 				tail = ring[ringN-1]
@@ -426,36 +413,16 @@ func (t *Tree) scanWalk(reqs []ScanReq, sink ScanSink, fn func(k, v uint64) bool
 		// chain a bounded number of hops toward the next pending request's
 		// leaf, falling back to a fresh descent when it is far away.
 		if len(active) > 0 {
-			nl := box.next
-			hops++
-			if hops >= scanRepinLeaves {
-				// Re-pin: every image loaded under the old stamp — the
-				// current box and the ring — is dropped before unpinning.
-				// Leaf structs are GC-stable, so nl survives the boundary
-				// and its image re-loads under the fresh stamp.
-				box = nil
-				ringN = 0
-				t.epochs.unpin(slot)
-				slot = t.epochs.pin(nil)
-				hops = 0
-			}
-			leaf = nl
+			leaf = box.next
 			if ringN > 0 {
 				box = ring[0]
 				copy(ring[:ringN-1], ring[1:ringN])
 				ringN--
 			} else {
-				box = nl.box.Load()
+				box = leaf.box.Load()
 			}
 		} else if pi < len(order) {
 			if nl, nb, ok := chainRight(box, reqs[order[pi]].From); ok {
-				hops++
-				if hops >= scanRepinLeaves {
-					t.epochs.unpin(slot)
-					slot = t.epochs.pin(nil)
-					hops = 0
-					nb = nl.box.Load()
-				}
 				leaf, box = nl, nb
 				ringN = 0
 			} else {
@@ -472,7 +439,6 @@ func (t *Tree) scanWalk(reqs []ScanReq, sink ScanSink, fn func(k, v uint64) bool
 	if !single {
 		batchPool.Put(bs)
 	}
-	t.epochs.unpin(slot)
 	return delivered, visited
 }
 
@@ -484,8 +450,6 @@ func (t *Tree) ScanElementwise(from uint64, n int, fn func(k, v uint64) bool) in
 	if n <= 0 {
 		return 0
 	}
-	slot := t.epochs.pin(nil)
-	defer t.epochs.unpin(slot)
 	leaf, _ := t.descend(from, nil, nil)
 	_, b := moveRightLeaf(leaf, from, nil)
 	visited := 0

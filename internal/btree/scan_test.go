@@ -3,7 +3,9 @@ package btree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -230,71 +232,14 @@ func TestScanMatchesElementwise(t *testing.T) {
 	}
 }
 
-// TestScanRepinDoesNotBlockReclaim is the satellite-1 regression test: a
-// long scan must re-pin its reader slot every scanRepinLeaves hops, so
-// leaf images retired while it runs become reclaimable before it ends.
-// The churn runs inside the scan callback (same goroutine), making the
-// interleaving deterministic: retire a batch of images early in the walk,
-// keep scanning far enough to cross several re-pin boundaries, then
-// demand reclamation while the scan is still in flight.
-func TestScanRepinDoesNotBlockReclaim(t *testing.T) {
-	tr, keys, _ := epochTree(t, 60_000)
-	var leaves []*Leaf
-	tr.WalkLeaves(func(l *Leaf) bool {
-		leaves = append(leaves, l)
-		return true
-	})
-	if len(leaves) < 3*scanRepinLeaves {
-		t.Fatalf("need > %d leaves, got %d", 3*scanRepinLeaves, len(leaves))
-	}
-	// Churn/check trigger points, far enough apart that the walk crosses
-	// several re-pin boundaries in between even at full leaf occupancy.
-	churnAt := 10
-	checkAt := churnAt + 3*scanRepinLeaves*LeafCap
-	var retired int64
-	reclaimedBefore := int64(-1)
-	scanned := 0
-	visited := tr.Scan(0, len(keys), func(k, v uint64) bool {
-		scanned++
-		switch scanned {
-		case churnAt:
-			// Retire a pile of images: migrate early (already-visited)
-			// leaves back and forth. The auto-reclaim these retirements
-			// trigger cannot free anything yet — this scan's current pin
-			// predates every retirement.
-			before := tr.epochs.retiredTotal.Load()
-			for _, l := range leaves[:2*scanRepinLeaves] {
-				if tr.MigrateLeaf(l, EncGapped) {
-					tr.MigrateLeaf(l, EncSuccinct)
-				}
-			}
-			retired = tr.epochs.retiredTotal.Load() - before
-			reclaimedBefore = tr.epochs.reclaimedTotal.Load()
-		case checkAt:
-			tr.epochs.reclaim()
-		}
-		return true
-	})
-	if visited != len(keys) {
-		t.Fatalf("churned scan visited %d pairs, want %d", visited, len(keys))
-	}
-	if retired < int64(2*scanRepinLeaves) {
-		t.Fatalf("churn retired only %d images", retired)
-	}
-	freed := tr.epochs.reclaimedTotal.Load() - reclaimedBefore
-	if freed < retired {
-		t.Fatalf("mid-scan reclaim freed %d of %d retired images; the scan's pin still blocks the grace window", freed, retired)
-	}
-}
-
 // TestScanBatchVsIteratorUnderMigrationChurn is the satellite-2 oracle:
 // with a migrator goroutine re-encoding random leaves (content-preserving
 // by construction), a full iterator walk and a fused ScanBatch over the
 // same ranges must both observe the exact static key set, in order. Run
 // under -race this also exercises bulk decode against concurrent box
-// swaps and epoch reclamation.
+// swaps.
 func TestScanBatchVsIteratorUnderMigrationChurn(t *testing.T) {
-	tr, keys, _ := epochTree(t, 30_000)
+	tr, keys, _ := churnTree(t, 30_000)
 	var leaves []*Leaf
 	tr.WalkLeaves(func(l *Leaf) bool {
 		leaves = append(leaves, l)
@@ -528,5 +473,96 @@ func BenchmarkScanSuccinct(b *testing.B) {
 			}
 			_ = sink
 		})
+	}
+}
+
+// TestScanBatchContractUnderChurn checks the scan consistency contract
+// (scan.go header) while leaves change under the walk: fused requests,
+// each spanning more than 16 leaves, run while one goroutine overwrites
+// values and two migrators cycle every leaf through all encodings. The
+// key set never changes, so each request must return exactly the static
+// keys from its start, ascending and once each, and every value must be
+// the initial one or one the overwriter wrote for that key.
+func TestScanBatchContractUnderChurn(t *testing.T) {
+	const n = 40_000
+	keys := make([]uint64, n)
+	vals := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i) * 7
+		vals[i] = keys[i] << 32 // generation 0
+	}
+	tr := BulkLoad(Config{DefaultEncoding: EncSuccinct}, keys, vals)
+
+	// Write g stores keys[g*stride%n]<<32 | g, so a value names both its
+	// key and the write that produced it.
+	const stride = 7919 // prime, coprime to n
+	keyOf := func(g uint64) uint64 { return keys[g*stride%n] }
+	var written atomic.Uint64 // highest generation whose write has begun
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	spin := func(f func(i int)) {
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					f(i)
+				}
+			}
+		}()
+	}
+	spin(func(int) {
+		g := written.Add(1)
+		tr.Insert(keyOf(g), keyOf(g)<<32|g)
+	})
+	targets := []core.Encoding{EncGapped, EncPacked, EncSuccinct}
+	for m := 0; m < 2; m++ {
+		spin(func(i int) {
+			tgt := targets[(i+m)%len(targets)]
+			tr.WalkLeaves(func(l *Leaf) bool {
+				tr.MigrateLeaf(l, tgt)
+				return true
+			})
+		})
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	const span = 24 * LeafCap // > 16 leaves even at full occupancy
+	var buf ScanBuffer
+	// At least 20 rounds, and on until the churn has visibly run (bounded,
+	// so a stalled churner fails the check below instead of hanging).
+	churned := func() bool { return written.Load() > 1000 && tr.Compactions() > 0 }
+	for round := 0; (round < 20 || !churned()) && round < 1<<16 && !t.Failed(); round++ {
+		reqs := make([]ScanReq, 3)
+		for i := range reqs {
+			reqs[i] = ScanReq{From: uint64(rng.Intn((n - span) * 7)), N: span}
+		}
+		buf.Reset(len(reqs))
+		tr.ScanBatch(reqs, &buf)
+		hi := written.Load()
+		for i, r := range reqs {
+			start, _ := slices.BinarySearch(keys, r.From)
+			want := keys[start : start+r.N]
+			if got := buf.Keys(i); !slices.Equal(got, want) {
+				t.Errorf("round %d req %d: %d keys, want the %d static keys from %d", round, i, len(got), len(want), r.From)
+				continue
+			}
+			for j, k := range buf.Keys(i) {
+				v := buf.Vals(i)[j]
+				g := v & (1<<32 - 1)
+				if v>>32 != k || g > hi || (g != 0 && keyOf(g) != k) {
+					t.Errorf("round %d req %d: key %d has value %#x, which no write produced", round, i, k, v)
+					break
+				}
+			}
+		}
+	}
+	close(stop)
+	churn.Wait()
+	if !churned() {
+		t.Fatal("the overwriter and migrators barely ran; the test did not exercise the contract")
 	}
 }

@@ -417,7 +417,7 @@ func (c *Cache) clear(h, k uint64) {
 
 // BumpStripes publishes an invalidation epoch for every stripe set in
 // mask (a 256-bit set indexed by StripeOf). Leaf migrations use it to
-// fence in-flight admissions against the retired leaf image without
+// fence in-flight admissions against the displaced leaf image without
 // walking individual slots: cached values stay correct (migration does
 // not change the key→value mapping), only pending admissions abort.
 func (c *Cache) BumpStripes(mask *[4]uint64) {

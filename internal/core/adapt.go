@@ -247,11 +247,6 @@ func (m *Manager[ID, Ctx]) adapt(epoch uint32) {
 			ChargedBytes:   m.charged(),
 			AdaptNs:        adaptNs,
 		}
-		if m.cfg.ReclaimStats != nil {
-			snap.RetireDepth, snap.EpochLag = m.cfg.ReclaimStats()
-			x.RetireDepth.Set(snap.RetireDepth)
-			x.EpochLag.Set(snap.EpochLag)
-		}
 		if budget != math.MaxInt64 {
 			snap.BudgetBytes = budget
 		}

@@ -113,11 +113,6 @@ type Config[ID comparable, Ctx any] struct {
 	// executor pools. May be called from any goroutine, including
 	// concurrently with itself.
 	OnMigrationQueued func()
-	// ReclaimStats, optional, reports the index's deferred-reclamation
-	// state — the retire-list depth and the epoch lag between the global
-	// reclamation epoch and the oldest in-flight reader. Consulted once
-	// per adaptation phase for snapshots; ignored without Obs.
-	ReclaimStats func() (retired int64, lag int64)
 
 	// OnAdapt, if set, observes every completed adaptation phase.
 	OnAdapt func(AdaptInfo)

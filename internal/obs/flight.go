@@ -12,8 +12,8 @@ import (
 // The flight recorder captures sampled, cause-tagged wide events spanning
 // the full lifecycle of individual index operations: cache probe (and its
 // seqlock retries), negative-filter rejection, shard routing fan-out, leaf
-// descent depth and right-hops, epoch-pin wait, deferred-intent
-// backpressure, and overlap with in-flight migrations. Each per-source
+// descent depth and right-hops, deferred-intent backpressure, write
+// retries, and overlap with in-flight migrations. Each per-source
 // scope owns a lock-free ring of published *OpEvent pointers: writers
 // claim a slot with one atomic add and publish a freshly allocated event,
 // readers load pointers — no mutex on either side, and the only
@@ -95,8 +95,6 @@ const (
 	// CauseBackpressure: deferred migration intents were parked, i.e. the
 	// adaptation pipeline was saturated while the op ran.
 	CauseBackpressure
-	// CauseEpochPinWait: the reader spun for an epoch slot (all 64 taken).
-	CauseEpochPinWait
 	// CauseWriteRetry: an insert lost its leaf lock (or found a dead leaf)
 	// and re-descended.
 	CauseWriteRetry
@@ -113,11 +111,10 @@ const (
 	// CauseTreeSearch: a plain, uncontended tree descent — the default.
 	CauseTreeSearch
 	// CauseFsyncStall: a durable write spent the bulk of its latency
-	// waiting for its commit group's fsync (appended after CauseTreeSearch
-	// so previously serialized numeric values keep their meaning).
+	// waiting for its commit group's fsync.
 	CauseFsyncStall
 
-	numCauses = 11
+	numCauses = 10
 )
 
 // String returns the cause's label name.
@@ -129,8 +126,6 @@ func (c Cause) String() string {
 		return "migration-overlap"
 	case CauseBackpressure:
 		return "backpressure"
-	case CauseEpochPinWait:
-		return "epoch-pin-wait"
 	case CauseWriteRetry:
 		return "write-retry"
 	case CauseCacheContention:
@@ -196,8 +191,6 @@ func classify(ev *OpEvent) Cause {
 		return CauseMigrationOverlap
 	case ev.Deferred > 0:
 		return CauseBackpressure
-	case ev.PinSpins > 0:
-		return CauseEpochPinWait
 	case ev.WriteRetries > 0:
 		return CauseWriteRetry
 	case ev.CacheTorn > 0:
@@ -248,7 +241,6 @@ type OpEvent struct {
 	Depth        int32 `json:"depth,omitempty"`      // inner levels descended
 	RightHops    int32 `json:"right_hops,omitempty"` // B-link right chases
 	CacheTorn    int32 `json:"cache_torn,omitempty"` // seqlock probe retries
-	PinSpins     int32 `json:"pin_spins,omitempty"`  // epoch-pin full-table spins
 	WriteRetries int32 `json:"write_retries,omitempty"`
 	Deferred     int32 `json:"deferred,omitempty"` // parked migration intents
 	MigOverlap   bool  `json:"mig_overlap,omitempty"`

@@ -114,9 +114,8 @@ func TestFlightClassifyPriority(t *testing.T) {
 	}{
 		{"fsync stall wins over everything", OpEvent{FsyncWaitNs: 900, DurNs: 1000, MigOverlap: true, Deferred: 3}, CauseFsyncStall},
 		{"sub-dominant fsync wait defers", OpEvent{FsyncWaitNs: 100, DurNs: 1000, MigOverlap: true}, CauseMigrationOverlap},
-		{"overlap wins over everything", OpEvent{MigOverlap: true, Deferred: 3, PinSpins: 1, CacheHit: true}, CauseMigrationOverlap},
-		{"backpressure before pin", OpEvent{Deferred: 2, PinSpins: 5}, CauseBackpressure},
-		{"pin before write-retry", OpEvent{PinSpins: 1, WriteRetries: 4}, CauseEpochPinWait},
+		{"overlap wins over everything", OpEvent{MigOverlap: true, Deferred: 3, CacheHit: true}, CauseMigrationOverlap},
+		{"backpressure before write-retry", OpEvent{Deferred: 2, WriteRetries: 4}, CauseBackpressure},
 		{"write-retry before torn", OpEvent{WriteRetries: 1, CacheTorn: 7}, CauseWriteRetry},
 		{"torn before negfilter", OpEvent{CacheTorn: 1, NegFiltered: true}, CauseCacheContention},
 		{"negfilter before deep", OpEvent{NegFiltered: true, RightHops: 2}, CauseNegFilter},

@@ -89,8 +89,6 @@ type Index struct {
 	TrackedUnits *Gauge     // units in the sample store
 	FwBytes      *Gauge     // framework footprint in bytes
 	IndexBytes   *Gauge     // index footprint in bytes
-	RetireDepth  *Gauge     // epoch-reclamation retire-list depth at last phase
-	EpochLag     *Gauge     // reclamation epochs the oldest in-flight reader lags
 
 	migByTrigger [numTriggers]*Counter
 }
@@ -125,8 +123,6 @@ func (o *Observability) Index(source string, encName func(uint8) string) *Index 
 	x.TrackedUnits = r.Gauge("ahi_tracked_units", lbl()...)
 	x.FwBytes = r.Gauge("ahi_framework_bytes", lbl()...)
 	x.IndexBytes = r.Gauge("ahi_index_bytes", lbl()...)
-	x.RetireDepth = r.Gauge("ahi_retire_list_depth", lbl()...)
-	x.EpochLag = r.Gauge("ahi_epoch_lag", lbl()...)
 	for t := Trigger(0); t < numTriggers; t++ {
 		x.migByTrigger[t] = r.Counter("ahi_migrations_by_trigger_total",
 			append(lbl(), Label{"trigger", t.String()})...)

@@ -48,11 +48,6 @@ type Snapshot struct {
 	Deduped       int `json:"deduped"`
 	Evicted       int `json:"evicted"`
 	PipeDepth     int `json:"pipe_depth"`
-	// Epoch-reclamation state at phase end: retired node images awaiting
-	// their grace period, and how many reclamation epochs the oldest
-	// in-flight reader lags behind the global epoch.
-	RetireDepth int64 `json:"retire_depth,omitempty"`
-	EpochLag    int64 `json:"epoch_lag,omitempty"`
 
 	// Footprints and budget headroom. BudgetBytes is 0 when unbounded;
 	// headroom is BudgetBytes − UsedBytes − ChargedBytes when bounded.
