@@ -224,7 +224,9 @@ type DurabilityOptions struct {
 	// SyncInterval is the background fsync period under SyncInterval
 	// (default 5ms).
 	SyncInterval time.Duration
-	// SegmentBytes caps each log segment (default 64 MiB).
+	// SegmentBytes caps each log segment (default 16 MiB). On Linux the
+	// active segment's file is preallocated to this size and cut back to
+	// its records when the segment is sealed.
 	SegmentBytes int64
 	// CheckpointEvery, when > 0, snapshots the index (leaf encodings and
 	// adaptation state) after that many logged records, bounding replay

@@ -351,10 +351,11 @@ type Session struct {
 	a       *Adaptive
 	sampler *core.Sampler[*Leaf, LeafCtx]
 
-	c         *cache.Cache // the tree's cache (nil = disabled)
-	cb        *cacheBatch
-	sampleBuf []int
-	admitTick uint32
+	c          *cache.Cache // the tree's cache (nil = disabled)
+	cb         *cacheBatch
+	sampleBuf  []int    // the batch's sampled offsets, ascending
+	sampleBits []uint64 // the same offsets as a bitset (drawSamples)
+	admitTick  uint32
 
 	trackReadFn func(int, *Leaf)
 	trackMissFn func(int, *Leaf)

@@ -612,12 +612,13 @@ func (s *Session) LookupBatch(keys, vals []uint64, found []bool) {
 		// Draw the sampling decisions up front so the skip counter advances
 		// exactly as under per-key lookups. Samples are rare (skip >= 50), so
 		// the offsets list is almost always empty and the draw is O(samples).
-		s.sampleBuf = s.sampler.SampleOffsets(len(keys), s.sampleBuf[:0])
+		s.drawSamples(len(keys))
 		var track func(int, *Leaf)
 		if len(s.sampleBuf) > 0 {
 			track = s.trackReadFn
 		}
 		s.a.Tree.lookupBatchTracked(keys, vals, found, track)
+		s.clearSamples()
 	}
 	if ev != nil {
 		ev.Ops = int32(len(keys))
@@ -642,8 +643,9 @@ func (s *Session) lookupBatchCached(keys, vals []uint64, found []bool) {
 	}
 	cb := s.cb
 	cb.grow(n)
-	cb.sampled = s.sampler.SampleOffsets(n, cb.sampled[:0])
-	miss, si := 0, 0
+	s.drawSamples(n)
+	defer s.clearSamples()
+	miss := 0
 	// Probes are tallied here and reach the shared counters once per
 	// batch: a per-key atomic add is a write to a line every caller reads.
 	for i := 0; i < n; i++ {
@@ -652,8 +654,8 @@ func (s *Session) lookupBatchCached(keys, vals []uint64, found []bool) {
 		// ProbeOrSnap, or directly for sampled keys): Admit re-validates
 		// them, so a write landing in between aborts the entry.
 		var snap uint64
-		if si < len(cb.sampled) && cb.sampled[si] == i {
-			si++ // sampled: full walk, keeps the adaptation signal intact
+		if s.isSample(i) {
+			// sampled: full walk, keeps the adaptation signal intact
 			snap = s.c.Snap(k)
 		} else if v, sn, ok := s.c.ProbeOrSnapUncounted(k); ok {
 			vals[i], found[i] = v, true
@@ -664,26 +666,22 @@ func (s *Session) lookupBatchCached(keys, vals []uint64, found []bool) {
 		cb.keys[miss], cb.pos[miss], cb.snaps[miss] = k, int32(i), snap
 		miss++
 	}
-	s.c.AddProbes(int64(n-miss), int64(miss-len(cb.sampled)))
+	s.c.AddProbes(int64(n-miss), int64(miss-len(s.sampleBuf)))
 	if miss == 0 {
 		return
 	}
 	mk, mv, mf := cb.keys[:miss], cb.vals[:miss], cb.found[:miss]
-	if len(cb.sampled) == 0 {
+	if len(s.sampleBuf) == 0 {
 		s.a.Tree.lookupBatchTracked(mk, mv, mf, nil)
 	} else {
 		s.a.Tree.lookupBatchTracked(mk, mv, mf, s.trackMissFn)
 	}
 	// Scatter results back and admit the hits.
-	si = 0
 	for j := 0; j < miss; j++ {
 		i := int(cb.pos[j])
 		vals[i], found[i] = mv[j], mf[j]
 		if mf[j] {
-			for si < len(cb.sampled) && cb.sampled[si] < i {
-				si++
-			}
-			hot := si < len(cb.sampled) && cb.sampled[si] == i
+			hot := s.isSample(i)
 			s.c.Admit(keys[i], mv[j], cb.snaps[j], hot, hot || s.admitGate())
 		}
 	}
@@ -691,23 +689,47 @@ func (s *Session) lookupBatchCached(keys, vals []uint64, found []bool) {
 
 // trackRead is the cache-off sampled-batch callback (bound once).
 func (s *Session) trackRead(i int, l *Leaf) {
-	for _, si := range s.sampleBuf {
-		if si == i {
-			s.sampler.Track(l, core.Read, LeafCtx{})
-			return
-		}
+	if s.isSample(i) {
+		s.sampler.Track(l, core.Read, LeafCtx{})
 	}
 }
 
 // trackMiss maps a miss-slice index back to its original batch offset
 // and tracks it when sampled (bound once as trackMissFn).
 func (s *Session) trackMiss(j int, l *Leaf) {
-	orig := int(s.cb.pos[j])
-	for _, si := range s.cb.sampled {
-		if si == orig {
-			s.sampler.Track(l, core.Read, LeafCtx{})
-			return
-		}
+	if s.isSample(int(s.cb.pos[j])) {
+		s.sampler.Track(l, core.Read, LeafCtx{})
+	}
+}
+
+// drawSamples advances the sampler over an n-access batch and marks the
+// sampled offsets in sampleBits, so the tracking callbacks test a key in
+// O(1) instead of scanning sampleBuf. Samples are rare (skip >= 50), so
+// marking and clearing are O(samples); the bitset grows to the largest
+// batch seen and is reused.
+func (s *Session) drawSamples(n int) {
+	s.sampleBuf = s.sampler.SampleOffsets(n, s.sampleBuf[:0])
+	if len(s.sampleBuf) == 0 {
+		return
+	}
+	if w := (n + 63) >> 6; w > len(s.sampleBits) {
+		s.sampleBits = make([]uint64, w)
+	}
+	for _, i := range s.sampleBuf {
+		s.sampleBits[i>>6] |= 1 << (i & 63)
+	}
+}
+
+// isSample reports whether batch offset i was drawn as a sample.
+func (s *Session) isSample(i int) bool {
+	w := i >> 6
+	return w < len(s.sampleBits) && s.sampleBits[w]&(1<<(i&63)) != 0
+}
+
+// clearSamples unmarks the batch's samples once the batch is done.
+func (s *Session) clearSamples() {
+	for _, i := range s.sampleBuf {
+		s.sampleBits[i>>6] = 0
 	}
 }
 
@@ -725,8 +747,9 @@ func (s *Session) InsertBatch(keys, vals []uint64, inserted []bool) {
 		s.walBuf = wal.EncodeBatch(s.walBuf[:0], keys, vals)
 		lsn = d.begin(wal.RecBatch, s.walBuf)
 	}
-	s.sampleBuf = s.sampler.SampleOffsets(len(keys), s.sampleBuf[:0])
+	s.drawSamples(len(keys))
 	s.a.Tree.insertBatchTracked(keys, vals, inserted, s.trackInsFn)
+	s.clearSamples()
 	if d != nil {
 		d.commit(lsn, int64(len(keys)), ev)
 	}
@@ -738,15 +761,8 @@ func (s *Session) InsertBatch(keys, vals []uint64, inserted []bool) {
 
 // trackInsert is the insert-batch callback (bound once).
 func (s *Session) trackInsert(i int, l *Leaf, expanded bool) {
-	if expanded {
+	if expanded || s.isSample(i) {
 		s.sampler.Track(l, core.Insert, LeafCtx{})
-		return
-	}
-	for _, si := range s.sampleBuf {
-		if si == i {
-			s.sampler.Track(l, core.Insert, LeafCtx{})
-			return
-		}
 	}
 }
 
@@ -755,12 +771,11 @@ func (s *Session) trackInsert(i int, l *Leaf, expanded bool) {
 // Sessions are single-goroutine, so no pooling or locking is needed and
 // the buffers amortize to zero allocations per batch.
 type cacheBatch struct {
-	keys    []uint64
-	vals    []uint64
-	found   []bool
-	pos     []int32
-	snaps   []uint64
-	sampled []int
+	keys  []uint64
+	vals  []uint64
+	found []bool
+	pos   []int32
+	snaps []uint64
 }
 
 func (cb *cacheBatch) grow(n int) {

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"ahi/internal/obs"
 )
 
 func batchConfigs() []Config {
@@ -226,6 +228,90 @@ func TestSessionBatchTracksExpansions(t *testing.T) {
 	for i := range ks {
 		if !ok[i] || got[i] != vs[i] {
 			t.Fatalf("session LookupBatch[%d] = (%d,%v) want (%d,true)", i, got[i], ok[i], vs[i])
+		}
+	}
+}
+
+// TestBatchTracksLikeSingleOps: a batch's tracking callbacks find a key's
+// sample decision by its batch offset. A 65 536-key batch of random keys
+// at a small skip must hand the sampler exactly the accesses the same keys
+// make one by one — same count, same units (the tree has about half as
+// many leaves as the batch has samples, so a key tracked in place of
+// another shows as a different unit count). The writes are overwrites
+// without eager expansion, so every key keeps its leaf either way, and the
+// sample size exceeds the batch, so no phase ends and the sample only
+// grows.
+func TestBatchTracksLikeSingleOps(t *testing.T) {
+	const n = 1 << 16
+	keys, vals := sortedPairs(16*n, 13)
+	batch := append([]uint64(nil), keys...)
+	rand.New(rand.NewSource(4)).Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+	batch = batch[:n]
+	type tally struct {
+		samples int64
+		units   int
+	}
+	run := func(cacheFraction float64, op func(s *Session)) tally {
+		o := obs.New(64, 16)
+		a := BulkLoadAdaptive(AdaptiveConfig{
+			Tree:          Config{DefaultEncoding: EncSuccinct},
+			NoEagerExpand: true,
+			CacheFraction: cacheFraction,
+			InitialSkip:   7, FixedSkip: true,
+			DisableBloom:  true, // every Track reaches the sample
+			MaxSampleSize: 1 << 20,
+			Obs:           o,
+		}, keys, vals)
+		defer a.Close()
+		a.Mgr.RestoreAdaptationState(0, 0, 1<<20)
+		s := a.NewSession()
+		op(s)
+		s.Flush()
+		if a.Mgr.Adaptations() != 0 {
+			t.Fatal("an adaptation phase ended: the sample was reset")
+		}
+		return tally{o.Reg.Counter("ahi_samples_total").Load(), a.Mgr.TrackedUnits()}
+	}
+	out := make([]uint64, n)
+	found := make([]bool, n)
+	for _, c := range []struct {
+		name          string
+		cache         float64
+		batch, single func(s *Session)
+	}{
+		{"InsertBatch", 0,
+			func(s *Session) { s.InsertBatch(batch, batch, found) },
+			func(s *Session) {
+				for _, k := range batch {
+					s.Insert(k, k)
+				}
+			}},
+		{"LookupBatch", 0,
+			func(s *Session) { s.LookupBatch(batch, out, found) },
+			func(s *Session) {
+				for _, k := range batch {
+					s.Lookup(k)
+				}
+			}},
+		{"LookupBatchCached", 0.05,
+			func(s *Session) {
+				s.LookupBatch(batch, out, found) // fills the cache
+				s.LookupBatch(batch, out, found)
+			},
+			func(s *Session) {
+				for range 2 {
+					for _, k := range batch {
+						s.Lookup(k)
+					}
+				}
+			}},
+	} {
+		got, want := run(c.cache, c.batch), run(c.cache, c.single)
+		if want.samples == 0 || want.units == 0 {
+			t.Fatalf("%s: nothing sampled: %+v", c.name, want)
+		}
+		if got != want {
+			t.Errorf("%s: batch tracked %+v, one by one %+v", c.name, got, want)
 		}
 	}
 }

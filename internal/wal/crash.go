@@ -7,8 +7,8 @@ import (
 )
 
 // Crash-point injection for the fault harness. Every durability-relevant
-// syscall site in this package calls crashPoint (or writeMaybeTorn for
-// data writes) with a site label. When armed — only ever in a harness
+// syscall site in this package calls crashPoint (or copyMaybeTorn /
+// writeMaybeTorn for data stores) with a site label. When armed — only ever in a harness
 // child process — the N-th site visit kills the process abruptly with
 // CrashExitCode, optionally after writing a torn prefix of the pending
 // buffer, simulating a power cut mid-write. Unarmed, the cost is one
@@ -17,8 +17,8 @@ import (
 // Sites, in the order a commit visits them:
 //
 //	seg-create    creating/rotating a segment file
-//	pre-write     before the data write syscall
-//	mid-write     the data write itself (torn: a random prefix lands)
+//	pre-write     before the segment data store
+//	mid-write     the data store itself (torn: a random prefix lands)
 //	post-write    after write, before any fsync
 //	pre-fsync     before the segment fsync
 //	post-fsync    after the segment fsync (commit acked after this)
@@ -80,6 +80,18 @@ func writeMaybeTorn(f *os.File, b []byte) (int, error) {
 		die("mid-write")
 	}
 	return f.Write(b)
+}
+
+// copyMaybeTorn stores b into dst, the mapped segment; at the injected
+// target it stores only a random prefix — a torn write — and dies.
+func copyMaybeTorn(dst, b []byte) {
+	if crashArmed.Load() && crashCount.Add(1) == crashTarget.Load() {
+		if r := crashRNG.Load(); r != nil && len(b) > 0 {
+			copy(dst, b[:r.Intn(len(b))])
+		}
+		die("mid-write")
+	}
+	copy(dst, b)
 }
 
 // die records the site (visible under test) and exits without running

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -20,7 +21,7 @@ import (
 type Stats struct {
 	Appends         atomic.Int64 // records appended
 	AppendedBytes   atomic.Int64 // framed bytes appended
-	Writes          atomic.Int64 // write syscalls issued
+	Writes          atomic.Int64 // flushes of the commit buffer into the segment
 	Fsyncs          atomic.Int64 // fsync syscalls issued
 	FsyncNsTotal    atomic.Int64 // cumulative fsync wall time
 	GroupCommits    atomic.Int64 // commit groups acked (SyncAlways)
@@ -42,7 +43,9 @@ type RecoveryInfo struct {
 	Segments int
 	Records  int
 	// TornBytes is how much invalid tail was truncated from the last
-	// segment (torn/partial writes of a crashed writer).
+	// segment (torn/partial writes of a crashed writer), up to its last
+	// non-zero byte: the zero-filled rest of a preallocated segment is not
+	// counted.
 	TornBytes int64
 	// BadCheckpoints counts checkpoint files rejected by validation
 	// before a valid one (or none) was found.
@@ -72,12 +75,13 @@ type Log struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	f        *os.File
+	mm       []byte    // the active segment's shared mapping (nil: not mapped)
 	sealed   []segMeta // read-only segments, oldest first
 	active   segMeta
 	buf      []byte
 	bufFirst uint64 // LSN of buf's first record
 	nextLSN  uint64 // next LSN to assign
-	written  uint64 // highest LSN handed to the OS
+	written  uint64 // highest LSN stored in the OS page cache
 	synced   atomic.Uint64
 	syncing  bool // an fsync is in flight outside mu
 	closed   bool
@@ -150,9 +154,9 @@ func (l *Log) LastLSN() uint64 {
 func (l *Log) DurableLSN() uint64 { return l.synced.Load() }
 
 // Append frames one record into the commit buffer and returns its LSN.
-// The record is not durable — not even written — until a Commit covering
-// the LSN returns (or, for RecAdapt-style fire-and-forget records, until
-// some later commit or sync flushes it).
+// The record is not durable — not even in the segment — until a Commit
+// covering the LSN returns (or, for RecAdapt-style fire-and-forget
+// records, until some later commit or sync flushes it).
 func (l *Log) Append(typ uint8, payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -179,8 +183,8 @@ func (l *Log) usableLocked() error {
 }
 
 // Commit makes the log durable up to lsn per the policy and blocks until
-// that durability point is reached: written to the OS for SyncOS and
-// SyncInterval, fsynced for SyncAlways.
+// that durability point is reached: stored in the OS page cache for
+// SyncOS and SyncInterval, fsynced for SyncAlways.
 func (l *Log) Commit(lsn uint64) error {
 	if l.opt.Policy != SyncAlways {
 		l.mu.Lock()
@@ -329,8 +333,9 @@ func (l *Log) intervalSyncer() {
 	}
 }
 
-// flushLocked writes the buffered frames to the active segment, rotating
-// first when the segment is full. Callers hold mu.
+// flushLocked stores the buffered frames in the active segment, rotating
+// first when the segment is full; a flush larger than a whole segment
+// goes into a fresh one, which grows to hold it. Callers hold mu.
 func (l *Log) flushLocked() error {
 	if len(l.buf) == 0 {
 		return nil
@@ -341,12 +346,12 @@ func (l *Log) flushLocked() error {
 		}
 	}
 	crashPoint("pre-write")
-	n, err := writeMaybeTorn(l.f, l.buf)
+	err := l.storeLocked(l.buf)
 	l.stats.Writes.Add(1)
 	crashPoint("post-write")
 	if err != nil {
-		l.sticky = fmt.Errorf("wal: segment write after %d bytes: %w", n, err)
-		return l.sticky
+		l.sticky = err
+		return err
 	}
 	l.active.dataBytes += int64(len(l.buf))
 	l.active.records += int(l.nextLSN - l.bufFirst)
@@ -355,9 +360,9 @@ func (l *Log) flushLocked() error {
 	return nil
 }
 
-// rotateLocked seals the active segment (fsynced so sealed segments are
-// always fully durable) and opens the next one. The buffer's first LSN
-// becomes the new segment's firstLSN.
+// rotateLocked seals the active segment (cut to its frames and fsynced,
+// so sealed segments are always fully durable) and opens the next one.
+// The buffer's first LSN becomes the new segment's firstLSN.
 func (l *Log) rotateLocked() error {
 	for l.syncing {
 		l.cond.Wait()
@@ -369,9 +374,17 @@ func (l *Log) rotateLocked() error {
 	return l.createSegmentLocked()
 }
 
+// sealActiveLocked closes the active segment for good. Its file is cut
+// to its frames before the fsync, so that no sealed segment on disk ends
+// in the zero tail of a preallocated file, not even after a power cut: a
+// zero tail is torn data only in the last segment.
 func (l *Log) sealActiveLocked() error {
 	if l.f == nil {
 		return nil
+	}
+	if err := l.releaseLocked(); err != nil {
+		l.sticky = err
+		return err
 	}
 	start := time.Now()
 	if err := l.f.Sync(); err != nil {
@@ -437,7 +450,8 @@ func (l *Log) createSegmentLocked() error {
 	return nil
 }
 
-// Close flushes and fsyncs outstanding records and closes the log.
+// Close flushes and fsyncs outstanding records, seals the active segment
+// and closes the log.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -452,10 +466,15 @@ func (l *Log) Close() error {
 	err := l.Sync()
 	l.mu.Lock()
 	l.closed = true
-	if l.f != nil {
-		if cerr := l.f.Close(); err == nil {
-			err = cerr
-		}
+	for l.syncing { // a group-commit leader still fsyncs the segment
+		l.cond.Wait()
+	}
+	if err == nil {
+		err = l.sealActiveLocked()
+	}
+	if l.f != nil { // an error left the segment open
+		_ = l.releaseLocked()
+		_ = l.f.Close()
 		l.f = nil
 	}
 	l.cond.Broadcast()
@@ -474,9 +493,10 @@ func clearTemp(dir string) {
 	}
 }
 
-// scanSegments validates every segment, truncates a torn tail off the
-// last one, and leaves the log positioned for appending (active segment
-// opened, nextLSN set).
+// scanSegments validates every segment, truncates a torn tail (and a
+// preallocated zero tail) off the last one, and leaves the log positioned
+// for appending (active segment opened, nextLSN set; it is mapped on its
+// first flush).
 func (l *Log) scanSegments(info *RecoveryInfo) error {
 	ents, err := os.ReadDir(l.dir)
 	if err != nil {
@@ -546,10 +566,12 @@ func (l *Log) scanSegments(info *RecoveryInfo) error {
 
 // scanSegment walks one segment's frames. For the last segment, the
 // first invalid frame marks the torn tail: the meta's dataBytes stops
-// there and torn reports the dropped byte count (the caller truncates).
-// For earlier segments an invalid frame is hard corruption. A last
-// segment whose header is short or invalid returns (nil, size, nil):
-// the creation itself was torn.
+// there and torn reports the dropped bytes up to the last non-zero one
+// (the caller truncates) — an all-zero remainder is the unused part of a
+// preallocated segment, not torn data. For earlier segments an invalid
+// frame is hard corruption, a zero tail included: sealing cuts it off.
+// A last segment whose header is short or invalid returns
+// (nil, size, nil): the creation itself was torn.
 func scanSegment(path string, seq uint64, last bool) (*segMeta, int64, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -572,7 +594,7 @@ func scanSegment(path string, seq uint64, last bool) (*segMeta, int64, error) {
 		_, _, size, err := DecodeFrame(b[off:])
 		if err != nil {
 			if last {
-				return m, int64(len(b) - off), nil
+				return m, int64(len(bytes.TrimRight(b[off:], "\x00"))), nil
 			}
 			return nil, 0, fmt.Errorf("%w: segment %s record %d at offset %d: %v",
 				ErrCorrupt, path, m.records, off, err)

@@ -25,6 +25,13 @@
 // frame boundary and the log continues from there; an invalid frame in
 // any earlier segment is hard corruption and Open fails with a typed
 // error, because records after it were acked durable.
+//
+// On Linux the active segment is preallocated and memory-mapped, and a
+// commit copies its frames into the mapping (segment_linux.go); until the
+// segment is sealed its file ends in zeros, which Open treats as part of
+// the last segment's tail but not as torn bytes. Sealing cuts the file
+// back to its frames before the fsync, so the format on disk is the same
+// as a log written with write(2).
 package wal
 
 import (
