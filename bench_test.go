@@ -224,12 +224,3 @@ func BenchmarkAblationHistory(b *testing.B) {
 		b.ReportMetric(rows[1].LatencyNs, "impatient-ns")
 	}
 }
-
-func BenchmarkMicroRankSelect(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, _ := bench.RunMicro(benchScale)
-		for _, r := range rows {
-			b.ReportMetric(r.Value, r.Metric+"-"+r.Unit)
-		}
-	}
-}

@@ -27,7 +27,6 @@ func main() {
 		list   = flag.Bool("list", false, "list experiment ids")
 		root   = flag.String("repo", ".", "repository root (for tbl4 LoC counting)")
 		csv    = flag.Bool("csv", false, "render tables as CSV")
-		record = flag.String("record", "", "write metrics JSON to this file (with -exp serving, scaling, scan, cache, obslat or durability)")
 		trace  = flag.String("trace", "", "run the traced observability workload and write the dump (migration trace + epoch snapshots) to this file")
 		obsSrv = flag.String("obs", "", "serve /metrics, /dump.json and pprof on this address (e.g. localhost:6060) while running")
 	)
@@ -84,48 +83,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	case *exp == "serving" && *record != "":
-		fmt.Printf("### serving — sharded batch serving layer (scale %s)\n", sc.Name)
-		if err := bench.RecordServing(sc, *record, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *record)
-	case *exp == "scaling" && *record != "":
-		fmt.Printf("### scaling — multi-core scaling sweep (scale %s)\n", sc.Name)
-		if err := bench.RecordScaling(sc, *record, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *record)
-	case *exp == "scan" && *record != "":
-		fmt.Printf("### scan — fused range-scan serving sweep (scale %s)\n", sc.Name)
-		if err := bench.RecordScan(sc, *record, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *record)
-	case *exp == "obslat" && *record != "":
-		fmt.Printf("### obslat — per-op tracing overhead & tail attribution (scale %s)\n", sc.Name)
-		if err := bench.RecordObsLat(sc, *record, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *record)
-	case *exp == "durability" && *record != "":
-		fmt.Printf("### durability — WAL fsync policies, group commit & recovery (scale %s)\n", sc.Name)
-		if err := bench.RecordDurability(sc, *record, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *record)
-	case *exp == "cache" && *record != "":
-		fmt.Printf("### cache — read-path cache & negative filters (scale %s)\n", sc.Name)
-		if err := bench.RecordCache(sc, *record, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *record)
 	case *exp != "":
 		e, ok := reg[*exp]
 		if !ok {

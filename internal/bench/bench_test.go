@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -157,18 +159,33 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	rows, _ := RunFig9(microScale)
-	if len(rows) != 12 { // 6 directions x 2 sizes
-		t.Fatalf("rows=%d", len(rows))
+	// One sweep times each cell over ~80 leaves, so a single scheduler or
+	// GC pause can swap two cells. Each cell is judged once, on its median
+	// over five sweeps, and each sweep starts from a collected heap so the
+	// previous sweep's garbage does not trigger a collection inside this
+	// one's timed windows.
+	const sweeps = 5
+	samples := map[string][]float64{}
+	for i := 0; i < sweeps; i++ {
+		runtime.GC()
+		rows, _ := RunFig9(microScale)
+		if len(rows) != 12 { // 6 directions x 2 sizes
+			t.Fatalf("rows=%d", len(rows))
+		}
+		for _, r := range rows {
+			if r.PerNodeNs <= 0 {
+				t.Fatalf("non-positive migration cost: %+v", r)
+			}
+			if r.IndexSize == "large" {
+				key := r.From + ">" + r.To
+				samples[key] = append(samples[key], r.PerNodeNs)
+			}
+		}
 	}
 	cost := map[string]float64{}
-	for _, r := range rows {
-		if r.PerNodeNs <= 0 {
-			t.Fatalf("non-positive migration cost: %+v", r)
-		}
-		if r.IndexSize == "large" {
-			cost[r.From+">"+r.To] = r.PerNodeNs
-		}
+	for key, s := range samples {
+		slices.Sort(s)
+		cost[key] = s[sweeps/2]
 	}
 	// Succinct-involving migrations re-encode the payload and must cost
 	// more than the packed<->gapped memcpy pair.
@@ -324,7 +341,7 @@ func TestRegistryRunsEverythingTiny(t *testing.T) {
 		t.Skip("full registry run is slow")
 	}
 	reg := Registry("../..", false)
-	if len(reg) != 34 {
+	if len(reg) != 31 {
 		t.Fatalf("registry size %d", len(reg))
 	}
 	// Smoke-run the cheap experiments through the registry interface.

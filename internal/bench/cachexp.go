@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -39,7 +37,7 @@ var (
 )
 
 // Cache experiment seeds; every sub-run re-seeds its distribution so all
-// cells replay identical key sequences. Recorded in BENCH_cache.json.
+// cells replay identical key sequences.
 const (
 	cacheSweepSeed  = 11 // Zipf draw sequence, hit-path sweep
 	cacheMissSeed   = 13 // uniform draw sequence, miss-path part
@@ -472,78 +470,6 @@ func cacheMissPart(sc Scale, keys, vals []uint64, ops int) []CacheMissRow {
 		runtime.GC()
 	}
 	return rows
-}
-
-// RecordCache runs the experiment once, renders both tables to w, and
-// writes the metrics JSON (BENCH_cache.json format) to path.
-func RecordCache(sc Scale, path string, w io.Writer) error {
-	res, tbl := RunCache(sc)
-	tbl.Render(w)
-	renderCacheReplay(w, res.ReplayRows)
-	renderCacheMiss(w, res.MissRows)
-	doc := struct {
-		Recorded string             `json:"recorded"`
-		Command  string             `json:"command"`
-		Scale    string             `json:"scale"`
-		CPU      string             `json:"cpu"`
-		Procs    int                `json:"procs"`
-		Seeds    map[string]int64   `json:"seeds"`
-		Notes    string             `json:"notes"`
-		Metrics  map[string]float64 `json:"metrics"`
-	}{
-		Recorded: time.Now().Format("2006-01-02"),
-		Command:  fmt.Sprintf("go run ./cmd/ahibench -exp cache -scale %s -record %s", sc.Name, path),
-		Scale: fmt.Sprintf("%s (%d YCSB u64 keys, %d ops per cell, batch %d)",
-			sc.Name, sc.ConsecU64, sc.OpsPerPhase/4, cacheBatchSize),
-		CPU:   cpuModel(),
-		Procs: runtime.GOMAXPROCS(0),
-		Seeds: map[string]int64{
-			"sweep":  cacheSweepSeed,
-			"miss":   cacheMissSeed,
-			"insert": cacheInsertSeed,
-		},
-		Notes: "95/5 read/overwrite mix through one session; speedups are vs the " +
-			"fraction=0 cell of the same skew and op mode under the SAME total " +
-			"memory budget (cache bytes are charged against it); b1 rows are " +
-			"per-key Lookup/Insert, b128 rows the batched ops, whose AMAC kernel " +
-			"already collapses duplicate hot keys and so leaves the cache less " +
-			"headroom; replay rows are pure lookups cycling a pre-drawn 256K " +
-			"Zipf(0.99) pool (the converged serving regime the CI benchmarks " +
-			"measure); miss rows query only absent keys against a fixed " +
-			"all-Succinct tree; sampling runs at the paper-default skip band " +
-			"[50,500]",
-		Metrics: map[string]float64{},
-	}
-	for _, r := range res.Rows {
-		key := fmt.Sprintf("cache/zipf%.2f/b%d/frac%.2f", r.Skew, r.Batch, r.Fraction)
-		doc.Metrics[key+"_mops"] = round2(r.MopsPerS)
-		doc.Metrics[key+"_speedup"] = round2(r.Speedup)
-		doc.Metrics[key+"_hit_rate"] = round2(r.HitRate)
-		doc.Metrics[key+"_write_ns"] = round2(r.WriteNs)
-		doc.Metrics[key+"_budget_share"] = round2(r.BudgetShare * 100)
-	}
-	for _, r := range res.ReplayRows {
-		key := fmt.Sprintf("cache/replay/b%d/frac%.2f", r.Batch, r.Fraction)
-		doc.Metrics[key+"_ns"] = round2(r.MeanNs)
-		doc.Metrics[key+"_mops"] = round2(r.MopsPerS)
-		doc.Metrics[key+"_speedup"] = round2(r.Speedup)
-		doc.Metrics[key+"_hit_rate"] = round2(r.HitRate)
-	}
-	for _, r := range res.MissRows {
-		key := "cache/miss/filters_off"
-		if r.Filters {
-			key = "cache/miss/filters_on"
-		}
-		doc.Metrics[key+"_ns"] = round2(r.MeanNs)
-		doc.Metrics[key+"_speedup"] = round2(r.Speedup)
-		doc.Metrics[key+"_neg_hits"] = float64(r.NegHits)
-		doc.Metrics[key+"_index_mib"] = round2(r.IndexMiB)
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 func renderCacheMiss(w io.Writer, rows []CacheMissRow) {

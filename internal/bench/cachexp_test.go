@@ -5,7 +5,7 @@ import "testing"
 // TestCacheShape runs the skew x fraction sweep plus the miss-path part
 // at micro scale and checks structure. Matched by the CI smoke job
 // (go test -run Cache). Timing ratios are informational at this scale;
-// the real numbers come from the recorded sweep (BENCH_cache.json).
+// the real numbers come from `ahibench -exp cache` at small scale or above.
 func TestCacheShape(t *testing.T) {
 	sc := microScale
 	sc.OpsPerPhase = 32_000

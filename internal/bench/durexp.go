@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -206,63 +204,4 @@ func renderDurDevices(w io.Writer, rows []DurDeviceRow) {
 		})
 	}
 	t.Render(w)
-}
-
-// RecordDurability runs the experiment, renders both tables to w, and
-// writes the metrics JSON (BENCH_durability.json format) to path.
-func RecordDurability(sc Scale, path string, w io.Writer) error {
-	res, tbl := RunDurability(sc)
-	tbl.Render(w)
-	renderDurDevices(w, res.Devices)
-	doc := struct {
-		Recorded string             `json:"recorded"`
-		Command  string             `json:"command"`
-		Scale    string             `json:"scale"`
-		CPU      string             `json:"cpu"`
-		Procs    int                `json:"procs"`
-		Notes    string             `json:"notes"`
-		Metrics  map[string]float64 `json:"metrics"`
-	}{
-		Recorded: time.Now().Format("2006-01-02"),
-		Command:  fmt.Sprintf("go run ./cmd/ahibench -exp durability -scale %s -record %s", sc.Name, path),
-		Scale:    fmt.Sprintf("%s (%d..%d sequential inserts per policy, 4 writers)", sc.Name, durOps(sc, "always"), durOps(sc, "os")),
-		CPU:      cpuModel(),
-		Procs:    runtime.GOMAXPROCS(0),
-		Notes: "measured rows run against a WAL in a temp directory on this machine's filesystem; " +
-			"the device table is the storage model's SyncLat term, not a measurement",
-		Metrics: map[string]float64{},
-	}
-	for _, r := range res.Rows {
-		key := "durability/" + r.Policy
-		doc.Metrics[key+"_nsop"] = round2(r.NsOp)
-		doc.Metrics[key+"_p99_us"] = round2(r.P99Us)
-		doc.Metrics[key+"_recs_per_fsync"] = round2(r.RecsPerFsync)
-		if r.Policy != "off" {
-			doc.Metrics[key+"_recover_ms"] = round2(r.RecoverMs)
-			doc.Metrics[key+"_replayed"] = float64(r.Replayed)
-		}
-	}
-	for _, d := range res.Devices {
-		for i, g := range durGroupSizes {
-			doc.Metrics[fmt.Sprintf("durability/model_%s_g%d_us", shortDevice(d.Device), g)] = round2(d.PerRecUs[i])
-		}
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-func shortDevice(name string) string {
-	switch name {
-	case storage.SATASSD.Name:
-		return "sata"
-	case storage.NVMeSSD.Name:
-		return "nvme"
-	case storage.PMEM.Name:
-		return "pmem"
-	default:
-		return "dram"
-	}
 }

@@ -1,12 +1,6 @@
 package bench
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // durTestScale keeps the sweep small enough for CI: a few hundred fsyncs
 // on the always row, thousands of buffered commits elsewhere.
@@ -49,40 +43,5 @@ func TestRunDurability(t *testing.T) {
 	}
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("table rows: %d", len(tbl.Rows))
-	}
-}
-
-// TestRecordDurabilitySchema writes a real BENCH_durability.json to a
-// temp path and validates the schema CI depends on.
-func TestRecordDurabilitySchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_durability.json")
-	if err := RecordDurability(durTestScale(), path, &strings.Builder{}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Recorded string             `json:"recorded"`
-		Command  string             `json:"command"`
-		CPU      string             `json:"cpu"`
-		Procs    int                `json:"procs"`
-		Metrics  map[string]float64 `json:"metrics"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("BENCH_durability.json is not valid JSON: %v", err)
-	}
-	if doc.Recorded == "" || doc.Command == "" || doc.CPU == "" || doc.Procs <= 0 {
-		t.Fatalf("missing header fields: %+v", doc)
-	}
-	for _, key := range []string{
-		"durability/off_nsop", "durability/always_nsop", "durability/always_p99_us",
-		"durability/always_recs_per_fsync", "durability/os_recover_ms", "durability/interval_replayed",
-		"durability/model_sata_g1_us", "durability/model_nvme_g64_us", "durability/model_dram_g8_us",
-	} {
-		if _, ok := doc.Metrics[key]; !ok {
-			t.Fatalf("metric %q missing (have %d metrics)", key, len(doc.Metrics))
-		}
 	}
 }

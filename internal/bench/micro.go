@@ -2,20 +2,18 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
-	"ahi/internal/bitutil"
 	"ahi/internal/btree"
 	"ahi/internal/core"
 	"ahi/internal/workload"
 )
 
-// This file holds the building-block microbenchmarks behind the paper's
-// macro numbers: rank/select probes on a large bit vector (every succinct
-// lookup bottoms out in these), leaf re-encoding throughput (the cost each
-// migration pays), and the foreground stall an adaptation phase imposes
-// with and without the asynchronous migration pipeline.
+// This file measures the foreground stall an adaptation phase imposes
+// with and without the asynchronous migration pipeline. Rank/select
+// probes and leaf re-encoding cost are measured elsewhere: the bitutil
+// BenchmarkBitVector* benchmarks and the btree.migrate_* rungs of
+// benchmark/.
 
 // MicroRow is one measured microbenchmark metric.
 type MicroRow struct {
@@ -24,94 +22,17 @@ type MicroRow struct {
 	Unit   string
 }
 
-// RunMicro executes all microbenchmarks at the given scale.
+// RunMicro measures the adaptation stall at the given scale.
 func RunMicro(sc Scale) ([]MicroRow, Table) {
-	rows := rankSelectMicro()
-	rows = append(rows, migrationMicro(sc)...)
-	rows = append(rows, pipelineMicro(sc)...)
+	rows := pipelineMicro(sc)
 	t := Table{
-		Title:  "microbenchmarks: rank/select, migration throughput, adaptation stall",
+		Title:  "microbenchmarks: adaptation stall, inline vs async migrations",
 		Header: []string{"metric", "value", "unit"},
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{r.Metric, fmt.Sprintf("%.1f", r.Value), r.Unit})
 	}
 	return rows, t
-}
-
-// microBits sizes the benchmark bit vector; >= 1M bits so every probe
-// walks the full directory hierarchy instead of staying in cache lines
-// shared with the samples.
-const microBits = 1 << 21
-
-func rankSelectMicro() []MicroRow {
-	rng := rand.New(rand.NewSource(1))
-	var dense, sparse bitutil.Builder
-	for i := 0; i < microBits; i++ {
-		dense.Append(rng.Intn(2) == 0)
-		sparse.Append(rng.Intn(50) == 0)
-	}
-	dv, sv := dense.Build(), sparse.Build()
-
-	const probes = 1 << 20
-	timed := func(f func(i int)) float64 {
-		start := time.Now()
-		for i := 0; i < probes; i++ {
-			f(i)
-		}
-		return float64(time.Since(start).Nanoseconds()) / probes
-	}
-	// The multiplicative stride visits probe positions in cache-hostile
-	// order, like real select-driven trie traversals do.
-	pos := func(i, n int) int { return int(uint(i*2654435761) % uint(n)) }
-
-	var sink int
-	rows := []MicroRow{
-		{"bitvector/rank1", timed(func(i int) { sink += dv.Rank1(pos(i, dv.Len())) }), "ns/op"},
-		{"bitvector/select1", timed(func(i int) { sink += dv.Select1(1 + pos(i, dv.Ones())) }), "ns/op"},
-		{"bitvector/select0", timed(func(i int) { sink += dv.Select0(1 + pos(i, dv.Zeros())) }), "ns/op"},
-		{"bitvector/select1-sparse", timed(func(i int) { sink += sv.Select1(1 + pos(i, sv.Ones())) }), "ns/op"},
-	}
-	_ = sink
-	return rows
-}
-
-// migrationMicro measures raw leaf re-encoding throughput: every leaf of a
-// bulk-loaded tree migrates Succinct -> Gapped -> Succinct repeatedly.
-func migrationMicro(sc Scale) []MicroRow {
-	n := sc.ConsecU64
-	keys := make([]uint64, n)
-	vals := make([]uint64, n)
-	for i := range keys {
-		keys[i] = uint64(i) * 16
-		vals[i] = uint64(i)
-	}
-	t := btree.BulkLoad(btree.Config{DefaultEncoding: btree.EncSuccinct}, keys, vals)
-	var leaves []*btree.Leaf
-	t.WalkLeaves(func(l *btree.Leaf) bool {
-		leaves = append(leaves, l)
-		return true
-	})
-	const rounds = 4
-	migs := 0
-	start := time.Now()
-	for r := 0; r < rounds; r++ {
-		for _, l := range leaves {
-			if t.MigrateLeaf(l, btree.EncGapped) {
-				migs++
-			}
-		}
-		for _, l := range leaves {
-			if t.MigrateLeaf(l, btree.EncSuccinct) {
-				migs++
-			}
-		}
-	}
-	el := time.Since(start)
-	return []MicroRow{
-		{"migration/leaf-reencode", float64(el.Nanoseconds()) / float64(migs), "ns/migration"},
-		{"migration/throughput", float64(migs) / el.Seconds() / 1000, "k-migrations/s"},
-	}
 }
 
 // pipelineMicro runs the same skewed lookup workload against an adaptive

@@ -103,34 +103,13 @@ func Registry(repoRoot string, csv bool) map[string]Experiment {
 	add(wrap("abl-eager", "ablation: eager expand", func(sc Scale) Table { _, t := RunAblationEagerExpand(sc); return t }))
 	add(wrap("abl-history", "ablation: history byte", func(sc Scale) Table { _, t := RunAblationHistory(sc); return t }))
 	add(wrap("abl-decentral", "ablation: centralized vs decentralized tracking", func(sc Scale) Table { _, t := RunAblationDecentralized(sc); return t }))
-	add(wrap("micro", "microbenchmarks: rank/select, migration pipeline", func(sc Scale) Table { _, t := RunMicro(sc); return t }))
+	add(wrap("micro", "microbenchmarks: adaptation stall, inline vs async migrations", func(sc Scale) Table { _, t := RunMicro(sc); return t }))
 	add(wrap("ext-ycsb", "extension: YCSB core workloads A-F", func(sc Scale) Table { _, t := RunYCSB(sc); return t }))
-	add(Experiment{ID: "serving", Title: "sharded batch serving layer", Run: func(sc Scale, w io.Writer) error {
-		res, t := RunServing(sc)
-		render(t, w)
-		if !csv {
-			fmt.Fprintf(w, "pipeline: queued=%d inline_fallbacks=%d backpressured=%d coalesced=%d steals=%d max_depth=%d last_drain=%.1fus\n\n",
-				res.Queued, res.InlineFallbacks, res.Backpressured, res.Coalesced, res.Steals, res.MaxPipeDepth, res.LastDrainUs)
-		}
-		return nil
-	}})
 	add(Experiment{ID: "scaling", Title: "multi-core scaling sweep (procs x shards x clients)", Run: func(sc Scale, w io.Writer) error {
 		res, t := RunScaling(sc)
 		render(t, w)
 		if !csv {
 			fmt.Fprintf(w, "pipeline: backpressured=%d steals=%d\n\n", res.Backpressured, res.Steals)
-		}
-		return nil
-	}})
-	add(Experiment{ID: "scan", Title: "fused range-scan serving (length x encoding x shards)", Run: func(sc Scale, w io.Writer) error {
-		res, t := RunScan(sc)
-		render(t, w)
-		if !csv {
-			fmt.Fprintf(w, "shards x scanners (len=256): ")
-			for _, r := range res.Shard {
-				fmt.Fprintf(w, "s%d/c%d=%.1f ", r.Shards, r.Scanners, r.Mps)
-			}
-			fmt.Fprintf(w, "Mpairs/s; YCSB-E-long mix %.1f Kops/s\n\n", res.MixKops)
 		}
 		return nil
 	}})
@@ -140,20 +119,6 @@ func Registry(repoRoot string, csv bool) map[string]Experiment {
 		if !csv {
 			renderCacheReplay(w, res.ReplayRows)
 			renderCacheMiss(w, res.MissRows)
-			fmt.Fprintln(w)
-		}
-		return nil
-	}})
-	add(Experiment{ID: "obslat", Title: "per-op tracing overhead & tail attribution", Run: func(sc Scale, w io.Writer) error {
-		res, t := RunObsLat(sc)
-		render(t, w)
-		if !csv {
-			fmt.Fprintf(w, "flight recorder: %d events recorded (%d slow); tail attribution %.1f%% named",
-				res.OpsRecorded, res.OpsSlow, 100*res.TailNamedFraction)
-			if res.TopTailCause != "" {
-				fmt.Fprintf(w, " — %s", res.TopTailCause)
-			}
-			fmt.Fprintln(w)
 			fmt.Fprintln(w)
 		}
 		return nil

@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -22,8 +19,8 @@ import (
 // adaptive tree while the shared migrator pool re-encodes behind them.
 // With inline fallbacks gone the serve path never pays a migration, so
 // added clients should translate into aggregate throughput — bounded by
-// the machine's actual core count, which the recorded JSON states
-// honestly (a 1-core host serializes every cell onto the same CPU).
+// the machine's actual core count (a 1-core host serializes every cell
+// onto the same CPU).
 
 // Scaling sweep axes.
 var (
@@ -32,8 +29,8 @@ var (
 	scalingClients = []int{1, 2, 4}
 )
 
-// scalingBatch is the lookup batch size every client issues; 128 matches
-// the serving sweep's largest (fully amortized) batch cell.
+// scalingBatch is the lookup batch size every client issues; at 128 the
+// batch kernel's per-key cost is fully amortized.
 const scalingBatch = 128
 
 // ScalingRow is one (procs, shards, clients) cell.
@@ -52,7 +49,6 @@ type ScalingRow struct {
 type ScalingResult struct {
 	Rows          []ScalingRow
 	Backpressured int64
-	Coalesced     int64
 	Steals        int64
 }
 
@@ -173,7 +169,6 @@ func scalingSweep(sc Scale, keys, vals []uint64, budget int64, shards, opsPerCli
 	for i := 0; i < s.Shards(); i++ {
 		mgr := s.Shard(i).Mgr
 		res.Backpressured += mgr.Backpressured()
-		res.Coalesced += mgr.CoalescedTriggers()
 	}
 	res.Steals += s.Steals()
 	s.Close()
@@ -187,52 +182,4 @@ func warm(s *shard.ShardedBTree, stream []uint64) {
 	for off := 0; off < len(stream); off += scalingBatch {
 		s.LookupBatch(stream[off:off+scalingBatch], qv, qf)
 	}
-}
-
-// RecordScaling runs the sweep once, renders the table to w, and writes
-// the metrics JSON (BENCH_scaling.json format) to path.
-func RecordScaling(sc Scale, path string, w io.Writer) error {
-	res, tbl := RunScaling(sc)
-	tbl.Render(w)
-	fmt.Fprintf(w, "pipeline: backpressured=%d coalesced=%d steals=%d\n",
-		res.Backpressured, res.Coalesced, res.Steals)
-	hostProcs := runtime.GOMAXPROCS(0)
-	notes := "speedups are vs the clients=1 cell of the same (procs, shards) pair; " +
-		"GOMAXPROCS is forced per cell regardless of physical cores"
-	if hostProcs == 1 {
-		notes += "; RECORDED ON A 1-CORE HOST: procs>1 cells time-slice one CPU, so " +
-			"client speedups reflect batching/queueing overlap only, not parallelism — " +
-			"re-record on a multi-core machine for real scaling curves"
-	}
-	doc := struct {
-		Recorded string             `json:"recorded"`
-		Command  string             `json:"command"`
-		Scale    string             `json:"scale"`
-		CPU      string             `json:"cpu"`
-		Procs    int                `json:"procs"`
-		Notes    string             `json:"notes"`
-		Metrics  map[string]float64 `json:"metrics"`
-	}{
-		Recorded: time.Now().Format("2006-01-02"),
-		Command:  fmt.Sprintf("go run ./cmd/ahibench -exp scaling -scale %s -record %s", sc.Name, path),
-		Scale: fmt.Sprintf("%s (%d YCSB u64 keys, %d lookups per client, batch %d)",
-			sc.Name, sc.ConsecU64, sc.OpsPerPhase/4, scalingBatch),
-		CPU:     cpuModel(),
-		Procs:   hostProcs,
-		Notes:   notes,
-		Metrics: map[string]float64{},
-	}
-	for _, r := range res.Rows {
-		key := fmt.Sprintf("scaling/p%d_s%d_c%d", r.Procs, r.Shards, r.Clients)
-		doc.Metrics[key+"_mops"] = round2(r.MopsPerS)
-		doc.Metrics[key+"_speedup"] = round2(r.Speedup)
-	}
-	doc.Metrics["pipeline/backpressured"] = float64(res.Backpressured)
-	doc.Metrics["pipeline/coalesced"] = float64(res.Coalesced)
-	doc.Metrics["pipeline/steals"] = float64(res.Steals)
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

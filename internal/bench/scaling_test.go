@@ -1,13 +1,6 @@
 package bench
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestScalingShape runs the procs x shards x clients sweep at micro
 // scale and checks the grid is complete and every cell non-empty.
@@ -30,56 +23,5 @@ func TestScalingShape(t *testing.T) {
 		}
 	}
 	// Absolute speedup thresholds are not asserted: on a 1-core host the
-	// client axis cannot add parallelism. The recorded sweep's notes
-	// field carries the host context for BENCH_scaling.json consumers.
-}
-
-// TestRecordScalingSchema writes a real BENCH_scaling.json to a temp
-// path and validates the schema CI depends on: the header fields, one
-// _mops and one _speedup metric per sweep cell, and the pipeline
-// telemetry keys.
-func TestRecordScalingSchema(t *testing.T) {
-	sc := microScale
-	sc.OpsPerPhase = 16_000
-	path := filepath.Join(t.TempDir(), "BENCH_scaling.json")
-	if err := RecordScaling(sc, path, &strings.Builder{}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Recorded string             `json:"recorded"`
-		Command  string             `json:"command"`
-		Scale    string             `json:"scale"`
-		CPU      string             `json:"cpu"`
-		Procs    int                `json:"procs"`
-		Notes    string             `json:"notes"`
-		Metrics  map[string]float64 `json:"metrics"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("BENCH_scaling.json is not valid JSON: %v", err)
-	}
-	if doc.Recorded == "" || doc.Command == "" || doc.CPU == "" || doc.Procs <= 0 {
-		t.Fatalf("missing header fields: %+v", doc)
-	}
-	for _, procs := range scalingProcs {
-		for _, shards := range scalingShards {
-			for _, clients := range scalingClients {
-				for _, suffix := range []string{"_mops", "_speedup"} {
-					key := fmt.Sprintf("scaling/p%d_s%d_c%d%s", procs, shards, clients, suffix)
-					v, ok := doc.Metrics[key]
-					if !ok || v <= 0 {
-						t.Fatalf("metric %s missing or non-positive (%v)", key, v)
-					}
-				}
-			}
-		}
-	}
-	for _, key := range []string{"pipeline/backpressured", "pipeline/coalesced", "pipeline/steals"} {
-		if _, ok := doc.Metrics[key]; !ok {
-			t.Fatalf("telemetry metric %s missing", key)
-		}
-	}
+	// client axis cannot add parallelism.
 }

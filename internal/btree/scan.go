@@ -441,31 +441,3 @@ func (t *Tree) scanWalk(reqs []ScanReq, sink ScanSink, fn func(k, v uint64) bool
 	}
 	return delivered, visited
 }
-
-// ScanElementwise is the pre-kernel reference scan: one keyAt/valAt
-// interface call per pair, exactly the per-element access path ScanBatch
-// replaces. Retained as the benchmark baseline (BENCH_scan.json records
-// the ratio against it) and as the oracle for decode-kernel tests.
-func (t *Tree) ScanElementwise(from uint64, n int, fn func(k, v uint64) bool) int {
-	if n <= 0 {
-		return 0
-	}
-	leaf, _ := t.descend(from, nil, nil)
-	_, b := moveRightLeaf(leaf, from, nil)
-	visited := 0
-	i, _ := b.p.search(from)
-	for visited < n {
-		for ; i < b.p.count() && visited < n; i++ {
-			if !fn(b.p.keyAt(i), b.p.valAt(i)) {
-				return visited + 1
-			}
-			visited++
-		}
-		if visited >= n || b.next == nil {
-			break
-		}
-		b = b.next.box.Load()
-		i = 0
-	}
-	return visited
-}

@@ -8,7 +8,7 @@ import (
 
 // coldKeys builds n sorted random uint64 keys: random spacing makes the
 // per-leaf FOR deltas wide (~50 bits), matching the YCSB key distribution
-// the recorded experiment uses — wide-width decode is the hard case.
+// — wide-width decode is the hard case.
 func coldKeys(n int) []uint64 {
 	rng := rand.New(rand.NewSource(5))
 	keys := make([]uint64, n)
@@ -21,9 +21,8 @@ func coldKeys(n int) []uint64 {
 
 // Cold-regime benchmarks: a 1M-key tree (payloads far exceed LLC) with
 // starts striding the whole key space, so every batch decodes leaves that
-// are not cache-resident. This is the regime the recorded scan experiment
-// (BENCH_scan.json) measures; the plain benchmarks in scan_test.go cover
-// the cache-resident kernel cost.
+// are not cache-resident. The plain benchmarks in scan_test.go cover the
+// cache-resident kernel cost.
 func BenchmarkScanBatchSuccinctCold(b *testing.B) {
 	const n = 1 << 20
 	keys := coldKeys(n)
@@ -67,7 +66,7 @@ func BenchmarkScanElementwiseSuccinctCold(b *testing.B) {
 			reqs[i] = ScanReq{From: keys[at], N: ln}
 		}
 		for _, r := range reqs {
-			tr.ScanElementwise(r.From, r.N, func(k, v uint64) bool {
+			scanElementwise(tr, r.From, r.N, func(k, v uint64) bool {
 				sink += v
 				return true
 			})

@@ -25,11 +25,40 @@ func scanTree(tb testing.TB, enc core.Encoding, n int) (*Tree, []uint64, []uint6
 	return BulkLoad(Config{DefaultEncoding: enc}, keys, vals), keys, vals
 }
 
+// scanElementwise is the pre-kernel reference scan: one keyAt/valAt
+// interface call per pair, exactly the per-element access path ScanBatch
+// replaces. It is the oracle for the decode-kernel tests and the baseline
+// of BenchmarkScanElementwiseSuccinct, against which CI gates the
+// ScanBatch speedup.
+func scanElementwise(t *Tree, from uint64, n int, fn func(k, v uint64) bool) int {
+	if n <= 0 {
+		return 0
+	}
+	leaf, _ := t.descend(from, nil, nil)
+	_, b := moveRightLeaf(leaf, from, nil)
+	visited := 0
+	i, _ := b.p.search(from)
+	for visited < n {
+		for ; i < b.p.count() && visited < n; i++ {
+			if !fn(b.p.keyAt(i), b.p.valAt(i)) {
+				return visited + 1
+			}
+			visited++
+		}
+		if visited >= n || b.next == nil {
+			break
+		}
+		b = b.next.box.Load()
+		i = 0
+	}
+	return visited
+}
+
 // collectElementwise gathers up to n pairs from the element-wise
 // reference scan — the oracle every bulk path must match.
 func collectElementwise(tr *Tree, from uint64, n int) ([]uint64, []uint64) {
 	var ks, vs []uint64
-	tr.ScanElementwise(from, n, func(k, v uint64) bool {
+	scanElementwise(tr, from, n, func(k, v uint64) bool {
 		ks = append(ks, k)
 		vs = append(vs, v)
 		return true
@@ -371,8 +400,8 @@ func TestScanBatchReturnValuesAndLeafCount(t *testing.T) {
 
 // --- Benchmarks feeding the CI gates -----------------------------------
 
-// benchScanTree: 256k succinct-encoded pairs, the recorded configuration
-// of the BENCH_scan.json ratio.
+// benchScanTree: 256k succinct-encoded pairs, the configuration of the
+// CI ratio gate.
 func benchScanTree(b *testing.B) (*Tree, int) {
 	n := 1 << 18
 	keys := make([]uint64, n)
@@ -423,7 +452,7 @@ func BenchmarkScanElementwiseSuccinct(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range reqs {
-			tr.ScanElementwise(r.From, r.N, func(k, v uint64) bool {
+			scanElementwise(tr, r.From, r.N, func(k, v uint64) bool {
 				sink += v
 				return true
 			})

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -110,6 +112,87 @@ func TestYCSBKeys(t *testing.T) {
 		t.Fatalf("len=%d", len(keys))
 	}
 	assertSortedUniqueU64(t, keys)
+}
+
+// refDedupSorted is dedupSorted with its original top-up loop, which
+// inserts each fresh key in place with an O(n) copy. It is the reference
+// the current function must match key for key; toppedUp reports whether
+// the top-up loop ran.
+func refDedupSorted(keys []uint64, n int, rng *rand.Rand) (out []uint64, toppedUp bool) {
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	out = keys[:0]
+	var prev uint64
+	for i, k := range keys {
+		if i == 0 || k != prev {
+			out = append(out, k)
+			prev = k
+		}
+	}
+	for len(out) < n {
+		toppedUp = true
+		k := rng.Uint64() >> 1
+		pos := sort.Search(len(out), func(i int) bool { return out[i] >= k })
+		if pos < len(out) && out[pos] == k {
+			continue
+		}
+		out = append(out, 0)
+		copy(out[pos+1:], out[pos:])
+		out[pos] = k
+	}
+	return out[:n], toppedUp
+}
+
+// narrowSource is a rand.Source64 whose Uint64 draws, halved as
+// dedupSorted halves them, fall in [0, span): top-up draws keep hitting
+// keys already present, both in the sorted prefix and among earlier draws.
+type narrowSource struct{ x, span uint64 }
+
+func (s *narrowSource) Uint64() uint64 {
+	s.x = s.x*6364136223846793005 + 1442695040888963407
+	return (s.x >> 33) % s.span << 1
+}
+func (s *narrowSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+func (s *narrowSource) Seed(int64)   {}
+
+func TestDedupSortedMatchesReference(t *testing.T) {
+	cases := []struct {
+		name   string
+		gen    func(int, int64) []uint64
+		draws  func(int, *rand.Rand) []uint64
+		n      int
+		seed   int64
+		topsUp bool
+	}{
+		{"OSM", OSM, osmDraws, 20_000, 1, true},
+		{"OSM", OSM, osmDraws, 200_000, 11, true},
+		{"UserIDs", UserIDs, userIDDraws, 200_000, 6, true},
+		{"UserIDs", UserIDs, userIDDraws, 300_000, 8, true},
+		// n+n/8 uniform 64-bit draws leave no shortfall to top up.
+		{"YCSBKeys", YCSBKeys, ycsbDraws, 200_000, 5, false},
+	}
+	for _, c := range cases {
+		rng := rand.New(rand.NewSource(c.seed))
+		want, toppedUp := refDedupSorted(c.draws(c.n, rng), c.n, rng)
+		if toppedUp != c.topsUp {
+			t.Fatalf("%s(%d, %d): top-up ran = %v, want %v", c.name, c.n, c.seed, toppedUp, c.topsUp)
+		}
+		if got := c.gen(c.n, c.seed); !slices.Equal(got, want) {
+			t.Fatalf("%s(%d, %d) differs from the reference", c.name, c.n, c.seed)
+		}
+	}
+
+	// 1000 distinct keys topped up to 2000 from draws in [0, span).
+	for _, span := range []uint64{2500, 4000} {
+		keys := make([]uint64, 4000)
+		for i := range keys {
+			keys[i] = uint64(i%1000) * 3
+		}
+		want, toppedUp := refDedupSorted(slices.Clone(keys), 2000, rand.New(&narrowSource{x: span, span: span}))
+		got := dedupSorted(keys, 2000, rand.New(&narrowSource{x: span, span: span}))
+		if !toppedUp || !slices.Equal(got, want) {
+			t.Fatalf("span %d: top-up ran = %v; output matches the reference = %v", span, toppedUp, slices.Equal(got, want))
+		}
+	}
 }
 
 func TestKeyBytesOrderPreserving(t *testing.T) {

@@ -12,8 +12,8 @@ const DumpSchema = "ahi-obs/v1"
 
 // Dump is the serializable state of one Observability bundle: flat
 // metrics, the retained migration trace, and the per-epoch snapshots.
-// ahibench -trace writes one alongside its BENCH_*.json; ahimon renders
-// it (file replay or live from /dump.json).
+// ahibench -trace writes one; ahimon renders it (file replay or live
+// from /dump.json).
 type Dump struct {
 	Schema     string `json:"schema"`
 	Recorded   string `json:"recorded,omitempty"`
