@@ -398,7 +398,7 @@ func serveGappedRun(leaf *Leaf, g *gapped, lb *leafBox, keys, vals []uint64, fou
 	pos, lastOK := searchInterp(a, lastK)
 	var lastV uint64
 	if lastOK {
-		lastV = g.vals[pos]
+		lastV = g.valAt(pos)
 	}
 	vals[i], found[i] = lastV, lastOK
 	if track != nil {
@@ -434,7 +434,7 @@ func serveGappedRun(leaf *Leaf, g *gapped, lb *leafBox, keys, vals []uint64, fou
 			lastOK = pos < len(a) && a[pos] == k
 			lastV = 0
 			if lastOK {
-				lastV = g.vals[pos]
+				lastV = g.valAt(pos)
 			}
 			lastK = k
 			from = pos
@@ -455,7 +455,8 @@ func serveGappedRun(leaf *Leaf, g *gapped, lb *leafBox, keys, vals []uint64, fou
 // whether keys[i] was newly inserted (false: overwrote an existing value).
 // Equivalent to per-key Insert calls in batch-sorted order (duplicate keys
 // keep submission order, so the last value wins), but consecutive sorted
-// keys landing in the same leaf are merged under one lock into a single
+// keys landing in the same leaf are written under one lock: overwrites of
+// a Gapped or Packed leaf in place, anything else merged into a single
 // new leaf image.
 func (t *Tree) InsertBatch(keys, vals []uint64, inserted []bool) {
 	t.insertBatchTracked(keys, vals, inserted, nil)
@@ -492,10 +493,12 @@ func (t *Tree) insertBatchTracked(keys, vals []uint64, inserted []bool, track fu
 
 // insertRun inserts the run of sorted keys starting at order[cursor] that
 // shares one leaf: one descent and one lock acquisition for the whole run.
-// A run of one key — the usual case for a batch of random keys — and any
-// write to a full leaf (overwrite or split) are the single-key write,
-// putLocked; a longer run is merged in scratch and encoded once. Returns
-// the cursor past the consumed run.
+// A Gapped or Packed leaf that holds the head key takes the run's leading
+// overwrites in place (overwriteRun). Otherwise a run of one key — the
+// usual case for a batch of random keys — and any write to a full leaf
+// (overwrite or split) are the single-key write, putLocked; a longer run
+// is merged in scratch and encoded once. Returns the cursor past the
+// consumed run.
 func (t *Tree) insertRun(keys, vals []uint64, inserted []bool,
 	order []int, cursor int, track func(int, *Leaf, bool)) int {
 	head := order[cursor]
@@ -504,6 +507,11 @@ func (t *Tree) insertRun(keys, vals []uint64, inserted []bool,
 	leaf, b := t.lockLeaf(k, &path, nil)
 	p := b.p
 
+	if f := flatOf(p); f != nil {
+		if pos, found := p.search(k); found {
+			return t.overwriteRun(leaf, b, f, pos, keys, vals, inserted, order, cursor, track)
+		}
+	}
 	if next := cursor + 1; p.count() >= LeafCap || next == len(order) || !b.covers(keys[order[next]]) {
 		ins, exp := t.putLocked(leaf, b, &path, k, vals[head])
 		inserted[head] = ins
@@ -521,7 +529,8 @@ func (t *Tree) insertRun(keys, vals []uint64, inserted []bool,
 		t.expansions.Add(1)
 	}
 	scratch := kvPool.Get().(*kvScratch)
-	gk, gv := p.appendAll(scratch.keys[:0], scratch.vals[:0])
+	gk, gv := scratch.keys[:p.count()], scratch.vals[:p.count()]
+	decodeLocked(p, 0, len(gk), gk, gv)
 	newKeys := 0
 	j := cursor
 	for j < len(order) {
@@ -580,6 +589,48 @@ func (t *Tree) insertRun(keys, vals []uint64, inserted []bool,
 	}
 	if newKeys > 0 {
 		t.keyCount.Add(int64(newKeys))
+	}
+	return j
+}
+
+// overwriteRun stores the run of sorted keys starting at order[cursor]
+// into the Gapped or Packed image b of the write-locked leaf in place, as
+// long as the keys exist in it, and unlocks the leaf; the head key is at
+// position pos. The first key the image lacks, or does not cover, ends
+// the run; the next insertRun takes it from there. Each store is
+// bracketed in the cache like a single overwrite. Returns the cursor past
+// the stored keys.
+func (t *Tree) overwriteRun(leaf *Leaf, b *leafBox, f *flat, pos int, keys, vals []uint64,
+	inserted []bool, order []int, cursor int, track func(int, *Leaf, bool)) int {
+	lastK := keys[order[cursor]]
+	j := cursor
+	for {
+		idx := order[j]
+		t.cacheBegin(lastK)
+		f.storeValue(pos, vals[idx])
+		t.cacheEnd(lastK)
+		inserted[idx] = false
+		if j++; j == len(order) {
+			break
+		}
+		// Duplicates are adjacent and reuse pos; a larger key probes from
+		// the slot after the last one stored.
+		if k := keys[order[j]]; k != lastK {
+			if !b.covers(k) {
+				break
+			}
+			next, found := b.p.searchFrom(k, pos+1)
+			if !found {
+				break
+			}
+			pos, lastK = next, k
+		}
+	}
+	leaf.lock.unlock()
+	if track != nil {
+		for jj := cursor; jj < j; jj++ {
+			track(order[jj], leaf, false)
+		}
 	}
 	return j
 }

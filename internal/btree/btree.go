@@ -16,10 +16,15 @@ import (
 // allowance — a torn slice-header read can fault — so this implementation
 // keeps OLC's essential property (readers take no locks and write nothing)
 // via the Lehman–Yao B-link scheme with copy-on-write node images: every
-// node holds an atomic pointer to an immutable box (keys, children, high
-// key, right-sibling link); readers load boxes and "move right" when a
+// node holds an atomic pointer to a box (keys, children, high key,
+// right-sibling link); readers load boxes and "move right" when a
 // concurrent split shifted their key, writers serialize per node through
-// the version lock in olc.go. See DESIGN.md §4 for the substitution entry.
+// the version lock in olc.go. A box's structure and keys never change;
+// the one in-place write is a Gapped or Packed overwrite, a single atomic
+// store into the value array of the current image, which readers load
+// atomically. MigrateLeaf therefore validates its snapshot by the leaf's
+// lock version, which every write bumps, not by box identity. See
+// DESIGN.md §4 for the substitution entry.
 
 // innerCap is the maximum number of children per inner node.
 const innerCap = 64
@@ -38,7 +43,8 @@ func (l *Leaf) ID() uint64 { return l.id }
 // Encoding returns the leaf's current encoding.
 func (l *Leaf) Encoding() core.Encoding { return l.box.Load().p.encoding() }
 
-// leafBox is one immutable leaf image.
+// leafBox is one leaf image: its structure is immutable, its Gapped or
+// Packed values are overwritten in place (flat.storeValue).
 type leafBox struct {
 	p       payload
 	next    *Leaf
@@ -143,7 +149,8 @@ type Tree struct {
 
 	// rcache is the attached hot-key result cache (nil = disabled).
 	// Write paths keep it strictly coherent: every mutation of k brackets
-	// its leaf swap with k's invalidation stripe (cacheBegin/cacheEnd),
+	// its leaf write (an image swap or an in-place value store) with k's
+	// invalidation stripe (cacheBegin/cacheEnd),
 	// and a leaf migration bumps the stripes of the displaced image's
 	// keys so admissions that read that image abort. Read integration
 	// (probe/admit) lives in the adaptive Session so it can reuse the
@@ -426,16 +433,22 @@ func (t *Tree) lockLeaf(k uint64, path *descentPath, ev *obs.OpEvent) (*Leaf, *l
 }
 
 // putLocked stores v under k in leaf, which the caller holds write-locked
-// with current image b and path from its descent, and unlocks it. The new
-// image is derived from b.p in one pass (payload.go); b itself stays as
-// it is for the readers that still hold it. It reports whether k was new
-// and whether the write eagerly expanded the leaf.
+// with current image b and path from its descent, and unlocks it. An
+// overwrite of a Gapped or Packed image stores the value in place; a
+// Succinct overwrite and a new key derive the next image from b.p in one
+// pass (payload.go), and b itself stays as it is for the readers that
+// still hold it. It reports whether k was new and whether the write
+// eagerly expanded the leaf.
 func (t *Tree) putLocked(leaf *Leaf, b *leafBox, path *descentPath, k, v uint64) (inserted, expanded bool) {
 	p := b.p
 	pos, found := p.search(k)
 	if found {
 		t.cacheBegin(k)
-		t.swapLeafBox(leaf, b, b.with(p.withValue(pos, v)))
+		if f := flatOf(p); f != nil {
+			f.storeValue(pos, v)
+		} else {
+			t.swapLeafBox(leaf, b, b.with(p.(*succinct).withValue(pos, v)))
+		}
 		leaf.lock.unlock()
 		t.cacheEnd(k)
 		return false, false
@@ -510,9 +523,10 @@ func (t *Tree) encode(enc core.Encoding, keys, vals []uint64) payload {
 	return encodePayload(enc, keys, vals)
 }
 
-// cacheBegin and cacheEnd bracket the leaf swap that writes k, so the
-// attached result cache drops k before the new image is published and
-// admits nothing for it until the swap is done (cache.BeginWrite).
+// cacheBegin and cacheEnd bracket the leaf write of k (an image swap or
+// an in-place value store), so the attached result cache drops k before
+// the new value is published and admits nothing for it until the write
+// is done (cache.BeginWrite).
 // Nil-safe.
 func (t *Tree) cacheBegin(k uint64) {
 	if t.rcache != nil {
@@ -682,32 +696,34 @@ func (t *Tree) Expansions() int64 { return t.expansions.Add(0) }
 func (t *Tree) Compactions() int64 { return t.compactions.Add(0) }
 
 // MigrateLeaf re-encodes one leaf to the target encoding. The new image
-// is built optimistically outside the leaf's lock from a box snapshot
-// (images are immutable, so the snapshot stays valid however long the
-// build takes); the lock is then taken only for the O(1) pointer
-// re-validation and swap.
+// is built optimistically outside the leaf's lock from a snapshot taken
+// under a read version of the leaf's lock; the lock is then taken only to
+// publish, by upgrading that version, which fails if any write locked the
+// leaf in between. Box identity would not do: an in-place overwrite of a
+// Gapped or Packed image changes contents, not the box, so a re-encode
+// that raced it must be told by the version, or the overwrite is lost.
 // Earlier revisions held the write lock across the whole O(decode+encode)
 // build, which stalled every writer — and, before copy-on-write boxes,
-// every reader — for the full re-encode. A box that changed between
-// snapshot and lock means foreground writes are landing on the leaf; one
-// retry covers the common single racing write, after which the migration
-// gives up and lets a later phase re-propose. It reports whether the
-// encoding changed. The displaced image is left to the garbage collector,
-// which frees it once no reader holds it.
+// every reader — for the full re-encode. A failed upgrade means
+// foreground writes are landing on the leaf; one retry covers the common
+// single racing write, after which the migration gives up and lets a
+// later phase re-propose. It reports whether the encoding changed. The
+// displaced image is left to the garbage collector, which frees it once
+// no reader holds it.
 func (t *Tree) MigrateLeaf(l *Leaf, target core.Encoding) bool {
 	t.migActive.Add(1)
 	defer t.migActive.Add(-1)
 	for attempt := 0; ; attempt++ {
+		version, ok := l.lock.readLock()
+		if !ok {
+			return false
+		}
 		b := l.box.Load()
 		if b.p.encoding() == target {
 			return false
 		}
 		np := reencode(b.p, target, t.cfg.NegFilterBits)
-		if !l.lock.writeLock() {
-			return false
-		}
-		if l.box.Load() != b {
-			l.lock.unlock()
+		if !l.lock.upgrade(version) {
 			if attempt == 0 {
 				continue
 			}
@@ -738,8 +754,9 @@ func (t *Tree) MigrateLeaf(l *Leaf, target core.Encoding) bool {
 
 // WalkLeaves visits every leaf left to right until fn returns false. It
 // takes a consistent entry into the chain but, like scans, observes
-// concurrent splits only through the sibling links. Leaf images are
-// immutable, so an image the callback loads stays valid while it holds it.
+// concurrent splits only through the sibling links. A leaf image's keys
+// and links never change, so an image the callback loads stays valid
+// while it holds it.
 func (t *Tree) WalkLeaves(fn func(*Leaf) bool) {
 	t.walkImages(func(l *Leaf, _ *leafBox) bool { return fn(l) })
 }

@@ -364,8 +364,10 @@ type ckptState struct {
 	skip, sampleSize uint32
 }
 
-// encodeCheckpoint snapshots every leaf in one leaf walk. The walk sees a consistent-enough image: each leaf's box is immutable, and any
-// write racing the walk is > barrier and will be replayed on recovery.
+// encodeCheckpoint snapshots every leaf in one leaf walk. The walk sees a
+// consistent-enough image: each leaf's keys are fixed in the image it
+// loads, and any write racing the walk, an in-place overwrite included, is
+// > barrier and will be replayed on recovery.
 // It writes the images the walk itself followed (walkImages): one loaded
 // here could predate a split the walk's link is already past, and the
 // blob would hold the moved keys twice — recovery refuses it as corrupt.

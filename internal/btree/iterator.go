@@ -2,9 +2,10 @@ package btree
 
 // Iterator is a pull-style ordered cursor over the tree. Each leaf it
 // enters is decoded into the iterator's private buffer from the one
-// immutable image it loaded when it reached that leaf, so the cursor
-// observes a per-leaf snapshot — like scans, it sees concurrent splits
-// only through sibling links and never blocks writers or migrations.
+// image it loaded when it reached that leaf, so the cursor observes a
+// per-leaf snapshot of the keys, with each value one the leaf held during
+// the decode — like scans, it sees concurrent splits only through sibling
+// links and never blocks writers or migrations.
 // The zero value is invalid; obtain one from Tree.NewIterator or
 // Session.NewIterator and position it with Seek/SeekFirst.
 type Iterator struct {

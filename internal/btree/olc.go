@@ -11,15 +11,12 @@ import (
 	"sync/atomic"
 )
 
-// errRestart signals an optimistic validation failure; operations retry
-// from the root. Using a sentinel value instead of panics keeps restart
-// handling explicit in the traversal loops.
-type errRestartT struct{}
-
 // olcLock is the version lock of Optimistic Lock Coupling: a 64-bit word
 // holding a version counter in the upper bits, a locked flag in bit 1 and
-// an obsolete flag in bit 0. Readers proceed without writing and validate
-// the version afterwards; writers bump the version on unlock.
+// an obsolete flag in bit 0. Writers bump the version on unlock. Tree
+// readers take no version at all (see the concurrency note in btree.go);
+// the one optimistic reader is MigrateLeaf, which snapshots a version with
+// readLock, re-encodes, and publishes only if upgrade finds it unchanged.
 type olcLock struct {
 	v atomic.Uint64
 }
@@ -48,11 +45,6 @@ func (l *olcLock) readLock() (version uint64, ok bool) {
 	}
 }
 
-// check reports whether the version is still valid (no writer intervened).
-func (l *olcLock) check(version uint64) bool {
-	return l.v.Load() == version
-}
-
 // upgrade atomically converts a read snapshot into a write lock.
 func (l *olcLock) upgrade(version uint64) bool {
 	return l.v.CompareAndSwap(version, version|lockBit)
@@ -78,9 +70,4 @@ func (l *olcLock) writeLock() bool {
 // unlock releases a write lock, bumping the version.
 func (l *olcLock) unlock() {
 	l.v.Add(lockBit) // 0b10 + 0b10 carries into the version bits
-}
-
-// unlockObsolete releases the write lock and marks the node dead.
-func (l *olcLock) unlockObsolete() {
-	l.v.Add(lockBit | obsoleteBit)
 }

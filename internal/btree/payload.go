@@ -2,6 +2,7 @@ package btree
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"ahi/internal/bitutil"
 	"ahi/internal/bloom"
@@ -40,12 +41,15 @@ const LeafCap = 256
 // pointers, payload header) charged to every encoding's footprint.
 const leafHeaderBytes = 64
 
-// payload is one immutable leaf image in one encoding. Nothing mutates a
-// payload once it is reachable from a leafBox: a write derives the next
-// image from the current one (withValue, insertAt, removeAt below) under
-// the leaf's lock and swaps the box. DESIGN.md §9 "Leaf images and delta
-// writes" states the protocol: what a derived image shares with its
-// predecessor. A displaced image is left to the garbage collector.
+// payload is one leaf image in one encoding. Its keys never change once
+// the image is reachable from a leafBox: an insert or delete derives the
+// next image from the current one (insertAt, removeAt below) under the
+// leaf's lock and swaps the box, and so does a Succinct overwrite
+// (succinct.withValue). A Gapped or Packed overwrite is the one write
+// that lands in a published image: it stores the value word in place
+// (flat.storeValue), still under the leaf's lock, and every reader loads
+// those words atomically. DESIGN.md §9 "Leaf images and delta writes"
+// states the protocol. A displaced image is left to the garbage collector.
 type payload interface {
 	encoding() core.Encoding
 	count() int
@@ -73,34 +77,99 @@ type payload interface {
 	// leaf's payload while the current leaf decodes, so the upcoming
 	// misses overlap with unpack work instead of stalling the walk.
 	touch() uint64
-	// withValue returns a new image equal to this one except that the
-	// value at position i is v. The key array is shared with the receiver.
-	withValue(i int, v uint64) payload
 }
 
 // touchWords reads one word per cache line of ws and returns the sum —
-// the plain-slice half of the payload touch prefetch.
+// the plain-slice half of the payload touch prefetch. The loads are
+// atomic because value words may be stored in place concurrently.
 func touchWords(ws []uint64) uint64 {
 	var s uint64
 	for i := 0; i < len(ws); i += 8 {
-		s += ws[i]
+		s += atomic.LoadUint64(&ws[i])
 	}
 	return s
 }
 
-// --- Gapped -----------------------------------------------------------
+// loadWords copies src into dst (at least as long) with one atomic load
+// per word, so the copy never races an in-place storeValue. It replaces
+// the memmove a plain copy would be and is unrolled by eight, through
+// array pointers that leave the loop free of bounds checks; on amd64
+// each load is a plain MOV.
+func loadWords(dst, src []uint64) {
+	dst = dst[:len(src)]
+	for len(src) >= 8 {
+		s, d := (*[8]uint64)(src), (*[8]uint64)(dst)
+		d[0] = atomic.LoadUint64(&s[0])
+		d[1] = atomic.LoadUint64(&s[1])
+		d[2] = atomic.LoadUint64(&s[2])
+		d[3] = atomic.LoadUint64(&s[3])
+		d[4] = atomic.LoadUint64(&s[4])
+		d[5] = atomic.LoadUint64(&s[5])
+		d[6] = atomic.LoadUint64(&s[6])
+		d[7] = atomic.LoadUint64(&s[7])
+		src, dst = src[8:], dst[8:]
+	}
+	for i := range src {
+		dst[i] = atomic.LoadUint64(&src[i])
+	}
+}
+
+// --- Gapped and Packed --------------------------------------------------
+
+// flat is the uncompressed pair layout Gapped and Packed share: sorted
+// keys and their values in two plain arrays. Keys are immutable; a value
+// is overwritten in place by storeValue under the leaf's write lock, so
+// every read of vals is an atomic load.
+type flat struct {
+	keys []uint64
+	vals []uint64
+}
+
+func (f *flat) count() int         { return len(f.keys) }
+func (f *flat) keyAt(i int) uint64 { return f.keys[i] }
+func (f *flat) valAt(i int) uint64 { return atomic.LoadUint64(&f.vals[i]) }
+
+// storeValue overwrites the value at position i of the published image.
+// The caller holds the leaf's write lock, which orders it against every
+// other write and lets MigrateLeaf see it by the lock's version.
+func (f *flat) storeValue(i int, v uint64) { atomic.StoreUint64(&f.vals[i], v) }
+
+func (f *flat) appendAll(keys, vals []uint64) ([]uint64, []uint64) {
+	n := len(vals)
+	vals = append(vals, make([]uint64, len(f.vals))...)
+	loadWords(vals[n:], f.vals)
+	return append(keys, f.keys...), vals
+}
+
+func (f *flat) touch() uint64 { return touchWords(f.keys) + touchWords(f.vals) }
+
+func (f *flat) decodeRange(lo, hi int, ks, vs []uint64) int {
+	copy(ks[:hi-lo], f.keys[lo:hi])
+	loadWords(vs[:hi-lo], f.vals[lo:hi])
+	return hi - lo
+}
+
+// flatOf returns the arrays of a Gapped or Packed image, nil for Succinct.
+func flatOf(p payload) *flat {
+	switch q := p.(type) {
+	case *gapped:
+		return &q.flat
+	case *packed:
+		return &q.flat
+	}
+	return nil
+}
 
 // gapped is the traditional universal encoding: fixed-capacity sorted
 // arrays with free slots at the end (Figure 8 top).
 type gapped struct {
-	keys []uint64 // len = count, cap = LeafCap
-	vals []uint64
+	flat // len = count, cap = LeafCap
 }
 
 // allocGapped returns a Gapped image of n uninitialized pairs at full leaf
 // capacity; the caller fills keys and vals before publishing it.
 func allocGapped(n int) *gapped {
-	return &gapped{keys: make([]uint64, n, LeafCap), vals: make([]uint64, n, LeafCap)}
+	return &gapped{flat{keys: make([]uint64, n, LeafCap), vals: make([]uint64, n, LeafCap)}}
 }
 
 func newGapped(keys, vals []uint64) *gapped {
@@ -111,9 +180,6 @@ func newGapped(keys, vals []uint64) *gapped {
 }
 
 func (g *gapped) encoding() core.Encoding { return EncGapped }
-func (g *gapped) count() int              { return len(g.keys) }
-func (g *gapped) keyAt(i int) uint64      { return g.keys[i] }
-func (g *gapped) valAt(i int) uint64      { return g.vals[i] }
 func (g *gapped) bytes() int              { return cap(g.keys)*8 + cap(g.vals)*8 }
 
 func (g *gapped) search(k uint64) (int, bool) { return searchInterp(g.keys, k) }
@@ -123,46 +189,25 @@ func (g *gapped) searchFrom(k uint64, from int) (int, bool) {
 	return from + pos, ok
 }
 
-func (g *gapped) appendAll(keys, vals []uint64) ([]uint64, []uint64) {
-	return append(keys, g.keys...), append(vals, g.vals...)
-}
-
-func (g *gapped) touch() uint64 { return touchWords(g.keys) + touchWords(g.vals) }
-
-func (g *gapped) decodeRange(lo, hi int, ks, vs []uint64) int {
-	copy(ks[:hi-lo], g.keys[lo:hi])
-	copy(vs[:hi-lo], g.vals[lo:hi])
-	return hi - lo
-}
-
-func (g *gapped) withValue(i int, v uint64) payload {
-	nv := make([]uint64, len(g.vals), cap(g.vals))
-	copy(nv, g.vals)
-	nv[i] = v
-	return &gapped{keys: g.keys, vals: nv}
-}
-
-// --- Packed -----------------------------------------------------------
-
 // packed stores keys and values densely, sized exactly (Figure 8 middle).
-// Reads are as fast as Gapped; an overwrite copies the values only, an
-// insert or delete builds both arrays at their new exact size.
+// Reads are as fast as Gapped and an overwrite stores in place like
+// Gapped; an insert or delete builds both arrays at their new exact size.
 type packed struct {
-	keys []uint64
-	vals []uint64
+	flat
+}
+
+func allocPacked(n int) *packed {
+	return &packed{flat{keys: make([]uint64, n), vals: make([]uint64, n)}}
 }
 
 func newPacked(keys, vals []uint64) *packed {
-	p := &packed{keys: make([]uint64, len(keys)), vals: make([]uint64, len(vals))}
+	p := allocPacked(len(keys))
 	copy(p.keys, keys)
 	copy(p.vals, vals)
 	return p
 }
 
 func (p *packed) encoding() core.Encoding { return EncPacked }
-func (p *packed) count() int              { return len(p.keys) }
-func (p *packed) keyAt(i int) uint64      { return p.keys[i] }
-func (p *packed) valAt(i int) uint64      { return p.vals[i] }
 func (p *packed) bytes() int              { return len(p.keys)*8 + len(p.vals)*8 }
 
 func (p *packed) search(k uint64) (int, bool) { return searchDense(p.keys, k) }
@@ -170,25 +215,6 @@ func (p *packed) search(k uint64) (int, bool) { return searchDense(p.keys, k) }
 func (p *packed) searchFrom(k uint64, from int) (int, bool) {
 	pos, ok := searchDense(p.keys[from:], k)
 	return from + pos, ok
-}
-
-func (p *packed) appendAll(keys, vals []uint64) ([]uint64, []uint64) {
-	return append(keys, p.keys...), append(vals, p.vals...)
-}
-
-func (p *packed) touch() uint64 { return touchWords(p.keys) + touchWords(p.vals) }
-
-func (p *packed) decodeRange(lo, hi int, ks, vs []uint64) int {
-	copy(ks[:hi-lo], p.keys[lo:hi])
-	copy(vs[:hi-lo], p.vals[lo:hi])
-	return hi - lo
-}
-
-func (p *packed) withValue(i int, v uint64) payload {
-	nv := make([]uint64, len(p.vals))
-	copy(nv, p.vals)
-	nv[i] = v
-	return &packed{keys: p.keys, vals: nv}
 }
 
 // --- Scratch ----------------------------------------------------------
@@ -288,7 +314,11 @@ func (s *succinct) decodeRange(lo, hi int, ks, vs []uint64) int {
 	return s.vals.DecodeRange(lo, hi, vs)
 }
 
-func (s *succinct) withValue(i int, v uint64) payload {
+// withValue returns a new image equal to this one except that the value
+// at position i is v — the Succinct overwrite. A bit-packed value can
+// straddle two words, so it cannot be stored in place; the keys and the
+// negative filter are shared with the receiver.
+func (s *succinct) withValue(i int, v uint64) *succinct {
 	return &succinct{keys: s.keys, vals: s.vals.WithSet(i, v), neg: s.neg}
 }
 
@@ -320,7 +350,7 @@ func newImageBuf(target core.Encoding, n int) imageBuf {
 		g := allocGapped(n)
 		return imageBuf{keys: g.keys, vals: g.vals, img: g}
 	case EncPacked:
-		p := &packed{keys: make([]uint64, n), vals: make([]uint64, n)}
+		p := allocPacked(n)
 		return imageBuf{keys: p.keys, vals: p.vals, img: p}
 	}
 	sc := kvPool.Get().(*kvScratch)
@@ -338,16 +368,32 @@ func (b imageBuf) seal(negBits int) payload {
 	return s
 }
 
+// decodeLocked is p.decodeRange for a caller that holds the leaf's write
+// lock. No value store can run concurrently then (storeValue needs the
+// same lock, which also orders every earlier store before this read), so
+// Gapped and Packed values are copied with a plain memmove instead of
+// loadWords' per-word loads.
+func decodeLocked(p payload, lo, hi int, ks, vs []uint64) {
+	if f := flatOf(p); f != nil {
+		copy(ks[:hi-lo], f.keys[lo:hi])
+		copy(vs[:hi-lo], f.vals[lo:hi])
+		return
+	}
+	p.decodeRange(lo, hi, ks, vs)
+}
+
 // decodeInserting decodes p's pairs into ks/vs (one longer than p) with
-// (k, v) at position pos: the single decode pass that leaves the gap.
+// (k, v) at position pos: the single decode pass that leaves the gap. The
+// caller holds the leaf's write lock.
 func decodeInserting(p payload, pos int, k, v uint64, ks, vs []uint64) {
-	p.decodeRange(0, pos, ks, vs)
+	decodeLocked(p, 0, pos, ks, vs)
 	ks[pos], vs[pos] = k, v
-	p.decodeRange(pos, p.count(), ks[pos+1:], vs[pos+1:])
+	decodeLocked(p, pos, p.count(), ks[pos+1:], vs[pos+1:])
 }
 
 // insertAt returns an image of encoding target holding p's pairs plus
-// (k, v) at position pos: one decode that leaves the gap, one encode.
+// (k, v) at position pos: one decode that leaves the gap, one encode. The
+// caller holds the leaf's write lock.
 func insertAt(p payload, target core.Encoding, pos int, k, v uint64, negBits int) payload {
 	b := newImageBuf(target, p.count()+1)
 	decodeInserting(p, pos, k, v, b.keys, b.vals)
@@ -355,12 +401,13 @@ func insertAt(p payload, target core.Encoding, pos int, k, v uint64, negBits int
 }
 
 // removeAt returns an image in p's encoding without the pair at position
-// pos: one decode that closes the hole, one encode.
+// pos: one decode that closes the hole, one encode. The caller holds the
+// leaf's write lock.
 func removeAt(p payload, pos int, negBits int) payload {
 	n := p.count()
 	b := newImageBuf(p.encoding(), n-1)
-	p.decodeRange(0, pos, b.keys, b.vals)
-	p.decodeRange(pos+1, n, b.keys[pos:], b.vals[pos:])
+	decodeLocked(p, 0, pos, b.keys, b.vals)
+	decodeLocked(p, pos+1, n, b.keys[pos:], b.vals[pos:])
 	return b.seal(negBits)
 }
 

@@ -28,14 +28,15 @@ import (
 //     ScanBuffer) — no per-pair callback on the fast path, and a
 //     steady-state batch performs zero allocations.
 //
-// Consistency contract: each leaf is read from one immutable image,
-// loaded when the walk reaches the leaf (or, through the lookahead ring,
-// at most batchRing leaves earlier). The walk sees concurrent splits only
-// through sibling links: an image loaded before its leaf split still
-// holds the moved keys and links past the new sibling, so no key is lost
-// or returned twice, and keys come back ascending within a request. A
-// returned value is one the leaf held in the image read — never a value
-// nobody wrote. Nothing in the walk blocks writers or migrations, and
+// Consistency contract: each leaf is read from one image, loaded when the
+// walk reaches the leaf (or, through the lookahead ring, at most batchRing
+// leaves earlier). The walk sees concurrent splits only through sibling
+// links: an image loaded before its leaf split still holds the moved keys
+// and links past the new sibling, so no key is lost or returned twice, and
+// keys come back ascending within a request. A returned value is one the
+// leaf held during the walk — the image's own, or one an overwrite stored
+// into a Gapped or Packed image in place while the walk read it — never a
+// value nobody wrote. Nothing in the walk blocks writers or migrations, and
 // no leaf memory is recycled under it: a displaced image lives on for as
 // long as the walk holds it, like any other Go value. Iterator gives the
 // same per-leaf guarantee.

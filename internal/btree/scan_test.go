@@ -400,9 +400,9 @@ func TestScanBatchReturnValuesAndLeafCount(t *testing.T) {
 
 // --- Benchmarks feeding the CI gates -----------------------------------
 
-// benchScanTree: 256k succinct-encoded pairs, the configuration of the
-// CI ratio gate.
-func benchScanTree(b *testing.B) (*Tree, int) {
+// benchScanTree: 256k pairs in encoding enc; Succinct is the
+// configuration of the CI ratio gate.
+func benchScanTree(b *testing.B, enc core.Encoding) (*Tree, int) {
 	n := 1 << 18
 	keys := make([]uint64, n)
 	vals := make([]uint64, n)
@@ -410,15 +410,16 @@ func benchScanTree(b *testing.B) (*Tree, int) {
 		keys[i] = uint64(i) * 3
 		vals[i] = uint64(i)
 	}
-	return BulkLoad(Config{DefaultEncoding: EncSuccinct}, keys, vals), n
+	return BulkLoad(Config{DefaultEncoding: enc}, keys, vals), n
 }
 
 const benchScanLen = 256
 
-func benchReqs(n int, rng *rand.Rand) []ScanReq {
+// benchReqs is 8 requests of pairs pairs each from random starts.
+func benchReqs(n int, rng *rand.Rand, pairs int) []ScanReq {
 	reqs := make([]ScanReq, 8)
 	for i := range reqs {
-		reqs[i] = ScanReq{From: uint64(rng.Intn(n)) * 3, N: benchScanLen}
+		reqs[i] = ScanReq{From: uint64(rng.Intn(n)) * 3, N: pairs}
 	}
 	return reqs
 }
@@ -428,9 +429,28 @@ func benchReqs(n int, rng *rand.Rand) []ScanReq {
 // run, benchgate -ratio enforces the bulk-vs-element-wise speedup floor;
 // -zero-allocs asserts the steady-state loop stays allocation-free.
 func BenchmarkScanBatchSuccinct(b *testing.B) {
-	tr, n := benchScanTree(b)
+	tr, n := benchScanTree(b, EncSuccinct)
 	rng := rand.New(rand.NewSource(1))
-	reqs := benchReqs(n, rng)
+	reqs := benchReqs(n, rng, benchScanLen)
+	var buf ScanBuffer
+	buf.Reset(len(reqs))
+	tr.ScanBatch(reqs, &buf)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset(len(reqs))
+		tr.ScanBatch(reqs, &buf)
+	}
+}
+
+// BenchmarkScanBatchGapped is the fused path over Gapped leaves, whose
+// decode is a key copy plus an atomic load per value word (values are
+// overwritten in place): 8 requests × 640 pairs per op, the middle of
+// scan-long's 256-1024 range.
+func BenchmarkScanBatchGapped(b *testing.B) {
+	tr, n := benchScanTree(b, EncGapped)
+	rng := rand.New(rand.NewSource(1))
+	reqs := benchReqs(n, rng, 640)
 	var buf ScanBuffer
 	buf.Reset(len(reqs))
 	tr.ScanBatch(reqs, &buf)
@@ -445,9 +465,9 @@ func BenchmarkScanBatchSuccinct(b *testing.B) {
 // BenchmarkScanElementwiseSuccinct is the pre-kernel baseline: the same 8
 // ranges served by per-element keyAt/valAt scans.
 func BenchmarkScanElementwiseSuccinct(b *testing.B) {
-	tr, n := benchScanTree(b)
+	tr, n := benchScanTree(b, EncSuccinct)
 	rng := rand.New(rand.NewSource(1))
-	reqs := benchReqs(n, rng)
+	reqs := benchReqs(n, rng, benchScanLen)
 	var sink uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -464,9 +484,9 @@ func BenchmarkScanElementwiseSuccinct(b *testing.B) {
 // BenchmarkScanBulkSuccinct is the compatibility wrapper (callback Scan
 // on the bulk kernel) over the same ranges — the middle bar of the sweep.
 func BenchmarkScanBulkSuccinct(b *testing.B) {
-	tr, n := benchScanTree(b)
+	tr, n := benchScanTree(b, EncSuccinct)
 	rng := rand.New(rand.NewSource(1))
-	reqs := benchReqs(n, rng)
+	reqs := benchReqs(n, rng, benchScanLen)
 	var sink uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -484,7 +504,7 @@ func BenchmarkScanBulkSuccinct(b *testing.B) {
 // from a random start: the short lengths show Scan's fixed cost per call,
 // the long one its decode rate (EXPERIMENTS.md, readengine).
 func BenchmarkScanSuccinct(b *testing.B) {
-	tr, n := benchScanTree(b)
+	tr, n := benchScanTree(b, EncSuccinct)
 	rng := rand.New(rand.NewSource(1))
 	starts := make([]uint64, 1024)
 	for i := range starts {

@@ -64,8 +64,9 @@ func BenchmarkInsertDeleteSuccinct(b *testing.B) { benchInsertDelete(b, EncSucci
 func BenchmarkInsertDeleteGapped(b *testing.B)   { benchInsertDelete(b, EncGapped) }
 
 // TestWriteAllocs bounds what an overwrite allocates on every encoding:
-// the leaf box, the payload header and the new values — no clone of the
-// keys and no heap-allocated descent stack.
+// on Succinct the leaf box, the payload header and the new values — no
+// clone of the keys and no heap-allocated descent stack; Gapped and Packed
+// store in place and allocate nothing (TestOverwriteZeroAlloc).
 func TestWriteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

@@ -14,9 +14,9 @@
 // Strictness: values enter only through Admit, which carries a stripe
 // snapshot taken BEFORE the tree lookup that produced the value. A stripe
 // word counts writes begun (high half) and writes in flight (low half).
-// A tree write brackets its leaf swap with BeginWrite, which bumps both
-// halves and then clears any matching slot, and EndWrite, which drops the
-// in-flight count. Admit refuses a snapshot that saw a write in flight
+// A tree write brackets its change to the leaf with BeginWrite, which
+// bumps both halves and then clears any matching slot, and EndWrite,
+// which drops the in-flight count. Admit refuses a snapshot that saw a write in flight
 // and re-checks the stripe while holding the slot seqlock, aborting if it
 // moved; the clear spins on (never skips) locked slots. Either the
 // admitter's in-lock check sees the bump and aborts, or the admitter

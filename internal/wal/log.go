@@ -356,9 +356,18 @@ func (l *Log) flushLocked() error {
 	l.active.dataBytes += int64(len(l.buf))
 	l.active.records += int(l.nextLSN - l.bufFirst)
 	l.written = l.nextLSN - 1
-	l.buf = l.buf[:0]
+	if cap(l.buf) > maxRetainedBuf {
+		l.buf = nil // one large batch must not pin its buffer for the log's life
+	} else {
+		l.buf = l.buf[:0]
+	}
 	return nil
 }
+
+// maxRetainedBuf is the largest commit buffer a flush keeps for reuse.
+// Ordinary commits fit many times over; a buffer a bulk batch grew past it
+// goes back to the garbage collector.
+const maxRetainedBuf = 64 << 10
 
 // rotateLocked seals the active segment (cut to its frames and fsynced,
 // so sealed segments are always fully durable) and opens the next one.

@@ -606,6 +606,46 @@ func TestAppendAfterClose(t *testing.T) {
 	}
 }
 
+// TestLogReleasesLargeBuffer: a 1 MB batch commit does not leave the log
+// holding a 1 MB commit buffer, and the log keeps appending after it.
+func TestLogReleasesLargeBuffer(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{Policy: SyncOS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pairs = 1 << 16 // 16 bytes a pair: 1 MiB of payload
+	keys, vals := make([]uint64, pairs), make([]uint64, pairs)
+	for i := range keys {
+		keys[i], vals[i] = uint64(i), uint64(i)*3
+	}
+	if _, err := l.AppendCommit(RecBatch, EncodeBatch(nil, keys, vals)); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	c := cap(l.buf)
+	l.mu.Unlock()
+	if c > maxRetainedBuf {
+		t.Fatalf("commit buffer kept %d bytes of capacity after a 1 MiB batch, want <= %d", c, maxRetainedBuf)
+	}
+	for i := uint64(0); i < 100; i++ {
+		if _, err := l.AppendCommit(RecInsert, EncodeInsert(nil, pairs+i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, info, err := Open(dir, Options{Policy: SyncOS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if info.Records != 101 {
+		t.Fatalf("recovered %d records, want 101", info.Records)
+	}
+}
+
 // BenchmarkAppendCommit is a durable write's log cost under SyncInterval
 // (the benchmark's write-wal policy): one 16-byte insert a commit, no
 // fsync on the commit path.
