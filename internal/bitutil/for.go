@@ -160,7 +160,7 @@ func (f *FORArray) SearchSkipFrom(key uint64, from int) int {
 }
 
 // DecodeRange decodes elements [lo, hi) into dst (len(dst) >= hi-lo) and
-// returns the count: one word-at-a-time pass over the packed deltas with
+// returns the count: one bulk unpack of the packed deltas with
 // the frame folded into every store (PackedArray.DecodeRangeAdd), so
 // rebasing costs no second pass over dst.
 func (f *FORArray) DecodeRange(lo, hi int, dst []uint64) int {

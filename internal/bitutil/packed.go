@@ -104,12 +104,10 @@ func (p *PackedArray) Get(i int) uint64 {
 }
 
 // DecodeRange decodes elements [lo, hi) into dst (len(dst) >= hi-lo) and
-// returns the count. Unlike a Get(i) loop — which recomputes the word/bit
-// position and reloads the packed word for every element — the kernel
-// walks the words once with a rolling bit buffer: each output element
-// costs a couple of shifts, and each packed word is loaded exactly once.
-// This is the bulk access the paper's compact encodings amortize over
-// sequential scans.
+// returns the count. This is the bulk access the paper's compact encodings
+// amortize over sequential scans: unlike a Get(i) loop, the kernel computes
+// each element's position incrementally and, on amd64 and arm64, decodes
+// it with one unaligned load and a constant shift (decodeFast).
 func (p *PackedArray) DecodeRange(lo, hi int, dst []uint64) int {
 	return p.DecodeRangeAdd(lo, hi, dst, 0)
 }
@@ -117,123 +115,48 @@ func (p *PackedArray) DecodeRange(lo, hi int, dst []uint64) int {
 // DecodeRangeAdd is DecodeRange with add folded into every element during
 // the store. Frame-of-reference decoding rides this to rebase a whole
 // window in the unpack loop itself instead of paying a second pass over
-// dst (FORArray.DecodeRange).
+// dst (FORArray.DecodeRange). The unaligned-load kernel decodes what it
+// can; the portable kernel finishes the elements it leaves: those whose
+// 8-byte load would reach past the payload, every element when the width
+// exceeds 56, and every element on other architectures.
 func (p *PackedArray) DecodeRangeAdd(lo, hi int, dst []uint64, add uint64) int {
 	if lo < 0 || hi > p.n || lo > hi {
 		panic("bitutil: DecodeRange bounds out of range")
 	}
 	n := hi - lo
-	if n == 0 {
-		return 0
-	}
+	dst = dst[:n]
 	w := uint(p.width)
 	if w == 0 {
-		for i := 0; i < n; i++ {
+		for i := range dst {
 			dst[i] = add
 		}
 		return n
 	}
-	mask := ^uint64(0)
-	if w < 64 {
-		mask = 1<<w - 1
-	}
+	i := decodeFast(p.words, w, lo, dst, add)
+	p.decodePortable(lo+i, dst[i:], add)
+	return n
+}
+
+// decodePortable decodes elements lo, lo+1, ... into all of dst with add
+// folded in, for any width 1..64. Each element is extracted from its
+// absolute bit position with two word loads, so the loads of consecutive
+// elements are independent. The spill load is guarded for an element in
+// the last word; the spill shift is split <<1<<(63-off) so both counts are
+// provably < 64 (no oversized-shift fixup) and off == 0 contributes
+// nothing.
+func (p *PackedArray) decodePortable(lo int, dst []uint64, add uint64) {
+	w := uint(p.width)
+	mask := ^uint64(0) >> (64 - w)
 	words := p.words
-	dst = dst[:n] // hoist the bound check out of the loops
-	if w > 32 {
-		// Wide elements (at most one per word): the rolling bit buffer
-		// below would degenerate into a serial straddle chain — element
-		// i+1's bits cannot be extracted until element i's leftover is
-		// known. Computing each element from its absolute bit position
-		// instead makes the word loads of consecutive elements
-		// independent, so the out-of-order core overlaps their cache
-		// misses and shift work across iterations.
-		bit := uint(lo) * w
-		last := n - 1
-		for i := 0; i < last; i++ {
-			word := bit >> 6
-			off := bit & 63
-			// For w > 32 every element before the last is followed by one
-			// that spills into words[word+1], so the load is always in
-			// range. The spill shift is split <<1<<(63-off) instead of
-			// <<(64-off): both counts are provably < 64, so the compiler
-			// drops the oversized-shift fixup (a compare+cmov per element),
-			// and off == 0 still contributes nothing.
-			v := words[word]>>off | words[word+1]<<1<<(63-off)
-			dst[i] = (v & mask) + add
-			bit += w
-		}
-		word := bit >> 6
-		off := bit & 63
-		v := words[word] >> off
-		if off+w > 64 {
-			v |= words[word+1] << (64 - off)
-		}
-		dst[last] = (v & mask) + add
-		return n
-	}
 	bit := uint(lo) * w
-	word := int(bit >> 6)
-	off := bit & 63
-	// cur holds the not-yet-consumed bits of words[word], already shifted
-	// down; its top (64-avail) bits are zero.
-	cur := words[word] >> off
-	avail := 64 - off
-	w2, w4 := 2*w, 4*w
-	i := 0
-	for {
-		// Drain fully buffered elements, four then two at a time while the
-		// buffer allows: the unrolled extracts all shift the same snapshot
-		// of cur, so they issue in parallel instead of waiting on the
-		// rolling cur update, and the loop branches amortize over four
-		// elements. (For w > 16, 4w > 64 and the four-wide loop never
-		// runs; likewise two-wide for w > 32 — handled above.)
-		for avail >= w4 && n-i >= 4 {
-			// Progressive shifts: every count is w itself, which the
-			// surrounding branch bounds at <= 32, so the compiler proves
-			// each shift in range and emits no oversized-shift fixups;
-			// the extracts all pull from the chain's intermediates in
-			// parallel.
-			c1 := cur >> w
-			c2 := c1 >> w
-			c3 := c2 >> w
-			dst[i] = (cur & mask) + add
-			dst[i+1] = (c1 & mask) + add
-			dst[i+2] = (c2 & mask) + add
-			dst[i+3] = (c3 & mask) + add
-			cur = c3 >> w
-			avail -= w4
-			i += 4
+	for i := range dst {
+		word, off := bit>>6, bit&63
+		v := words[word] >> off
+		if word+1 < uint(len(words)) {
+			v |= words[word+1] << 1 << (63 - off)
 		}
-		for avail >= w2 && n-i >= 2 {
-			c1 := cur >> w
-			dst[i] = (cur & mask) + add
-			dst[i+1] = (c1 & mask) + add
-			cur = c1 >> w
-			avail -= w2
-			i += 2
-		}
-		for avail >= w {
-			if i == n {
-				return n
-			}
-			dst[i] = (cur & mask) + add
-			cur >>= w
-			avail -= w
-			i++
-		}
-		if i == n {
-			return n
-		}
-		// Straddle: element i's top w-avail bits sit in the next word. At
-		// this point avail < w <= 32, so the &31/&63 masks cannot change
-		// either shift count — they only make the bound visible to the
-		// compiler, which then drops the oversized-shift fixups.
-		word++
-		nw := words[word]
-		dst[i] = ((cur | nw<<(avail&31)) & mask) + add
-		cur = nw >> ((w - avail) & 63)
-		avail += 64 - w
-		i++
+		dst[i] = v&mask + add
+		bit += w
 	}
 }
 

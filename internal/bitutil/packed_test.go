@@ -1,6 +1,7 @@
 package bitutil
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -151,11 +152,13 @@ func TestFORArrayQuickUnsorted(t *testing.T) {
 
 func TestPackedDecodeRangeAgainstGet(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	// Every width: the decode kernel picks between a wide absolute-position
-	// path (w > 32) and a rolling-buffer path with 4/2/1-wide drains, so
-	// boundary widths all deserve a pass.
+	const add = 0x5a5a_0000_0000_0001
+	// Every width: the unaligned-load kernel has one unrolled case per
+	// w&7 and hands widths above 56 to the portable kernel, so boundary
+	// widths all deserve a pass. Lengths around 8 and 64 put the last
+	// elements inside and just past a group and a word.
 	for width := uint8(0); width <= 64; width++ {
-		for _, n := range []int{0, 1, 2, 15, 16, 17, 63, 64, 65, 256, 257} {
+		for _, n := range []int{0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 179, 256, 257} {
 			vals := make([]uint64, n)
 			for i := range vals {
 				if width == 64 {
@@ -166,25 +169,41 @@ func TestPackedDecodeRangeAgainstGet(t *testing.T) {
 			}
 			p := NewPackedArray(vals, width)
 			dst := make([]uint64, n)
-			// Full range plus a spread of partial windows covering word
-			// boundaries and empty slices.
+			// Full range, empty windows and random windows, then every
+			// head length (lo mod 8) against every end within 9 elements
+			// of the array's last, where the kernel hands over to the
+			// portable extract.
 			ranges := [][2]int{{0, n}, {0, 0}, {n, n}}
 			for trial := 0; trial < 20 && n > 0; trial++ {
 				lo := rng.Intn(n + 1)
 				hi := lo + rng.Intn(n+1-lo)
 				ranges = append(ranges, [2]int{lo, hi})
 			}
+			for lo := 0; lo < min(n, 17); lo++ {
+				for hi := max(lo, n-9); hi <= n; hi++ {
+					ranges = append(ranges, [2]int{lo, hi})
+				}
+			}
+			check := func(kernel string, lo, hi int, add uint64) {
+				t.Helper()
+				for i := lo; i < hi; i++ {
+					if want := p.Get(i) + add; dst[i-lo] != want {
+						t.Fatalf("%s w=%d n=%d [%d,%d): elem %d = %#x, Get+add = %#x",
+							kernel, width, n, lo, hi, i, dst[i-lo], want)
+					}
+				}
+			}
 			for _, r := range ranges {
 				lo, hi := r[0], r[1]
-				got := p.DecodeRange(lo, hi, dst)
-				if got != hi-lo {
+				if got := p.DecodeRange(lo, hi, dst); got != hi-lo {
 					t.Fatalf("w=%d n=%d [%d,%d): count %d", width, n, lo, hi, got)
 				}
-				for i := lo; i < hi; i++ {
-					if dst[i-lo] != p.Get(i) {
-						t.Fatalf("w=%d n=%d [%d,%d): elem %d = %d, Get = %d",
-							width, n, lo, hi, i, dst[i-lo], p.Get(i))
-					}
+				check("DecodeRange", lo, hi, 0)
+				p.DecodeRangeAdd(lo, hi, dst, add)
+				check("DecodeRangeAdd", lo, hi, add)
+				if width > 0 {
+					p.decodePortable(lo, dst[:hi-lo], add)
+					check("decodePortable", lo, hi, add)
 				}
 			}
 		}
@@ -244,5 +263,28 @@ func TestAppendToUsesBulkDecode(t *testing.T) {
 	}
 	if &out[0] != &dst[0] {
 		t.Fatalf("AppendTo reallocated despite sufficient capacity")
+	}
+}
+
+// BenchmarkDecodeRangeAdd decodes one 179-element array (a Succinct leaf's
+// size) per op at widths inside each w&7 case (12, 28, 50) and past the
+// unaligned-load kernel's limit (60), warm in L1.
+func BenchmarkDecodeRangeAdd(b *testing.B) {
+	const n = 179
+	for _, width := range []uint8{12, 28, 50, 60} {
+		b.Run(fmt.Sprintf("w=%d", width), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(width)))
+			vals := make([]uint64, n)
+			for i := range vals {
+				vals[i] = rng.Uint64() & (1<<width - 1)
+			}
+			p := NewPackedArray(vals, width)
+			dst := make([]uint64, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.DecodeRangeAdd(0, n, dst, 7)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
+		})
 	}
 }

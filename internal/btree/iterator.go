@@ -42,7 +42,7 @@ func (it *Iterator) Seek(k uint64) bool {
 func (it *Iterator) SeekFirst() bool { return it.Seek(0) }
 
 // enter decodes the leaf image into the cursor's buffer via the bulk
-// decodeRange kernel — one word-at-a-time unpack per leaf instead of an
+// decodeRange kernel — one bulk unpack per leaf instead of an
 // element-wise copy.
 func (it *Iterator) enter(leaf *Leaf, box *leafBox) {
 	it.leaf = leaf

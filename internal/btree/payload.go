@@ -68,7 +68,7 @@ type payload interface {
 	appendAll(keys, vals []uint64) ([]uint64, []uint64)
 	// decodeRange decodes elements [lo, hi) into ks/vs (each at least
 	// hi-lo long) and returns the count — the bulk kernel behind scans
-	// and iterators. For bit-packed encodings this is a word-at-a-time
+	// and iterators. For bit-packed encodings this is a bulk
 	// unpack instead of a per-element Get, which is where sequential
 	// access amortizes the compact layout's shift/mask tax.
 	decodeRange(lo, hi int, ks, vs []uint64) int

@@ -9,8 +9,9 @@ import (
 // compact leaf encodings are supposed to reward: once positioned, the
 // payload is consumed sequentially, so the per-element shift/mask tax of
 // the bit-packed layouts can be amortized by decoding whole leaf windows
-// at once (payload.decodeRange → bitutil DecodeRange, a word-at-a-time
-// unpack). ScanBatch builds on that kernel and fuses multiple concurrent
+// at once (payload.decodeRange → bitutil DecodeRange, which unpacks an
+// element with one unaligned load and a constant shift, eight at a time).
+// ScanBatch builds on that kernel and fuses multiple concurrent
 // range requests over one B-link walk:
 //
 //   - Request start keys are sorted with the batch.go radix machinery, so
