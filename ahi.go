@@ -173,8 +173,10 @@ type BTreeOptions struct {
 	// (default GOMAXPROCS, capped at Shards; 1 keeps every batch on its
 	// caller). It does not bound callers: any number run concurrently.
 	Workers int
-	// AsyncMigrations moves leaf re-encodings off the critical path into
-	// a bounded worker pipeline (call Close on the tree when retiring it).
+	// AsyncMigrations moves leaf re-encodings off the critical path: each
+	// adaptation phase records a target encoding per leaf, and two worker
+	// goroutines per tree apply them (call Close on the tree when retiring
+	// it).
 	AsyncMigrations bool
 	// CacheFraction, in (0, 1), dedicates that slice of MemoryBudget to a
 	// per-tree hot-key result cache probed before the tree walk. The cache

@@ -10,7 +10,7 @@ import (
 )
 
 // This file measures the foreground stall an adaptation phase imposes
-// with and without the asynchronous migration pipeline. Rank/select
+// with inline and with asynchronous migrations. Rank/select
 // probes and leaf re-encoding cost are measured elsewhere: the bitutil
 // BenchmarkBitVector* benchmarks and the btree.migrate_* rungs of
 // benchmark/.
@@ -40,7 +40,7 @@ func RunMicro(sc Scale) ([]MicroRow, Table) {
 // operation individually. The ops that trip an adaptation phase (observed
 // via OnAdapt, which fires inside the triggering op) are averaged
 // separately: inline, such a lookup pays for every leaf re-encoding of
-// the phase; with the pipeline it pays classification only.
+// the phase; with async migrations it pays classification only.
 func pipelineMicro(sc Scale) []MicroRow {
 	n := sc.ConsecU64
 	keys := make([]uint64, n)

@@ -109,7 +109,7 @@ func Registry(repoRoot string, csv bool) map[string]Experiment {
 		res, t := RunScaling(sc)
 		render(t, w)
 		if !csv {
-			fmt.Fprintf(w, "pipeline: backpressured=%d steals=%d\n\n", res.Backpressured, res.Steals)
+			fmt.Fprintf(w, "migrations: backpressured=%d\n\n", res.Backpressured)
 		}
 		return nil
 	}})

@@ -16,11 +16,10 @@ import (
 // The scaling experiment measures how the concurrency-first adaptation
 // path scales with cores: GOMAXPROCS x shard count x concurrent client
 // goroutines, all serving batched Zipfian lookups against one sharded
-// adaptive tree while the shared migrator pool re-encodes behind them.
-// With inline fallbacks gone the serve path never pays a migration, so
-// added clients should translate into aggregate throughput — bounded by
-// the machine's actual core count (a 1-core host serializes every cell
-// onto the same CPU).
+// adaptive tree while each shard's migration workers re-encode behind
+// them. The serve path never pays a migration, so added clients should
+// translate into aggregate throughput — bounded by the machine's actual
+// core count (a 1-core host serializes every cell onto the same CPU).
 
 // Scaling sweep axes.
 var (
@@ -49,12 +48,11 @@ type ScalingRow struct {
 type ScalingResult struct {
 	Rows          []ScalingRow
 	Backpressured int64
-	Steals        int64
 }
 
 // RunScaling sweeps the three axes. GOMAXPROCS is set per (procs,
-// shards) pair — before the tree is built, so worker-pool and queue
-// sizing see the value a real deployment of that width would — and
+// shards) pair — before the tree is built, so fan-out pool and sample
+// store sizing see the value a real deployment of that width would — and
 // restored afterwards.
 func RunScaling(sc Scale) (ScalingResult, Table) {
 	keys := dataset.YCSBKeys(sc.ConsecU64, 5)
@@ -170,7 +168,6 @@ func scalingSweep(sc Scale, keys, vals []uint64, budget int64, shards, opsPerCli
 		mgr := s.Shard(i).Mgr
 		res.Backpressured += mgr.Backpressured()
 	}
-	res.Steals += s.Steals()
 	s.Close()
 	runtime.GC()
 	return out

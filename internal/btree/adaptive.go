@@ -35,20 +35,11 @@ type AdaptiveConfig struct {
 	Mode    core.ConcurrencyMode
 	Workers int
 	// AsyncMigrations moves leaf re-encodings off the critical path: the
-	// adaptation phase enqueues them to a worker pool instead of migrating
-	// inline (safe here — MigrateLeaf locks the leaf and identity is
-	// stable). Call Close to flush the pipeline when retiring the tree.
-	AsyncMigrations  bool
-	MigrationWorkers int // pipeline pool size (default 2)
-	MigrationQueue   int // pipeline queue depth (default 256·GOMAXPROCS)
-	// ExternalMigrations suppresses the internal worker pool: accepted
-	// migrations wait in the queue until an embedder goroutine applies
-	// them via RunQueuedMigration. The shard layer uses this to run a
-	// shared, work-stealing migrator pool across many trees.
-	ExternalMigrations bool
-	// OnMigrationQueued is invoked (outside locks) whenever a migration
-	// is accepted, so external executors can wake instead of polling.
-	OnMigrationQueued func()
+	// adaptation phase records each leaf's target for two worker
+	// goroutines instead of migrating inline (safe here — MigrateLeaf
+	// locks the leaf and identity is stable). Call Close to apply what is
+	// pending when retiring the tree.
+	AsyncMigrations bool
 	// NoEagerExpand disables the eager expand-on-insert policy (ablation;
 	// an insert then keeps the leaf's encoding).
 	NoEagerExpand bool
@@ -140,11 +131,7 @@ func wireAdaptive(t *Tree, cfg AdaptiveConfig) *Adaptive {
 		Workers:        cfg.Workers,
 		OnAdapt:        cfg.OnAdapt,
 
-		AsyncMigrations:    cfg.AsyncMigrations,
-		MigrationWorkers:   cfg.MigrationWorkers,
-		MigrationQueue:     cfg.MigrationQueue,
-		ExternalMigrations: cfg.ExternalMigrations,
-		OnMigrationQueued:  cfg.OnMigrationQueued,
+		AsyncMigrations: cfg.AsyncMigrations,
 	}
 	if cfg.CacheFraction > 0 && cfg.MemoryBudget > 0 {
 		// The result cache is carved out of the adaptation budget, not
@@ -319,21 +306,17 @@ func (a *Adaptive) migrate(l *Leaf, _ LeafCtx, target core.Encoding) (*Leaf, boo
 	return l, ok
 }
 
-// DrainMigrations blocks until every queued asynchronous migration has
+// DrainMigrations blocks until every pending asynchronous migration has
 // been applied. No-op without AsyncMigrations.
 func (a *Adaptive) DrainMigrations() { a.Mgr.DrainMigrations() }
 
-// RunQueuedMigration executes one queued migration on the calling
-// goroutine (ExternalMigrations mode). Returns false when no work was
-// available.
-func (a *Adaptive) RunQueuedMigration() bool { return a.Mgr.RunQueuedMigration() }
-
-// MigrationBacklog reports queued plus backpressure-deferred migrations.
+// MigrationBacklog reports the leaves waiting for a migration worker.
 func (a *Adaptive) MigrationBacklog() int { return a.Mgr.MigrationBacklog() }
 
-// Close flushes and stops the asynchronous migration pipeline, then — on
-// durable trees — stops the checkpointer and closes the write-ahead log
-// (final fsync, so a clean shutdown loses nothing under any policy).
+// Close applies pending asynchronous migrations and stops their workers,
+// then — on durable trees — stops the checkpointer and closes the
+// write-ahead log (final fsync, so a clean shutdown loses nothing under
+// any policy).
 // Safe to call multiple times.
 func (a *Adaptive) Close() {
 	a.Mgr.Close()

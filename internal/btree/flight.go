@@ -12,7 +12,7 @@ import "ahi/internal/obs"
 // its rejection, lockLeaf a write's re-descents (and nothing about the
 // descents themselves: writes report no depth), the WAL bracket the
 // commit wait. finishOp adds what only the end of the op can see: overlap
-// with in-flight migrations and parked-intent backpressure.
+// with in-flight migrations and migration backpressure.
 //
 // An untraced session (rec == nil) gets a nil probe from beginOp and
 // passes it on. A stage counts in locals and stores once if the probe is
@@ -32,16 +32,21 @@ func (s *Session) beginOp(kind obs.OpKind, key uint64) *obs.OpEvent {
 	return &s.probe.Ev
 }
 
+// backpressureBacklog is core's backpressure bound: a migration backlog
+// this deep means proposals outran the migration workers.
+const backpressureBacklog = 128
+
 // finishOp stamps the cross-op signals only the end of the op can see —
-// migration overlap (with the exemplar trace seq) and parked-intent
-// backpressure — and commits the probe. Only traced ops call it.
+// migration overlap (with the exemplar trace seq) and a migration backlog
+// at or above the backpressure bound — and commits the probe. Only
+// traced ops call it.
 func (s *Session) finishOp() {
 	ev := &s.probe.Ev
 	if s.a.Tree.migActive.Load() > 0 {
 		ev.MigOverlap = true
 		ev.MigSeq = s.rec.MigrationSeqHint()
 	}
-	if d := s.a.Mgr.DeferredMigrations(); d > 0 {
+	if d := s.a.Mgr.MigrationBacklog(); d >= backpressureBacklog {
 		ev.Deferred = int32(d)
 	}
 	s.probe.End()

@@ -117,23 +117,21 @@ func TestFlightTracedSessions(t *testing.T) {
 // recorder sampling one op in sampleEvery — and requires the same results
 // op for op, the same cache counters and the same adaptation state at the
 // end: tracing may observe an operation, never change what it does. Both
-// trees run with the result cache, negative filters and the asynchronous
-// migration pipeline on; the pipeline is ExternalMigrations, drained
-// after every op, so that when a migration lands does not depend on a
-// worker goroutine's timing. It returns the recorder of the traced tree.
+// trees run with the result cache and negative filters on, and migrate
+// inline, so that when a migration lands does not depend on a worker
+// goroutine's timing. It returns the recorder of the traced tree.
 func mirrorOps(t *testing.T, sampleEvery, ops int) *obs.FlightRecorder {
 	t.Helper()
 	keys, vals := sortedPairs(20000, 11)
 	base := BulkLoad(Config{DefaultEncoding: EncSuccinct}, keys, vals)
 	cfg := AdaptiveConfig{
-		Tree:            Config{DefaultEncoding: EncSuccinct, NegFilterBits: 6},
-		MemoryBudget:    base.Bytes() + 24*(LeafCap*16+leafHeaderBytes),
-		CacheFraction:   0.05,
-		InitialSkip:     4,
-		MinSkip:         2,
-		MaxSkip:         16,
-		MaxSampleSize:   64,
-		AsyncMigrations: true, ExternalMigrations: true,
+		Tree:          Config{DefaultEncoding: EncSuccinct, NegFilterBits: 6},
+		MemoryBudget:  base.Bytes() + 24*(LeafCap*16+leafHeaderBytes),
+		CacheFraction: 0.05,
+		InitialSkip:   4,
+		MinSkip:       2,
+		MaxSkip:       16,
+		MaxSampleSize: 64,
 	}
 	plain := BulkLoadAdaptive(cfg, keys, vals)
 	o := obs.New(64, 16)
@@ -208,8 +206,6 @@ func mirrorOps(t *testing.T, sampleEvery, ops int) *obs.FlightRecorder {
 					sd.out = append(sd.out, sd.buf.Keys(j)...)
 					sd.out = append(sd.out, sd.buf.Vals(j)...)
 				}
-			}
-			for sd.a.RunQueuedMigration() {
 			}
 		}
 		if !slices.Equal(sides[0].out, sides[1].out) {

@@ -27,10 +27,6 @@ func (m *Manager[ID, Ctx]) adapt(epoch uint32) {
 	if x != nil {
 		phaseStart = time.Now()
 	}
-	// Apply identity changes recorded by asynchronous migrations since the
-	// previous phase, so candidates are collected under current keys.
-	m.applyRekeys()
-
 	units := m.cfg.Units()
 	k := m.budgetK(units)
 
@@ -80,14 +76,10 @@ func (m *Manager[ID, Ctx]) adapt(epoch uint32) {
 	}
 
 	// 2. Evaluate the CSHF for every tracked unit and apply migrations —
-	//    inline by default, or handed to the pipeline when AsyncMigrations
-	//    is on. The pipeline path never re-encodes here: a full queue
-	//    parks the job as a deferred intent (backpressure) and repeat
-	//    triggers for a parked unit coalesce into it, so the proposing
-	//    goroutine returns after classification no matter how hot the
-	//    queue is. Evicting migrations may enqueue too: their tracking
-	//    entry is deleted below either way, and a re-key recorded for an
-	//    untracked unit is a no-op.
+	//    inline by default, or as targets for the asynchronous workers
+	//    when AsyncMigrations is on. A target never re-encodes here, so
+	//    the proposing goroutine returns after classification however
+	//    deep the backlog is.
 	budget := m.budget(units)
 	env := Env{Epoch: epoch}
 	migrations, queued, evictions, deduped := 0, 0, 0, 0
@@ -120,34 +112,22 @@ func (m *Manager[ID, Ctx]) adapt(epoch uint32) {
 					from = int16(e)
 				}
 			}
-			if m.pipe != nil {
-				job := migrationJob[ID, Ctx]{id: c.id, ctx: c.ctx, target: act.Target,
-					epoch: epoch, from: from, trig: trig}
+			if m.pend != nil {
+				job := pending[Ctx]{ctx: c.ctx, target: act.Target, epoch: epoch, from: from, trig: trig}
 				if x != nil {
 					job.enqueuedAt = time.Now().UnixNano()
 				}
-				switch m.pipe.enqueue(job) {
-				case enqOK:
+				res, backlog := m.pend.propose(c.id, job)
+				switch res {
+				case proposedNew:
 					queued++
-				case enqDup:
-					// The identical job is already queued or executing;
-					// running it again would re-encode the unit twice.
-					// Count the absorbed churn and move on.
-					deduped++
-				case enqDeferred:
-					// Queue full: the intent is parked and will execute
-					// when a slot frees up. The serve path proceeds on the
-					// old encoding — backpressure, never a synchronous
-					// re-encode.
-					backpressured++
-				case enqCoalesced:
-					// Queue full and the unit already holds a parked
-					// intent: this trigger folded into it.
-					backpressured++
+				case proposedReplaced:
 					coalescedTriggers++
-				case enqClosed:
-					// Shutting down: drop the trigger; the unit keeps its
-					// current encoding.
+				case proposedSame:
+					deduped++
+				}
+				if res != proposedClosed && backlog >= backpressureBacklog {
+					backpressured++
 				}
 			} else {
 				var t0 time.Time
@@ -185,9 +165,9 @@ func (m *Manager[ID, Ctx]) adapt(epoch uint32) {
 	if m.cfg.AdaptiveSkip && sampled > 0 {
 		skip := m.globalSkip.Load()
 		if backpressured > 0 {
-			// The pipeline queue is hot: decay trigger sensitivity so the
-			// next phase samples (and proposes) less while the backlog
-			// clears, instead of parking ever more intents.
+			// Proposals outran the workers: decay trigger sensitivity so
+			// the next phase samples (and proposes) less while the backlog
+			// clears.
 			skip *= 2
 		} else {
 			// Queued migrations count as churn: the decision was made this
@@ -240,7 +220,7 @@ func (m *Manager[ID, Ctx]) adapt(epoch uint32) {
 			Coalesced:      coalescedTriggers,
 			Deduped:        deduped,
 			Evicted:        evictions,
-			PipeDepth:      m.QueuedMigrations(),
+			PipeDepth:      m.MigrationBacklog(),
 			TrackedUnits:   tracked,
 			FrameworkBytes: fwBytes,
 			UsedBytes:      m.cfg.UsedMemory(),
@@ -267,7 +247,6 @@ func (m *Manager[ID, Ctx]) adapt(epoch uint32) {
 			Backpressured: backpressured,
 			Coalesced:     coalescedTriggers,
 			Deduped:       deduped,
-			PipeDepth:     m.QueuedMigrations(),
 			Backlog:       m.MigrationBacklog(),
 			LastDrainNs:   m.lastDrainNs.Load(),
 			Evicted:       evictions,

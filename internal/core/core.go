@@ -181,35 +181,22 @@ type AdaptInfo struct {
 	SampledTotal  int64
 	Hot           int
 	// Migrations counts re-encodings performed inline during the phase;
-	// Queued counts those handed to the asynchronous pipeline instead.
+	// Queued counts units newly handed to the asynchronous workers.
 	Migrations int
 	Queued     int
-	// InlineFallbacks counts migrations this phase that were meant for the
-	// asynchronous pipeline but ran inline on the proposing path. Always 0
-	// since the backpressure rework (queue-full triggers park as deferred
-	// intents instead); kept so recorded benchmarks can assert the
-	// fallback path stays dead.
-	InlineFallbacks int
-	// Backpressured counts proposed migrations this phase that found the
-	// pipeline queue full and were parked as deferred intents — the
-	// pipeline's backpressure signal. Not included in Migrations or
-	// Queued; the parked intents execute asynchronously once slots free
-	// up. Always 0 without AsyncMigrations.
+	// Backpressured counts proposals this phase that found the migration
+	// backlog at or above its bound of 128, whatever their outcome (each
+	// is also counted in Queued, Coalesced or Deduped); any makes adapt()
+	// double the skip length. Always 0 without AsyncMigrations.
 	Backpressured int
-	// Coalesced counts the subset of Backpressured triggers that folded
-	// into an intent already parked for the same unit.
+	// Coalesced counts proposals that replaced a different target still
+	// pending for the unit; Deduped those that found the same target
+	// already pending or running. Both are 0 without AsyncMigrations.
 	Coalesced int
-	// Deduped counts proposed migrations this phase that were dropped
-	// because an identical job (same unit, same target encoding) was
-	// already queued or executing — re-classification churn the pipeline
-	// absorbed. Not included in Migrations or Queued; always 0 without
-	// AsyncMigrations.
-	Deduped int
-	// PipeDepth is the number of migrations still waiting in the pipeline
-	// queue when the phase completed (0 without AsyncMigrations); Backlog
-	// additionally includes parked (deferred) intents.
-	PipeDepth int
-	Backlog   int
+	Deduped   int
+	// Backlog is the number of units waiting for a worker when the phase
+	// completed (0 without AsyncMigrations).
+	Backlog int
 	// LastDrainNs is the duration of the most recent DrainMigrations call
 	// in nanoseconds (0 if never drained or without AsyncMigrations).
 	LastDrainNs   int64

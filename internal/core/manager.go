@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -85,34 +84,15 @@ type Config[ID comparable, Ctx any] struct {
 	Workers int
 
 	// AsyncMigrations moves encoding migrations off the critical path:
-	// adapt() enqueues them into a bounded queue drained by a worker pool
-	// instead of re-encoding inline, so the sampler that triggers a phase
-	// returns after classification. Requires Migrate to be safe against
-	// concurrent foreground access and concurrent Migrate calls; when the
-	// queue is full, adapt() parks the job as a deferred intent
-	// (backpressure) instead of re-encoding inline — the serve path is
-	// never charged for a migration. Call Manager.Close to flush the
-	// pipeline when retiring the index.
+	// adapt() records each unit's target encoding and returns after
+	// classification, and two worker goroutines apply the targets (see
+	// pending.go). Requires Migrate to be safe against concurrent
+	// foreground access and concurrent Migrate calls. The workers ignore
+	// the ID Migrate returns: a unit whose ID changes keeps its sample
+	// entry under the old ID, which ages out through eviction like any
+	// cold unit. Call Manager.Close to apply what is pending and stop the
+	// workers when retiring the index.
 	AsyncMigrations bool
-	// MigrationWorkers sizes the pipeline's worker pool (default 2).
-	// Ignored when ExternalMigrations is set.
-	MigrationWorkers int
-	// MigrationQueue bounds the pipeline's queue. The default scales with
-	// parallelism — 256 slots per GOMAXPROCS at Manager creation — so a
-	// many-core host saturates its migration workers before triggers park.
-	MigrationQueue int
-	// ExternalMigrations suppresses the pipeline's internal worker pool:
-	// the embedder owns the executors and runs jobs via
-	// Manager.RunQueuedMigration (the sharded front's work-stealing
-	// migrators do this). Drain and Close still make progress on the
-	// calling goroutine, so the contract stays lossless even if the
-	// external executors are idle or gone.
-	ExternalMigrations bool
-	// OnMigrationQueued, if set, is invoked (outside pipeline locks)
-	// whenever a job enters the queue — the wake-up hook for external
-	// executor pools. May be called from any goroutine, including
-	// concurrently with itself.
-	OnMigrationQueued func()
 
 	// OnAdapt, if set, observes every completed adaptation phase.
 	OnAdapt func(AdaptInfo)
@@ -121,7 +101,7 @@ type Config[ID comparable, Ctx any] struct {
 	// migration becomes a trace event (with trigger classification, queue
 	// wait and build latency), every adaptation phase emits an
 	// encoding-distribution snapshot, and the scope's counters/histograms
-	// track sampling and pipeline pressure. Nil disables instrumentation;
+	// track sampling and migration backlog. Nil disables instrumentation;
 	// the instrumented paths then cost one nil check each.
 	Obs *obs.Index
 	// Distribution, optional, reports the index's per-encoding unit/byte
@@ -165,15 +145,6 @@ func (c *Config[ID, Ctx]) setDefaults() {
 	if c.WriteWeight == 0 {
 		c.WriteWeight = 1
 	}
-	if c.MigrationWorkers <= 0 {
-		c.MigrationWorkers = 2
-	}
-	if c.ExternalMigrations {
-		c.MigrationWorkers = 0
-	}
-	if c.MigrationQueue <= 0 {
-		c.MigrationQueue = 256 * runtime.GOMAXPROCS(0)
-	}
 }
 
 // entry is the per-unit record in the sample stores: aggregated statistics
@@ -203,8 +174,8 @@ type Manager[ID comparable, Ctx any] struct {
 	// GS store.
 	shared *hashmap.Cuckoo[ID, entry[Ctx]]
 
-	// Off-critical-path migration pipeline (nil unless AsyncMigrations).
-	pipe *migrationPipeline[ID, Ctx]
+	// Migrations owed to units (nil unless AsyncMigrations).
+	pend *pendingSet[ID, Ctx]
 
 	// Phase II scratch, reused across epochs. adapt() runs exclusively
 	// (the adapting CAS), so plain fields are safe.
@@ -215,7 +186,6 @@ type Manager[ID comparable, Ctx any] struct {
 	totalMigrations atomic.Int64
 	totalAdapts     atomic.Int64
 	samplerBytes    atomic.Int64
-	inlineFallbacks atomic.Int64
 	backpressured   atomic.Int64
 	coalesced       atomic.Int64
 	dedupedEnqueues atomic.Int64
@@ -244,7 +214,7 @@ func New[ID comparable, Ctx any](cfg Config[ID, Ctx]) *Manager[ID, Ctx] {
 		m.local = hashmap.NewHopscotch[ID, entry[Ctx]](cfg.Hash, 1024)
 	}
 	if cfg.AsyncMigrations {
-		m.pipe = newMigrationPipeline(m, cfg.MigrationWorkers, cfg.MigrationQueue)
+		m.pend = newPendingSet(m)
 	}
 	return m
 }
@@ -361,28 +331,22 @@ func (m *Manager[ID, Ctx]) Migrations() int64 { return m.totalMigrations.Load() 
 // Adaptations returns the number of completed adaptation phases.
 func (m *Manager[ID, Ctx]) Adaptations() int64 { return m.totalAdapts.Load() }
 
-// InlineFallbacks returns how many migrations intended for the
-// asynchronous pipeline ran inline on the proposing path. Always 0 since
-// the backpressure rework — queue-full triggers park as deferred intents
-// (see Backpressured) instead of re-encoding synchronously — but kept so
-// recorded benchmarks can assert the fallback path stays dead.
-func (m *Manager[ID, Ctx]) InlineFallbacks() int64 { return m.inlineFallbacks.Load() }
+// InlineFallbacks returns 0: asynchronous migrations never run on the
+// proposing path. Kept for the benchmark's core.inline_fallbacks rung.
+func (m *Manager[ID, Ctx]) InlineFallbacks() int64 { return 0 }
 
-// Backpressured returns how many proposed migrations found the pipeline
-// queue full and were parked as deferred intents instead of running
-// inline — cumulative queue-pressure over the manager's lifetime (0
-// without AsyncMigrations).
+// Backpressured returns how many proposals, over the manager's lifetime,
+// found the migration backlog at or above its bound of 128 (0 without
+// AsyncMigrations).
 func (m *Manager[ID, Ctx]) Backpressured() int64 { return m.backpressured.Load() }
 
-// CoalescedTriggers returns how many repeat triggers were folded into an
-// already-parked intent for the same unit while the queue was hot (0
-// without AsyncMigrations).
+// CoalescedTriggers returns how many proposals replaced a different
+// target still pending for the same unit (0 without AsyncMigrations).
 func (m *Manager[ID, Ctx]) CoalescedTriggers() int64 { return m.coalesced.Load() }
 
-// DedupedEnqueues returns how many proposed migrations were dropped
-// because an identical job (same unit, same target encoding) was already
-// queued or executing in the pipeline — re-classification churn the
-// pipeline absorbed without re-encoding twice (0 without AsyncMigrations).
+// DedupedEnqueues returns how many proposals found the same target
+// already pending or running for the unit, and so changed nothing (0
+// without AsyncMigrations).
 func (m *Manager[ID, Ctx]) DedupedEnqueues() int64 { return m.dedupedEnqueues.Load() }
 
 // LastDrainNs returns the duration of the most recent DrainMigrations

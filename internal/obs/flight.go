@@ -12,7 +12,7 @@ import (
 // The flight recorder captures sampled, cause-tagged wide events spanning
 // the full lifecycle of individual index operations: cache probe (and its
 // seqlock retries), negative-filter rejection, shard routing fan-out, leaf
-// descent depth and right-hops, deferred-intent backpressure, write
+// descent depth and right-hops, migration backpressure, write
 // retries, and overlap with in-flight migrations. Each per-source
 // scope owns a lock-free ring of published *OpEvent pointers: writers
 // claim a slot with one atomic add and publish a freshly allocated event,
@@ -92,8 +92,9 @@ const (
 	// CauseMigrationOverlap: the op ran while a leaf migration was
 	// re-encoding (the event carries an exemplar trace seq).
 	CauseMigrationOverlap
-	// CauseBackpressure: deferred migration intents were parked, i.e. the
-	// adaptation pipeline was saturated while the op ran.
+	// CauseBackpressure: the migration backlog was at or above its
+	// bound, i.e. proposals had outrun the migration workers while the op
+	// ran.
 	CauseBackpressure
 	// CauseWriteRetry: an insert lost its leaf lock (or found a dead leaf)
 	// and re-descended.
@@ -242,7 +243,7 @@ type OpEvent struct {
 	RightHops    int32 `json:"right_hops,omitempty"` // B-link right chases
 	CacheTorn    int32 `json:"cache_torn,omitempty"` // seqlock probe retries
 	WriteRetries int32 `json:"write_retries,omitempty"`
-	Deferred     int32 `json:"deferred,omitempty"` // parked migration intents
+	Deferred     int32 `json:"deferred,omitempty"` // migration backlog, set at or above its bound
 	MigOverlap   bool  `json:"mig_overlap,omitempty"`
 	// FsyncWaitNs is the time a durable write spent waiting for its WAL
 	// commit (group fsync) after the in-memory apply finished.

@@ -76,12 +76,11 @@ type Index struct {
 	Adapts       *Counter   // completed adaptation phases
 	Migrations   *Counter   // successful migrations (inline + async)
 	Failures     *Counter   // Migrate calls that reported ok=false
-	Fallbacks    *Counter   // legacy inline-fallback count (stays 0; see Backpressure)
-	Backpressure *Counter   // queue-full triggers parked as deferred intents
-	Coalesced    *Counter   // repeat triggers folded into a parked intent
-	Deduped      *Counter   // re-enqueues dropped as duplicates
+	Backpressure *Counter   // proposals made with the migration backlog at its bound
+	Coalesced    *Counter   // proposals that replaced a different pending target
+	Deduped      *Counter   // proposals whose target was already pending
 	Evictions    *Counter   // units evicted from tracking
-	QueueWaitNs  *Histogram // async job wait between enqueue and execution
+	QueueWaitNs  *Histogram // async wait between proposal and migration
 	BuildNs      *Histogram // Migrate callback duration
 	AdaptNs      *Histogram // full adaptation-phase duration
 	SkipLen      *Gauge     // current skip length
@@ -110,7 +109,6 @@ func (o *Observability) Index(source string, encName func(uint8) string) *Index 
 	x.Adapts = r.Counter("ahi_adaptations_total", lbl()...)
 	x.Migrations = r.Counter("ahi_migrations_total", lbl()...)
 	x.Failures = r.Counter("ahi_migration_failures_total", lbl()...)
-	x.Fallbacks = r.Counter("ahi_inline_fallbacks_total", lbl()...)
 	x.Backpressure = r.Counter("ahi_backpressure_total", lbl()...)
 	x.Coalesced = r.Counter("ahi_coalesced_triggers_total", lbl()...)
 	x.Deduped = r.Counter("ahi_deduped_enqueues_total", lbl()...)

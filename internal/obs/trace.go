@@ -83,7 +83,7 @@ type MigrationEvent struct {
 	To   string `json:"to"`
 	// Trigger classifies the cause (top-k, CSHF cold path, budget, ...).
 	Trigger Trigger `json:"trigger"`
-	// Async is true when the migration ran on the pipeline's worker pool.
+	// Async is true when the migration ran on a migration worker.
 	Async bool `json:"async"`
 	// OK reports whether the Migrate callback changed anything.
 	OK bool `json:"ok"`

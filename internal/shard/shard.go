@@ -2,7 +2,7 @@
 // front-end: a ShardedBTree owns N adaptive Hybrid B+-trees, each with its
 // own adaptation manager, behind one routing table. Partition-per-worker
 // adaptation follows the multi-core adaptive-indexing line of work — each
-// shard's sampler, sample store and migration pipeline see only that
+// shard's sampler, sample store and migration workers see only that
 // shard's traffic, so adaptation state never crosses shard boundaries and
 // smaller per-shard trees keep traversals shallow.
 //
@@ -63,11 +63,6 @@ type Config struct {
 	// RebalanceEvery is the number of batches between automatic budget
 	// re-splits (default 64; < 0 disables automatic rebalancing).
 	RebalanceEvery int
-	// MigrationWorkers sizes the shared cross-shard migrator pool (only
-	// with Adaptive.AsyncMigrations). Default min(GOMAXPROCS, Shards);
-	// < 0 disables the shared pool and keeps each shard's internal
-	// manager workers instead.
-	MigrationWorkers int
 	// Obs attaches one shared observability sink to every shard: shard i
 	// labels its series source="shard<i>", so the single registry holds the
 	// aggregate view across the front-end while each shard's trace events
@@ -87,12 +82,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.RebalanceEvery == 0 {
 		c.RebalanceEvery = 64
-	}
-	if c.MigrationWorkers == 0 {
-		c.MigrationWorkers = runtime.GOMAXPROCS(0)
-		if c.MigrationWorkers > c.Shards {
-			c.MigrationWorkers = c.Shards
-		}
 	}
 }
 
@@ -171,10 +160,6 @@ type ShardedBTree struct {
 	batches     atomic.Int64  // batch counter driving automatic rebalance
 	rebalancing atomic.Bool   // a Rebalance is running (single-flight)
 	total       int64         // total memory budget split across shards
-
-	// migrators is the shared cross-shard migration executor (nil when
-	// async migrations are off or the shared pool is disabled).
-	migrators *migratorPool
 
 	// frontRec is the flight-recorder scope of the routing layer itself
 	// (source="front"): one coarse event per batch call with its shard
@@ -256,32 +241,13 @@ func newSkeleton(cfg Config, bounds []uint64) *ShardedBTree {
 }
 
 // perShardCfg derives shard i's tree config from the front-end config:
-// even budget split until hotness data exists, shared-pool migration
-// wiring, and per-shard observability sources.
+// even budget split until hotness data exists, and per-shard
+// observability sources.
 func (s *ShardedBTree) perShardCfg(cfg Config, i int) btree.AdaptiveConfig {
 	n := cfg.Shards
 	acfg := cfg.Adaptive
 	if s.total > 0 {
 		acfg.MemoryBudget = s.total / int64(n) // even split until hotness data exists
-	}
-	if cfg.Adaptive.AsyncMigrations && cfg.MigrationWorkers > 0 {
-		// The shared pool replaces the per-shard internal workers:
-		// managers only queue, the pool executes (and steals).
-		acfg.ExternalMigrations = true
-		acfg.OnMigrationQueued = func() {
-			if p := s.migrators; p != nil {
-				p.wake()
-			}
-		}
-		if acfg.MigrationQueue <= 0 {
-			// Split the core default queue budget across shards instead
-			// of multiplying it by the shard count.
-			if q := 256 * runtime.GOMAXPROCS(0) / n; q > 128 {
-				acfg.MigrationQueue = q
-			} else {
-				acfg.MigrationQueue = 128
-			}
-		}
 	}
 	if cfg.Obs != nil {
 		acfg.Obs = cfg.Obs
@@ -297,13 +263,6 @@ func (s *ShardedBTree) perShardCfg(cfg Config, i int) btree.AdaptiveConfig {
 }
 
 func (s *ShardedBTree) finishBuild(cfg Config) {
-	if cfg.Adaptive.AsyncMigrations && cfg.MigrationWorkers > 0 {
-		var reg *obs.Registry
-		if cfg.Obs != nil {
-			reg = cfg.Obs.Reg
-		}
-		s.migrators = newMigratorPool(s, cfg.MigrationWorkers, reg)
-	}
 	if cfg.Obs != nil && cfg.Obs.Flight != nil {
 		s.frontRec = cfg.Obs.Flight.Scope("front")
 	}
@@ -687,7 +646,7 @@ func (s *ShardedBTree) Bytes() int64 {
 	return b
 }
 
-// DrainMigrations blocks until every shard's queued asynchronous
+// DrainMigrations blocks until every shard's pending asynchronous
 // migrations have applied.
 func (s *ShardedBTree) DrainMigrations() {
 	for _, sh := range s.shards {
@@ -695,15 +654,25 @@ func (s *ShardedBTree) DrainMigrations() {
 	}
 }
 
-// Close merges the sessions' samples, then flushes and stops every shard's
-// migration pipeline. The shared migrator pool stops before the managers
-// so no worker races their shutdown flush; work still queued at that
-// point is executed by Close itself.
+// MigrationBacklog sums the shards' migration backlogs.
+func (s *ShardedBTree) MigrationBacklog() int {
+	n := 0
+	for _, sh := range s.shards {
+		n += sh.a.MigrationBacklog()
+	}
+	return n
+}
+
+// Steals returns 0: each shard's manager runs its own migration workers,
+// so no migration runs on another shard's worker. The benchmark's
+// shard.steals rung reads it, and reads 0, until the ledger change that
+// retires the rung (ROADMAP item 1).
+func (s *ShardedBTree) Steals() int64 { return 0 }
+
+// Close merges the sessions' samples, then applies every shard's pending
+// migrations and stops its migration workers.
 func (s *ShardedBTree) Close() {
 	s.Flush()
-	if s.migrators != nil {
-		s.migrators.stop()
-	}
 	for _, sh := range s.shards {
 		sh.a.Close()
 	}
