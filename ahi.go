@@ -20,11 +20,11 @@
 // Quick start:
 //
 //	tree := ahi.BulkLoadBTree(ahi.BTreeOptions{MemoryBudget: 64 << 20}, keys, vals)
-//	s := tree.NewSession() // a plain BTree serves one session at a time
+//	s := tree.NewSession() // one session per goroutine, any number at once
 //	v, ok := s.Lookup(42)
+//	s.Flush() // a retiring session hands its leftover samples over
 //
-//	// Serving at scale, and from more than one goroutine: shard the key
-//	// space and look up in batches.
+//	// Serving at scale: shard the key space and look up in batches.
 //	srv := ahi.BulkLoadShardedBTree(ahi.BTreeOptions{Shards: 4}, keys, vals)
 //	srv.LookupBatch(queryKeys, resultVals, resultFound) // positional results
 //
@@ -117,11 +117,11 @@ const (
 
 // BTree is the workload-adaptive Hybrid B+-tree (AHI-BTree). Tracked
 // operations go through a Session; the embedded Tree field offers
-// untracked access and size introspection. A BTree built from
-// BTreeOptions serves one session at a time: the options cannot select
-// the concurrent sample stores of §3.1.5, its adaptation manager is
-// single-threaded, and two sessions in use at once race in the sampler.
-// Concurrent callers use a ShardedBTree, one shard included.
+// untracked access and size introspection. Each goroutine uses its own
+// session, and any number of sessions may run at once: every session
+// samples into a thread-local map (§3.1.5's TLS) that it merges into the
+// adaptation manager once it holds its share of the sample. Call
+// Session.Flush when a session retires to hand its leftover samples over.
 type BTree = btree.Adaptive
 
 // BTreeSession performs tracked B+-tree operations; one goroutine at a
@@ -185,11 +185,6 @@ type BTreeOptions struct {
 	// Requires an absolute MemoryBudget; 0 disables the cache. 0.05–0.10
 	// is a good starting range for skewed read-heavy workloads.
 	CacheFraction float64
-	// NegFilterBits, when > 0, attaches a Bloom filter with that many bits
-	// per key to every Succinct (cold) leaf, rejecting lookups of absent
-	// keys before the compressed search. 6 bits/key ≈ 1.6% false-positive
-	// rate; the filter bytes count toward the leaf's budget footprint.
-	NegFilterBits int
 	// Obs attaches an observability bundle: metrics, migration traces and
 	// encoding snapshots flow into it, labelled ObsSource (sharded trees
 	// label per shard automatically). Nil disables all instrumentation.
@@ -282,7 +277,7 @@ func (o BTreeOptions) config() btree.AdaptiveConfig {
 		o.Obs.EnableTracing(*o.Tracing)
 	}
 	return btree.AdaptiveConfig{
-		Tree:            btree.Config{DefaultEncoding: o.ColdEncoding, NegFilterBits: o.NegFilterBits},
+		Tree:            btree.Config{DefaultEncoding: o.ColdEncoding},
 		MemoryBudget:    o.MemoryBudget,
 		RelativeBudget:  o.RelativeBudget,
 		InitialSkip:     o.InitialSkip,

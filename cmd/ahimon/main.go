@@ -140,15 +140,13 @@ func render(w io.Writer, d *obs.Dump, tail int) {
 	renderTrace(w, d, tail)
 }
 
-// renderCache summarizes the read-path cache and negative-filter metrics
-// per source: hit rate, admission/eviction churn, invalidations, and the
+// renderCache summarizes the read-path cache metrics per source: hit rate, admission/eviction churn, invalidations, and the
 // bytes the cache charges against the memory budget. Silent when no cache
 // metrics are present (CacheFraction unset).
 func renderCache(w io.Writer, d *obs.Dump) {
 	type row struct {
 		hits, misses, admitted, rejected float64
 		invalidations, evictions, bytes  float64
-		negHits                          float64
 	}
 	rows := map[string]*row{}
 	get := func(src string) *row {
@@ -176,8 +174,6 @@ func renderCache(w io.Writer, d *obs.Dump) {
 			get(src).evictions = v
 		case "ahi_cache_bytes":
 			get(src).bytes = v
-		case "ahi_negfilter_hits_total":
-			get(src).negHits = v
 		}
 	}
 	if len(rows) == 0 {
@@ -189,8 +185,8 @@ func renderCache(w io.Writer, d *obs.Dump) {
 	}
 	sort.Strings(srcs)
 	fmt.Fprintln(w, "== read-path cache ==")
-	fmt.Fprintf(w, "%-10s %9s %7s %9s %9s %9s %9s %9s %9s\n",
-		"source", "hits", "rate", "misses", "admit", "reject", "inval", "evict", "neg-hits")
+	fmt.Fprintf(w, "%-10s %9s %7s %9s %9s %9s %9s %9s\n",
+		"source", "hits", "rate", "misses", "admit", "reject", "inval", "evict")
 	for _, s := range srcs {
 		r := rows[s]
 		name := s
@@ -201,9 +197,9 @@ func renderCache(w io.Writer, d *obs.Dump) {
 		if tot := r.hits + r.misses; tot > 0 {
 			rate = fmt.Sprintf("%5.1f%%", 100*r.hits/tot)
 		}
-		fmt.Fprintf(w, "%-10s %9.0f %7s %9.0f %9.0f %9.0f %9.0f %9.0f %9.0f\n",
+		fmt.Fprintf(w, "%-10s %9.0f %7s %9.0f %9.0f %9.0f %9.0f %9.0f\n",
 			name, r.hits, rate, r.misses, r.admitted, r.rejected,
-			r.invalidations, r.evictions, r.negHits)
+			r.invalidations, r.evictions)
 		if r.bytes > 0 {
 			fmt.Fprintf(w, "%-10s cache footprint %s (charged against the memory budget)\n",
 				"", mib(int64(r.bytes)))

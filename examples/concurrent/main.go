@@ -25,7 +25,6 @@ func run(mode core.ConcurrencyMode, name string, workers int, keys, vals []uint6
 		Tree:         btree.Config{DefaultEncoding: btree.EncSuccinct},
 		MemoryBudget: base + base/2,
 		Mode:         mode,
-		Workers:      workers,
 		InitialSkip:  16, MinSkip: 8, MaxSkip: 128,
 		MaxSampleSize: 8192,
 	}, keys, vals)

@@ -13,8 +13,7 @@ import (
 // form is a direct dump: header, scalar fields, each arena as a
 // little-endian stream, then a CRC-32C trailer word covering every
 // preceding byte. Freelists are persisted so slot recycling resumes
-// exactly where it left off. Version-1 streams (no trailer) still load;
-// writers always emit version 2.
+// exactly where it left off. Any other version is rejected.
 const (
 	artMagic   = uint64(0x4148494152543031) // "AHIART01"
 	artVersion = uint64(2)
@@ -210,8 +209,7 @@ func ReadTree(r io.Reader) (*Tree, error) {
 	if m := lr.u64(); lr.err == nil && m != artMagic {
 		return nil, fmt.Errorf("art: bad magic %#x: %w", m, ErrCorrupt)
 	}
-	version := lr.u64()
-	if lr.err == nil && version != 1 && version != artVersion {
+	if version := lr.u64(); lr.err == nil && version != artVersion {
 		return nil, fmt.Errorf("art: unsupported version %d: %w", version, ErrCorrupt)
 	}
 	t := New()
@@ -285,7 +283,7 @@ func ReadTree(r io.Reader) (*Tree, error) {
 	t.free48 = lr.u32s()
 	t.free256 = lr.u32s()
 	t.freeLeaf = lr.u32s()
-	if version == artVersion && lr.err == nil {
+	if lr.err == nil {
 		// Snapshot before the trailer word feeds the hash; compare the full
 		// word so flips in its zero upper half are caught too.
 		want := uint64(lr.crc)

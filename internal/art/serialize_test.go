@@ -74,6 +74,12 @@ func TestARTSerializeRejectsCorrupt(t *testing.T) {
 	if _, err := ReadTree(bytes.NewReader(good[:16])); err == nil {
 		t.Fatal("truncated accepted")
 	}
+	// A version-1 stream: no checksum trailer.
+	bad = append([]byte{}, good[:len(good)-8]...)
+	binary.LittleEndian.PutUint64(bad[8:], 1)
+	if _, err := ReadTree(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version-1 stream: err = %v, want ErrCorrupt", err)
+	}
 }
 
 // TestARTSerializeBitFlips flips one bit at every byte offset of a valid

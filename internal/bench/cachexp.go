@@ -11,9 +11,8 @@ import (
 	"ahi/internal/workload"
 )
 
-// The cache experiment measures the read-path additions: the per-tree
-// hot-key result cache (probed before the tree walk, charged against the
-// memory budget) and the per-cold-leaf negative-lookup Bloom filters.
+// The cache experiment measures the per-tree hot-key result cache (probed
+// before the tree walk, charged against the memory budget).
 //
 // Part 1 — hit path: Zipf skew x cache fraction sweep over a 95/5
 // read/overwrite mix through sessions, in two operation modes: single-key
@@ -25,8 +24,7 @@ import (
 // baseline; the cache columns trade that slice of the SAME memory budget
 // for cached results, so speedups are iso-memory.
 //
-// Part 2 — miss path: load the even-indexed half of the key space into a
-// fixed all-Succinct tree and query only absent keys, filters off vs on.
+// Part 2 — working-set replay (cacheReplayPart).
 
 // cacheSkews, cacheFractions and cacheOpBatches are the sweep axes;
 // batch=1 issues per-key Lookup/Insert, batch>1 the batched session ops.
@@ -40,7 +38,6 @@ var (
 // cells replay identical key sequences.
 const (
 	cacheSweepSeed  = 11 // Zipf draw sequence, hit-path sweep
-	cacheMissSeed   = 13 // uniform draw sequence, miss-path part
 	cacheInsertSeed = 17 // overwrite-key draw sequence
 )
 
@@ -49,7 +46,6 @@ const (
 const (
 	cacheBatchSize   = 128
 	cacheInsertEvery = 20
-	cacheNegBits     = 6
 )
 
 // Sampling knobs for the cache cells: the paper-default skip band
@@ -106,26 +102,16 @@ type CacheReplayRow struct {
 	HitRate  float64
 }
 
-// CacheMissRow is one filters-off/on cell of the miss-path part.
-type CacheMissRow struct {
-	Filters  bool
-	MeanNs   float64
-	Speedup  float64
-	NegHits  int64
-	IndexMiB float64
-}
-
-// CacheResult carries all three parts.
+// CacheResult carries both parts.
 type CacheResult struct {
 	Rows       []CacheRow
 	ReplayRows []CacheReplayRow
-	MissRows   []CacheMissRow
 }
 
 // cacheReps timed repetitions per cell; the fastest is reported.
 const cacheReps = 3
 
-// RunCache sweeps skew x cache fraction and runs the miss-path part.
+// RunCache sweeps skew x cache fraction and runs the working-set replay.
 func RunCache(sc Scale) (CacheResult, Table) {
 	keys := dataset.YCSBKeys(sc.ConsecU64, 5)
 	vals := make([]uint64, len(keys))
@@ -155,7 +141,6 @@ func RunCache(sc Scale) (CacheResult, Table) {
 		}
 	}
 	res.ReplayRows = cacheReplayPart(keys, vals, budget, ops)
-	res.MissRows = cacheMissPart(sc, keys, vals, ops)
 
 	tbl := Table{
 		Title:  "Read-path cache: Zipf skew x op mode x cache fraction (95/5 mix, iso-memory)",
@@ -178,7 +163,7 @@ func RunCache(sc Scale) (CacheResult, Table) {
 // cacheTree builds the adaptive tree every hit-path cell runs against.
 func cacheTree(keys, vals []uint64, budget int64, frac float64) *btree.Adaptive {
 	return btree.BulkLoadAdaptive(btree.AdaptiveConfig{
-		Tree:          btree.Config{DefaultEncoding: btree.EncSuccinct, NegFilterBits: cacheNegBits},
+		Tree:          btree.Config{DefaultEncoding: btree.EncSuccinct},
 		MemoryBudget:  budget,
 		InitialSkip:   cacheSkip,
 		MinSkip:       cacheSkip,
@@ -414,77 +399,6 @@ func renderCacheReplay(w io.Writer, rows []CacheReplayRow) {
 			fmt.Sprint(r.Batch), fmt.Sprintf("%.0f%%", 100*r.Fraction),
 			f1(r.MeanNs), f2(r.MopsPerS), f2(r.Speedup) + "x",
 			fmt.Sprintf("%.1f", 100*r.HitRate),
-		})
-	}
-	tbl.Render(w)
-}
-
-// cacheMissPart loads every even-indexed key into a fixed all-Succinct
-// tree and queries only odd-indexed (absent) keys, filters off vs on.
-func cacheMissPart(sc Scale, keys, vals []uint64, ops int) []CacheMissRow {
-	half := len(keys) / 2
-	lk := make([]uint64, 0, half)
-	lv := make([]uint64, 0, half)
-	miss := make([]uint64, 0, half)
-	for i := 0; i+1 < len(keys); i += 2 {
-		lk = append(lk, keys[i])
-		lv = append(lv, vals[i])
-		miss = append(miss, keys[i+1])
-	}
-
-	qk := make([]uint64, cacheBatchSize)
-	qv := make([]uint64, cacheBatchSize)
-	qf := make([]bool, cacheBatchSize)
-	var rows []CacheMissRow
-	var baseNs float64
-	for _, bits := range []int{0, cacheNegBits} {
-		t := btree.BulkLoad(btree.Config{DefaultEncoding: btree.EncSuccinct, NegFilterBits: bits}, lk, lv)
-		var best float64
-		for rep := 0; rep < cacheReps; rep++ {
-			d := workload.NewUniform(len(miss), cacheMissSeed)
-			var elapsed time.Duration
-			for done := 0; done < ops; done += cacheBatchSize {
-				for i := range qk {
-					qk[i] = miss[d.Draw()]
-				}
-				start := time.Now()
-				t.LookupBatch(qk, qv, qf)
-				elapsed += time.Since(start)
-			}
-			ns := float64(elapsed.Nanoseconds()) / float64(ops)
-			if best == 0 || ns < best {
-				best = ns
-			}
-		}
-		row := CacheMissRow{
-			Filters:  bits > 0,
-			MeanNs:   best,
-			NegHits:  t.NegFilterHits(),
-			IndexMiB: float64(t.Bytes()) / (1 << 20),
-		}
-		if bits == 0 {
-			baseNs = best
-		}
-		row.Speedup = baseNs / best
-		rows = append(rows, row)
-		runtime.GC()
-	}
-	return rows
-}
-
-func renderCacheMiss(w io.Writer, rows []CacheMissRow) {
-	tbl := Table{
-		Title:  "Negative lookups: per-leaf Bloom filters off vs on (all misses)",
-		Header: []string{"filters", "lat ns", "speedup", "filter rejects", "index MiB"},
-	}
-	for _, r := range rows {
-		on := "off"
-		if r.Filters {
-			on = "on"
-		}
-		tbl.Rows = append(tbl.Rows, []string{
-			on, f1(r.MeanNs), f2(r.Speedup) + "x",
-			fmt.Sprint(r.NegHits), fmt.Sprintf("%.2f", r.IndexMiB),
 		})
 	}
 	tbl.Render(w)

@@ -49,7 +49,6 @@ func RunFig18(sc Scale) ([]Fig18Row, Table) {
 					Tree:          btree.Config{DefaultEncoding: btree.EncSuccinct},
 					MemoryBudget:  adaptiveBudget(keys, vals, 4),
 					Mode:          strategy.mode,
-					Workers:       threads,
 					InitialSkip:   initial,
 					MinSkip:       minS,
 					MaxSkip:       maxS,

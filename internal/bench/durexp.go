@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ahi/internal/btree"
-	"ahi/internal/core"
 	"ahi/internal/storage"
 	"ahi/internal/wal"
 )
@@ -90,10 +89,7 @@ func durRun(sc Scale, policy string) DurRow {
 	}
 	defer os.RemoveAll(dir)
 
-	cfg := btree.AdaptiveConfig{
-		Tree: btree.Config{DefaultEncoding: btree.EncSuccinct},
-		Mode: core.GS, // four writer sessions run concurrently
-	}
+	cfg := btree.AdaptiveConfig{Tree: btree.Config{DefaultEncoding: btree.EncSuccinct}}
 	if policy != "off" {
 		pol, perr := wal.PolicyByName(policy)
 		if perr != nil {

@@ -113,12 +113,11 @@ func Registry(repoRoot string, csv bool) map[string]Experiment {
 		}
 		return nil
 	}})
-	add(Experiment{ID: "cache", Title: "read-path cache & negative filters", Run: func(sc Scale, w io.Writer) error {
+	add(Experiment{ID: "cache", Title: "read-path result cache", Run: func(sc Scale, w io.Writer) error {
 		res, t := RunCache(sc)
 		render(t, w)
 		if !csv {
 			renderCacheReplay(w, res.ReplayRows)
-			renderCacheMiss(w, res.MissRows)
 			fmt.Fprintln(w)
 		}
 		return nil

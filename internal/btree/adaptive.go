@@ -31,9 +31,8 @@ type AdaptiveConfig struct {
 	DisableBloom     bool // ablation: no filter before the sample map
 	Epsilon, Delta   float64
 	MaxSampleSize    int
-	// Concurrency mode of the sample store (§3.1.5).
-	Mode    core.ConcurrencyMode
-	Workers int
+	// Mode selects the sample store of §3.1.5: TLS (default) or GS.
+	Mode core.ConcurrencyMode
 	// AsyncMigrations moves leaf re-encodings off the critical path: the
 	// adaptation phase records each leaf's target for two worker
 	// goroutines instead of migrating inline (safe here — MigrateLeaf
@@ -128,7 +127,6 @@ func wireAdaptive(t *Tree, cfg AdaptiveConfig) *Adaptive {
 		MaxSampleSize:  cfg.MaxSampleSize,
 		DisableBloom:   cfg.DisableBloom,
 		Mode:           cfg.Mode,
-		Workers:        cfg.Workers,
 		OnAdapt:        cfg.OnAdapt,
 
 		AsyncMigrations: cfg.AsyncMigrations,
@@ -165,20 +163,17 @@ func wireAdaptive(t *Tree, cfg AdaptiveConfig) *Adaptive {
 	return a
 }
 
-// registerReadPathMetrics exposes the hot-key cache and negative-filter
-// counters as pull-style gauges under the ahi_cache_/ahi_negfilter_
-// prefixes, labelled like every other per-tree series.
+// registerReadPathMetrics exposes the hot-key cache counters as
+// pull-style gauges under the ahi_cache_ prefix, labelled like every other
+// per-tree series.
 func registerReadPathMetrics(reg *obs.Registry, source string, t *Tree) {
-	var lbl []obs.Label
-	if source != "" {
-		lbl = []obs.Label{{K: "source", V: source}}
-	}
-	if t.cfg.NegFilterBits > 0 {
-		reg.GaugeFunc("ahi_negfilter_hits_total", lbl, t.negHits.Load)
-	}
 	rc := t.rcache
 	if rc == nil {
 		return
+	}
+	var lbl []obs.Label
+	if source != "" {
+		lbl = []obs.Label{{K: "source", V: source}}
 	}
 	for _, m := range []struct {
 		name string
@@ -358,7 +353,8 @@ type Session struct {
 	walBuf []byte
 }
 
-// NewSession creates a tracked session. Each goroutine needs its own.
+// NewSession creates a tracked session. Each goroutine needs its own;
+// any number may run at once. Flush a session when it retires.
 func (a *Adaptive) NewSession() *Session {
 	s := &Session{a: a, sampler: a.Mgr.NewSampler(), c: a.Tree.rcache, cb: &cacheBatch{}}
 	s.trackReadFn = s.trackRead

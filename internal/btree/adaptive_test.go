@@ -193,8 +193,7 @@ func TestAdaptiveConcurrentGSAndTLS(t *testing.T) {
 			cfg := AdaptiveConfig{
 				Tree:        Config{DefaultEncoding: EncSuccinct},
 				InitialSkip: 4, MinSkip: 2, MaxSkip: 64,
-				Mode:    mode,
-				Workers: 4,
+				Mode: mode,
 			}
 			a := BulkLoadAdaptive(cfg, keys, vals)
 			var wg sync.WaitGroup

@@ -198,7 +198,7 @@ func (t *Tree) lookupBatchTracked(keys, vals []uint64, found []bool, track func(
 	// would issue up to batchRing redundant descents to the same leaf.
 	leaf, _ := t.descend(keys[order[0]], nil, nil)
 	leaf, lb := moveRightLeaf(leaf, keys[order[0]], nil)
-	cursor := t.serveRuns(leaf, lb, keys, vals, found, order, 0, 1, track)
+	cursor := serveRuns(leaf, lb, keys, vals, found, order, 0, 1, track)
 	if cursor >= n {
 		batchPool.Put(sc)
 		return
@@ -243,7 +243,7 @@ func (t *Tree) lookupBatchTracked(keys, vals []uint64, found []bool, track func(
 			// of the cursor is claimed by exactly one slot, so nothing is
 			// processed twice.
 			leaf, lb := moveRightLeaf(c.leaf, k, nil)
-			cursor = t.serveRuns(leaf, lb, keys, vals, found, order, st.j, cursor, track)
+			cursor = serveRuns(leaf, lb, keys, vals, found, order, st.j, cursor, track)
 			if cursor < n {
 				st.j = cursor
 				st.node = t.root.Load()
@@ -263,9 +263,9 @@ func (t *Tree) lookupBatchTracked(keys, vals []uint64, found []bool, track func(
 // so walking right is valid routing, and in the skewed hot region the
 // next run's leaf is typically one or two hops away — far cheaper than
 // another root-to-leaf descent.
-func (t *Tree) serveRuns(leaf *Leaf, lb *leafBox, keys, vals []uint64, found []bool,
+func serveRuns(leaf *Leaf, lb *leafBox, keys, vals []uint64, found []bool,
 	order []int, head, cursor int, track func(int, *Leaf)) int {
-	cursor = t.serveLeafRun(leaf, lb, keys, vals, found, order, head, cursor, track)
+	cursor = serveLeafRun(leaf, lb, keys, vals, found, order, head, cursor, track)
 	for cursor < len(order) {
 		nl, nb, ok := chainRight(lb, keys[order[cursor]])
 		if !ok {
@@ -273,7 +273,7 @@ func (t *Tree) serveRuns(leaf *Leaf, lb *leafBox, keys, vals []uint64, found []b
 		}
 		h := cursor
 		cursor++
-		cursor = t.serveLeafRun(nl, nb, keys, vals, found, order, h, cursor, track)
+		cursor = serveLeafRun(nl, nb, keys, vals, found, order, h, cursor, track)
 		lb = nb
 	}
 	return cursor
@@ -311,7 +311,7 @@ func chainRight(lb *leafBox, k uint64) (*Leaf, *leafBox, bool) {
 // previous probe's result; distinct keys probe with an ascending seed
 // (searchFrom), so the whole run scans the payload at most once instead of
 // restarting every probe at the leaf head.
-func (t *Tree) serveLeafRun(leaf *Leaf, lb *leafBox, keys, vals []uint64, found []bool,
+func serveLeafRun(leaf *Leaf, lb *leafBox, keys, vals []uint64, found []bool,
 	order []int, head, cursor int, track func(int, *Leaf)) int {
 	if g, ok := lb.p.(*gapped); ok {
 		// The expanded (hot) encoding serves most of a skewed batch; a
@@ -319,24 +319,12 @@ func (t *Tree) serveLeafRun(leaf *Leaf, lb *leafBox, keys, vals []uint64, found 
 		return serveGappedRun(leaf, g, lb, keys, vals, found, order, head, cursor, track)
 	}
 	p := lb.p
-	// Succinct leaves may carry a negative filter: probing it per distinct
-	// key folds the membership test into the run loop, so batch misses on
-	// cold leaves skip the bit-unpacking search entirely.
-	sp, _ := p.(*succinct)
 	i := order[head]
 	lastK := keys[i]
-	var (
-		pos    int
-		lastOK bool
-		lastV  uint64
-	)
-	if sp != nil && !sp.mayContain(lastK) {
-		t.negHits.Add(1) // pos stays 0: every key is still a valid seed target
-	} else {
-		pos, lastOK = p.search(lastK)
-		if lastOK {
-			lastV = p.valAt(pos)
-		}
+	pos, lastOK := p.search(lastK)
+	var lastV uint64
+	if lastOK {
+		lastV = p.valAt(pos)
 	}
 	vals[i], found[i] = lastV, lastOK
 	if track != nil {
@@ -355,22 +343,15 @@ func (t *Tree) serveLeafRun(leaf *Leaf, lb *leafBox, keys, vals []uint64, found 
 			if !lb.covers(k) {
 				break
 			}
-			if sp != nil && !sp.mayContain(k) {
-				// Definitely absent; from is untouched — the prefix below it
-				// is < lastK < k, so it remains a valid seed.
-				t.negHits.Add(1)
-				lastOK, lastV, lastK = false, 0, k
-			} else {
-				pos, lastOK = p.searchFrom(k, from)
-				lastV = 0
-				if lastOK {
-					lastV = p.valAt(pos)
-				}
-				lastK = k
-				from = pos
-				if lastOK {
-					from++
-				}
+			pos, lastOK = p.searchFrom(k, from)
+			lastV = 0
+			if lastOK {
+				lastV = p.valAt(pos)
+			}
+			lastK = k
+			from = pos
+			if lastOK {
+				from++
 			}
 		}
 		vals[i], found[i] = lastV, lastOK
@@ -557,7 +538,7 @@ func (t *Tree) insertRun(keys, vals []uint64, inserted []bool,
 		inserted[idx] = !found
 		j++
 	}
-	np := t.encode(target, gk, gv)
+	np := encodePayload(target, gk, gv)
 	kvPool.Put(scratch)
 	// Overwrites (inserted[idx] == false) bracket the swap in the cache;
 	// fresh keys have nothing cached.

@@ -116,12 +116,6 @@ type Config struct {
 	// write hits them (the adaptive tree's policy, §5.2); without it, the
 	// new image keeps the leaf's encoding.
 	ExpandOnInsert bool
-	// NegFilterBits, when positive, embeds a negative-lookup filter of
-	// that many bits per key into every Succinct leaf (built at encode
-	// time, immutable afterwards). Point lookups consult it before the
-	// bit-unpacking search, so misses on cold leaves short-circuit. The
-	// filter bytes are part of the leaf footprint and hence the budget.
-	NegFilterBits int
 }
 
 // Tree is the Hybrid B+-tree. The zero value is not usable; construct via
@@ -157,10 +151,6 @@ type Tree struct {
 	// hotness sampler as admission signal.
 	rcache *cache.Cache
 
-	// negHits counts point lookups short-circuited by a leaf's negative
-	// filter (misses that skipped the succinct search entirely).
-	negHits atomic.Int64
-
 	// migActive counts leaf migrations currently re-encoding. The flight
 	// recorder reads it at op end to tag ops that overlapped a migration
 	// (the dominant tail cause the paper's premise predicts).
@@ -173,7 +163,7 @@ func New(cfg Config) *Tree {
 		cfg.Occupancy = 0.70
 	}
 	t := &Tree{cfg: cfg}
-	leaf := t.newLeaf(t.encode(cfg.DefaultEncoding, nil, nil), nil, 0, false)
+	leaf := t.newLeaf(encodePayload(cfg.DefaultEncoding, nil, nil), nil, 0, false)
 	root := &Inner{}
 	rb := &innerBox{children: []childRef{{leaf: leaf}}, depth: 1}
 	root.box.Store(rb)
@@ -238,7 +228,7 @@ func BulkLoad(cfg Config, keys, vals []uint64) *Tree {
 		if end > len(keys) {
 			end = len(keys)
 		}
-		p := t.encode(cfg.DefaultEncoding, keys[i:end], vals[i:end])
+		p := encodePayload(cfg.DefaultEncoding, keys[i:end], vals[i:end])
 		leaves = append(leaves, t.newLeaf(p, nil, 0, false))
 		if i > 0 {
 			seps = append(seps, keys[i])
@@ -372,19 +362,11 @@ func (t *Tree) Lookup(k uint64) (uint64, bool) {
 }
 
 // lookupLeaf additionally returns the leaf that held (or would hold) k.
-// A traced caller passes its event: the descent and the negative filter
-// leave their stage signals in it.
+// A traced caller passes its event: the descent leaves its stage signals
+// in it.
 func (t *Tree) lookupLeaf(k uint64, ev *obs.OpEvent) (uint64, *Leaf, bool) {
 	leaf, _ := t.descend(k, nil, ev)
 	leaf, b := moveRightLeaf(leaf, k, ev)
-	if s, ok := b.p.(*succinct); ok && !s.mayContain(k) {
-		// Negative filter: definitely absent, skip the unpacking search.
-		t.negHits.Add(1)
-		if ev != nil {
-			ev.NegFiltered = true
-		}
-		return 0, leaf, false
-	}
 	if i, found := b.p.search(k); found {
 		return b.p.valAt(i), leaf, true
 	}
@@ -462,7 +444,7 @@ func (t *Tree) putLocked(leaf *Leaf, b *leafBox, path *descentPath, k, v uint64)
 		if expanded {
 			t.expansions.Add(1)
 		}
-		t.swapLeafBox(leaf, b, b.with(insertAt(p, enc, pos, k, v, t.cfg.NegFilterBits)))
+		t.swapLeafBox(leaf, b, b.with(insertAt(p, enc, pos, k, v)))
 		leaf.lock.unlock()
 		t.keyCount.Add(1)
 		return true, expanded
@@ -474,8 +456,8 @@ func (t *Tree) putLocked(leaf *Leaf, b *leafBox, path *descentPath, k, v uint64)
 	decodeInserting(p, pos, k, v, ks, vs)
 	mid := len(ks) / 2
 	sep := ks[mid]
-	right := t.newLeaf(t.encode(enc, ks[mid:], vs[mid:]), b.next, b.highKey, b.hasHigh)
-	left := &leafBox{p: t.encode(enc, ks[:mid], vs[:mid]), next: right, highKey: sep, hasHigh: true}
+	right := t.newLeaf(encodePayload(enc, ks[mid:], vs[mid:]), b.next, b.highKey, b.hasHigh)
+	left := &leafBox{p: encodePayload(enc, ks[:mid], vs[:mid]), next: right, highKey: sep, hasHigh: true}
 	kvPool.Put(sc)
 	t.swapLeafBox(leaf, b, left)
 	leaf.lock.unlock()
@@ -506,21 +488,11 @@ func (t *Tree) deleteTracked(k uint64, ev *obs.OpEvent) (bool, *Leaf) {
 		return false, leaf
 	}
 	t.cacheBegin(k)
-	t.swapLeafBox(leaf, b, b.with(removeAt(b.p, i, t.cfg.NegFilterBits)))
+	t.swapLeafBox(leaf, b, b.with(removeAt(b.p, i)))
 	leaf.lock.unlock()
 	t.cacheEnd(k)
 	t.keyCount.Add(-1)
 	return true, leaf
-}
-
-// encode is encodePayload honoring per-tree encoding options: succinct
-// leaves grow negative-lookup filters when cfg.NegFilterBits is set. The
-// free function remains for baseline trees and tests.
-func (t *Tree) encode(enc core.Encoding, keys, vals []uint64) payload {
-	if enc == EncSuccinct && t.cfg.NegFilterBits > 0 {
-		return newSuccinctNeg(keys, vals, t.cfg.NegFilterBits)
-	}
-	return encodePayload(enc, keys, vals)
 }
 
 // cacheBegin and cacheEnd bracket the leaf write of k (an image swap or
@@ -539,9 +511,6 @@ func (t *Tree) cacheEnd(k uint64) {
 		t.rcache.EndWrite(k)
 	}
 }
-
-// NegFilterHits reports lookups short-circuited by negative filters.
-func (t *Tree) NegFilterHits() int64 { return t.negHits.Load() }
 
 // insertSeparator inserts (sep, right) into the level childDepth+1, taking
 // the node from the descent path; where the path has none it grows a new
@@ -722,7 +691,7 @@ func (t *Tree) MigrateLeaf(l *Leaf, target core.Encoding) bool {
 		if b.p.encoding() == target {
 			return false
 		}
-		np := reencode(b.p, target, t.cfg.NegFilterBits)
+		np := reencode(b.p, target)
 		if !l.lock.upgrade(version) {
 			if attempt == 0 {
 				continue

@@ -61,7 +61,7 @@ func benchAdaptive(b *testing.B, frac float64) (*Adaptive, []uint64) {
 	gap := BulkLoad(Config{DefaultEncoding: EncGapped}, keys, vals).Bytes()
 	budget := succ + (gap-succ)/16
 	a := BulkLoadAdaptive(AdaptiveConfig{
-		Tree:          Config{DefaultEncoding: EncSuccinct, NegFilterBits: 6},
+		Tree:          Config{DefaultEncoding: EncSuccinct},
 		MemoryBudget:  budget,
 		InitialSkip:   8,
 		MinSkip:       4,

@@ -12,14 +12,14 @@ import (
 	"ahi/internal/workload"
 )
 
-// cacheFixture bulk-loads an adaptive tree with the result cache and
-// negative filters on, an absolute budget of the compact baseline plus
-// extraLeaves full Gapped leaves, and the cache sized at frac of it.
+// cacheFixture bulk-loads an adaptive tree with the result cache on, an
+// absolute budget of the compact baseline plus extraLeaves full Gapped
+// leaves, and the cache sized at frac of it.
 func cacheFixture(n, extraLeaves int, frac float64, seed int64) (*Adaptive, int64, []uint64) {
 	keys, vals := sortedPairs(n, seed)
 	base := BulkLoad(Config{DefaultEncoding: EncSuccinct}, keys, vals)
 	cfg := AdaptiveConfig{
-		Tree:        Config{DefaultEncoding: EncSuccinct, NegFilterBits: 6},
+		Tree:        Config{DefaultEncoding: EncSuccinct},
 		InitialSkip: 4, MinSkip: 2, MaxSkip: 64,
 		MemoryBudget:  base.Bytes() + int64(extraLeaves)*(LeafCap*16+leafHeaderBytes),
 		CacheFraction: frac,
@@ -80,11 +80,10 @@ func TestCacheInvalidationRace(t *testing.T) {
 	keys, vals := sortedPairs(n, 7)
 	base := BulkLoad(Config{DefaultEncoding: EncSuccinct}, keys, vals)
 	a := BulkLoadAdaptive(AdaptiveConfig{
-		Tree:        Config{DefaultEncoding: EncSuccinct, NegFilterBits: 6},
+		Tree:        Config{DefaultEncoding: EncSuccinct},
 		InitialSkip: 4, MinSkip: 2, MaxSkip: 64,
 		MemoryBudget:    base.Bytes() + 40*(LeafCap*16+leafHeaderBytes),
 		CacheFraction:   0.3,
-		Mode:            core.GS,
 		AsyncMigrations: true,
 	}, keys, vals)
 	defer a.Close()
@@ -169,7 +168,7 @@ func FuzzCacheOracle(f *testing.F) {
 			vals[i] = uint64(i) + 1
 		}
 		a := BulkLoadAdaptive(AdaptiveConfig{
-			Tree:        Config{DefaultEncoding: EncSuccinct, NegFilterBits: 6},
+			Tree:        Config{DefaultEncoding: EncSuccinct},
 			InitialSkip: 4, MinSkip: 2, MaxSkip: 64,
 			MemoryBudget:  1 << 20,
 			CacheFraction: 0.3,
@@ -235,7 +234,7 @@ func TestLookupBatchZeroAlloc(t *testing.T) {
 			keys, vals := sortedPairs(100000, 3)
 			base := BulkLoad(Config{DefaultEncoding: EncSuccinct}, keys, vals)
 			a := BulkLoadAdaptive(AdaptiveConfig{
-				Tree:          Config{DefaultEncoding: EncSuccinct, NegFilterBits: 6},
+				Tree:          Config{DefaultEncoding: EncSuccinct},
 				InitialSkip:   1 << 30,
 				FixedSkip:     true,
 				MemoryBudget:  base.Bytes() * 2,
@@ -270,6 +269,10 @@ func TestLookupBatchZeroAlloc(t *testing.T) {
 	}
 }
 
+// iterSink keeps TestSessionOpsZeroAlloc's iterators on the heap: with
+// NewIterator inlined, a discarded iterator would live on the stack.
+var iterSink *Iterator
+
 // TestSessionOpsZeroAlloc extends the guarantee to the single-key session
 // operations, for an untraced session and for a traced one whose ops are
 // sampled out: Lookup and Scan — which rides the ScanBatch walk — allocate
@@ -284,7 +287,7 @@ func TestSessionOpsZeroAlloc(t *testing.T) {
 		keys, vals := sortedPairs(100000, 3)
 		base := BulkLoad(Config{DefaultEncoding: EncSuccinct}, keys, vals)
 		cfg := AdaptiveConfig{
-			Tree:          Config{DefaultEncoding: EncSuccinct, NegFilterBits: 6},
+			Tree:          Config{DefaultEncoding: EncSuccinct},
 			InitialSkip:   1 << 30,
 			FixedSkip:     true,
 			MemoryBudget:  base.Bytes() * 2,
@@ -318,7 +321,7 @@ func TestSessionOpsZeroAlloc(t *testing.T) {
 		cfg.InitialSkip = 0 // with FixedSkip: every op is a sample
 		a = BulkLoadAdaptive(cfg, keys, vals)
 		s = a.NewSession()
-		if got := testing.AllocsPerRun(200, func() { s.NewIterator() }); got != 1 {
+		if got := testing.AllocsPerRun(200, func() { iterSink = s.NewIterator() }); got != 1 {
 			t.Errorf("traced=%v: a sampled NewIterator allocates %.1f objects, want 1", traced, got)
 		}
 		a.Close()

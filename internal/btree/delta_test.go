@@ -87,7 +87,7 @@ func TestInsertAtRemoveAt(t *testing.T) {
 
 			for _, i := range deltaIdx(n) {
 				what := fmt.Sprintf("%s n=%d removeAt(%d)", EncodingName(enc), n, i)
-				checkImage(t, what, removeAt(donor, i, 0), enc,
+				checkImage(t, what, removeAt(donor, i), enc,
 					slices.Delete(slices.Clone(keys), i, i+1), slices.Delete(slices.Clone(vals), i, i+1))
 			}
 			if n < LeafCap { // a full leaf splits instead: TestSplitAtLeafCap
@@ -102,7 +102,7 @@ func TestInsertAtRemoveAt(t *testing.T) {
 					}
 					for _, target := range []core.Encoding{enc, EncGapped} {
 						what := fmt.Sprintf("%s->%s n=%d insertAt(%d)", EncodingName(enc), EncodingName(target), n, pos)
-						checkImage(t, what, insertAt(donor, target, pos, k, 4242, 0), target,
+						checkImage(t, what, insertAt(donor, target, pos, k, 4242), target,
 							slices.Insert(slices.Clone(keys), pos, k), slices.Insert(slices.Clone(vals), pos, 4242))
 					}
 				}
@@ -111,34 +111,6 @@ func TestInsertAtRemoveAt(t *testing.T) {
 				t.Fatalf("%s n=%d: donor image changed by insertAt/removeAt", EncodingName(enc), n)
 			}
 		}
-	}
-}
-
-// TestNegFilterFollowsWrites: the negative filter of a Succinct leaf is
-// shared by an overwrite and rebuilt, covering the new key set, by an
-// insert or delete.
-func TestNegFilterFollowsWrites(t *testing.T) {
-	keys, vals := sortedPairs(100, 9)
-	donor := newSuccinctNeg(keys, vals, 10)
-	if got := donor.withValue(3, 1); got.neg != donor.neg {
-		t.Fatal("overwrite must share the donor's negative filter")
-	}
-	k := keys[50] + 1
-	ins := insertAt(donor, EncSuccinct, 51, k, 1, 10).(*succinct)
-	if ins.neg == nil || ins.neg == donor.neg || !ins.mayContain(k) {
-		t.Fatal("insert must build a filter that holds the new key")
-	}
-	del := removeAt(donor, 0, 10).(*succinct)
-	if del.neg == nil || del.neg == donor.neg {
-		t.Fatal("delete must build its own filter")
-	}
-	for _, k := range keys[1:] {
-		if !del.mayContain(k) {
-			t.Fatalf("filter after delete lost key %d", k)
-		}
-	}
-	if removeAt(donor, 0, 0).(*succinct).neg != nil {
-		t.Fatal("no filter bits, no filter")
 	}
 }
 

@@ -459,7 +459,7 @@ func treeFromCheckpoint(cfg Config, blob []byte) (*Tree, ckptState, error) {
 			return nil, cs, fmt.Errorf("%w: checkpoint leaves overlap at leaf %d", wal.ErrCorrupt, li)
 		}
 		prevLast = keys[n-1]
-		leaves = append(leaves, t.newLeaf(t.encode(enc, keys, vals), nil, 0, false))
+		leaves = append(leaves, t.newLeaf(encodePayload(enc, keys, vals), nil, 0, false))
 		if li > 0 {
 			seps = append(seps, keys[0])
 		}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"ahi/internal/core"
 	"ahi/internal/wal"
 )
 
@@ -14,7 +13,6 @@ func durCfg(dir string, every int64) AdaptiveConfig {
 	return AdaptiveConfig{
 		Tree:         Config{DefaultEncoding: EncSuccinct},
 		MemoryBudget: 64 << 20,
-		Mode:         core.GS, // reader/checkpoint tests run sessions concurrently
 		Dur: &DurabilityConfig{
 			Dir:             dir,
 			Policy:          wal.SyncOS,
@@ -263,7 +261,7 @@ func TestDurableCheckpointUnderWrites(t *testing.T) {
 // moved keys twice, and recovery refuses it.
 func TestCheckpointBlobUnderSplits(t *testing.T) {
 	cfg := Config{DefaultEncoding: EncGapped}
-	a := NewAdaptive(AdaptiveConfig{Tree: cfg, MemoryBudget: 64 << 20, Mode: core.GS})
+	a := NewAdaptive(AdaptiveConfig{Tree: cfg, MemoryBudget: 64 << 20})
 	defer a.Close()
 	for k := uint64(0); k < 4096; k++ {
 		a.Tree.Insert(k<<32, k)

@@ -1,6 +1,9 @@
 package btree
 
-import "ahi/internal/obs"
+import (
+	"ahi/internal/core"
+	"ahi/internal/obs"
+)
 
 // Flight-recorder integration. There is one access path. When the attached
 // Observability bundle has tracing enabled (obs.EnableTracing), a Session
@@ -8,9 +11,9 @@ import "ahi/internal/obs"
 // operations brackets its one body with beginOp and finishOp; in between
 // the body hands the operation's event — the probe — to the stages it
 // runs through, and each stage leaves what it counted in it: the cache
-// probe its torn seqlock ways, descend and moveRightLeaf the levels and B-link right-hops, the negative filter
-// its rejection, lockLeaf a write's re-descents (and nothing about the
-// descents themselves: writes report no depth), the WAL bracket the
+// probe its torn seqlock ways, descend and moveRightLeaf the levels and
+// B-link right-hops, lockLeaf a write's re-descents (and nothing about
+// the descents themselves: writes report no depth), the WAL bracket the
 // commit wait. finishOp adds what only the end of the op can see: overlap
 // with in-flight migrations and migration backpressure.
 //
@@ -32,10 +35,6 @@ func (s *Session) beginOp(kind obs.OpKind, key uint64) *obs.OpEvent {
 	return &s.probe.Ev
 }
 
-// backpressureBacklog is core's backpressure bound: a migration backlog
-// this deep means proposals outran the migration workers.
-const backpressureBacklog = 128
-
 // finishOp stamps the cross-op signals only the end of the op can see —
 // migration overlap (with the exemplar trace seq) and a migration backlog
 // at or above the backpressure bound — and commits the probe. Only
@@ -46,7 +45,7 @@ func (s *Session) finishOp() {
 		ev.MigOverlap = true
 		ev.MigSeq = s.rec.MigrationSeqHint()
 	}
-	if d := s.a.Mgr.MigrationBacklog(); d >= backpressureBacklog {
+	if d := s.a.Mgr.MigrationBacklog(); d >= core.BackpressureBacklog {
 		ev.Deferred = int32(d)
 	}
 	s.probe.End()

@@ -25,8 +25,7 @@ func flightFixture(t testing.TB, sampleEvery int) (*Adaptive, *obs.Observability
 		vals[i] = uint64(i)
 	}
 	a := BulkLoadAdaptive(AdaptiveConfig{
-		Tree:           Config{DefaultEncoding: EncSuccinct, NegFilterBits: 6},
-		Mode:           core.GS, // sessions run concurrently in the race test
+		Tree:           Config{DefaultEncoding: EncSuccinct},
 		RelativeBudget: 0.5,
 		InitialSkip:    8,
 		MinSkip:        4,
@@ -41,8 +40,7 @@ func flightFixture(t testing.TB, sampleEvery int) (*Adaptive, *obs.Observability
 
 // TestFlightTracedSessions drives every traced session entry point with
 // 1/1 sampling and checks the committed events carry the lifecycle
-// signals: correct kinds, non-zero descent depth, negative-filter
-// rejection on misses into cold succinct leaves — and, structurally, no
+// signals: correct kinds, non-zero descent depth — and, structurally, no
 // event ever classified "unknown" (the attribution guarantee the
 // explain-tail acceptance bar leans on).
 func TestFlightTracedSessions(t *testing.T) {
@@ -79,7 +77,7 @@ func TestFlightTracedSessions(t *testing.T) {
 		t.Fatal("no events committed at 1/1 sampling")
 	}
 	kinds := map[obs.OpKind]int{}
-	var sawDepth, sawNegFilter bool
+	var sawDepth bool
 	for _, ev := range evs {
 		kinds[ev.Kind]++
 		if ev.Cause == obs.CauseUnknown {
@@ -90,9 +88,6 @@ func TestFlightTracedSessions(t *testing.T) {
 		}
 		if ev.Kind == obs.OpLookup && ev.Depth > 0 {
 			sawDepth = true
-		}
-		if ev.NegFiltered {
-			sawNegFilter = true
 		}
 		if (ev.Kind == obs.OpInsert || ev.Kind == obs.OpDelete) && (ev.Depth != 0 || ev.RightHops != 0) {
 			t.Fatalf("write event reports its descent (writes carry retries only): %+v", ev)
@@ -107,9 +102,6 @@ func TestFlightTracedSessions(t *testing.T) {
 	if !sawDepth {
 		t.Fatal("no lookup recorded a descent depth")
 	}
-	if !sawNegFilter {
-		t.Fatal("miss into a succinct leaf did not record negative-filter rejection")
-	}
 }
 
 // mirrorOps drives one seeded stream of all seven Session operations
@@ -117,7 +109,7 @@ func TestFlightTracedSessions(t *testing.T) {
 // recorder sampling one op in sampleEvery — and requires the same results
 // op for op, the same cache counters and the same adaptation state at the
 // end: tracing may observe an operation, never change what it does. Both
-// trees run with the result cache and negative filters on, and migrate
+// trees run with the result cache on, and migrate
 // inline, so that when a migration lands does not depend on a worker
 // goroutine's timing. It returns the recorder of the traced tree.
 func mirrorOps(t *testing.T, sampleEvery, ops int) *obs.FlightRecorder {
@@ -125,7 +117,7 @@ func mirrorOps(t *testing.T, sampleEvery, ops int) *obs.FlightRecorder {
 	keys, vals := sortedPairs(20000, 11)
 	base := BulkLoad(Config{DefaultEncoding: EncSuccinct}, keys, vals)
 	cfg := AdaptiveConfig{
-		Tree:          Config{DefaultEncoding: EncSuccinct, NegFilterBits: 6},
+		Tree:          Config{DefaultEncoding: EncSuccinct},
 		MemoryBudget:  base.Bytes() + 24*(LeafCap*16+leafHeaderBytes),
 		CacheFraction: 0.05,
 		InitialSkip:   4,

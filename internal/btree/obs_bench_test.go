@@ -26,7 +26,7 @@ func benchAdaptiveObs(b *testing.B, sampleEvery int) (*Adaptive, []uint64) {
 		o.EnableTracing(obs.FlightConfig{SampleEvery: sampleEvery})
 	}
 	a := BulkLoadAdaptive(AdaptiveConfig{
-		Tree:         Config{DefaultEncoding: EncSuccinct, NegFilterBits: 6},
+		Tree:         Config{DefaultEncoding: EncSuccinct},
 		MemoryBudget: budget,
 		InitialSkip:  8,
 		MinSkip:      4,

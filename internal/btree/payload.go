@@ -5,9 +5,7 @@ import (
 	"sync/atomic"
 
 	"ahi/internal/bitutil"
-	"ahi/internal/bloom"
 	"ahi/internal/core"
-	"ahi/internal/hashmap"
 )
 
 // Leaf encodings, ordered from most to least compact. The adaptation
@@ -238,60 +236,20 @@ var kvPool = sync.Pool{New: func() any { return new(kvScratch) }}
 // of extra shift/mask work per probe. An overwrite shares the keys and
 // patches or re-encodes the values (FORArray.WithSet); an insert or delete
 // decodes and re-encodes both.
-//
-// neg, when present, is a negative-lookup filter over the leaf's keys:
-// point lookups consult it before paying the bit-unpacking search, so
-// misses on cold leaves short-circuit. The filter is immutable once the
-// payload is published, which lets concurrent readers probe without
-// synchronization: overwrites share it, inserts and deletes build a new
-// one with the rest of the image.
 type succinct struct {
 	keys bitutil.FORArray
 	vals bitutil.FORArray
-	neg  *bloom.Filter
 }
 
 func newSuccinct(keys, vals []uint64) *succinct {
 	return &succinct{keys: bitutil.NewFORArray(keys), vals: bitutil.NewFORArray(vals)}
 }
 
-// newSuccinctNeg is newSuccinct plus a freshly built negative filter at
-// bitsPerKey bits per key (0 disables).
-func newSuccinctNeg(keys, vals []uint64, bitsPerKey int) *succinct {
-	s := newSuccinct(keys, vals)
-	if bitsPerKey > 0 {
-		s.neg = negFilterFor(keys, bitsPerKey)
-	}
-	return s
-}
-
-// negFilterFor builds the per-leaf filter. Key hashes reuse the sampler's
-// hash so filter quality matches the rest of the system.
-func negFilterFor(keys []uint64, bitsPerKey int) *bloom.Filter {
-	f := bloom.New(len(keys), bitsPerKey)
-	for _, k := range keys {
-		f.Add(hashmap.HashU64(k))
-	}
-	return f
-}
-
-// mayContain is the miss fast path: false means k is definitely absent
-// from this leaf. Always true when no filter is attached.
-func (s *succinct) mayContain(k uint64) bool {
-	return s.neg == nil || s.neg.Contains(hashmap.HashU64(k))
-}
-
 func (s *succinct) encoding() core.Encoding { return EncSuccinct }
 func (s *succinct) count() int              { return s.keys.Len() }
 func (s *succinct) keyAt(i int) uint64      { return s.keys.Get(i) }
 func (s *succinct) valAt(i int) uint64      { return s.vals.Get(i) }
-func (s *succinct) bytes() int {
-	n := s.keys.Bytes() + s.vals.Bytes()
-	if s.neg != nil {
-		n += s.neg.Bytes() // the filter is part of the leaf's budget charge
-	}
-	return n
-}
+func (s *succinct) bytes() int              { return s.keys.Bytes() + s.vals.Bytes() }
 
 func (s *succinct) search(k uint64) (int, bool) {
 	pos := s.keys.SearchSkip(k)
@@ -316,10 +274,10 @@ func (s *succinct) decodeRange(lo, hi int, ks, vs []uint64) int {
 
 // withValue returns a new image equal to this one except that the value
 // at position i is v — the Succinct overwrite. A bit-packed value can
-// straddle two words, so it cannot be stored in place; the keys and the
-// negative filter are shared with the receiver.
+// straddle two words, so it cannot be stored in place; the keys are
+// shared with the receiver.
 func (s *succinct) withValue(i int, v uint64) *succinct {
-	return &succinct{keys: s.keys, vals: s.vals.WithSet(i, v), neg: s.neg}
+	return &succinct{keys: s.keys, vals: s.vals.WithSet(i, v)}
 }
 
 // encodePayload builds a payload of the requested encoding from sorted
@@ -357,13 +315,12 @@ func newImageBuf(target core.Encoding, n int) imageBuf {
 	return imageBuf{keys: sc.keys[:n], vals: sc.vals[:n], sc: sc}
 }
 
-// seal returns the finished image; a Succinct one gets a negative filter
-// at negBits bits per key (0: none).
-func (b imageBuf) seal(negBits int) payload {
+// seal returns the finished image.
+func (b imageBuf) seal() payload {
 	if b.img != nil {
 		return b.img
 	}
-	s := newSuccinctNeg(b.keys, b.vals, negBits)
+	s := newSuccinct(b.keys, b.vals)
 	kvPool.Put(b.sc)
 	return s
 }
@@ -394,31 +351,31 @@ func decodeInserting(p payload, pos int, k, v uint64, ks, vs []uint64) {
 // insertAt returns an image of encoding target holding p's pairs plus
 // (k, v) at position pos: one decode that leaves the gap, one encode. The
 // caller holds the leaf's write lock.
-func insertAt(p payload, target core.Encoding, pos int, k, v uint64, negBits int) payload {
+func insertAt(p payload, target core.Encoding, pos int, k, v uint64) payload {
 	b := newImageBuf(target, p.count()+1)
 	decodeInserting(p, pos, k, v, b.keys, b.vals)
-	return b.seal(negBits)
+	return b.seal()
 }
 
 // removeAt returns an image in p's encoding without the pair at position
 // pos: one decode that closes the hole, one encode. The caller holds the
 // leaf's write lock.
-func removeAt(p payload, pos int, negBits int) payload {
+func removeAt(p payload, pos int) payload {
 	n := p.count()
 	b := newImageBuf(p.encoding(), n-1)
 	decodeLocked(p, 0, pos, b.keys, b.vals)
 	decodeLocked(p, pos+1, n, b.keys[pos:], b.vals[pos:])
-	return b.seal(negBits)
+	return b.seal()
 }
 
 // reencode returns p's pairs in the target encoding (p itself when the
 // encoding already matches) — the migration primitive.
-func reencode(p payload, target core.Encoding, negBits int) payload {
+func reencode(p payload, target core.Encoding) payload {
 	if p.encoding() == target {
 		return p
 	}
 	n := p.count()
 	b := newImageBuf(target, n)
 	p.decodeRange(0, n, b.keys, b.vals)
-	return b.seal(negBits)
+	return b.seal()
 }

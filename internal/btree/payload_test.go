@@ -100,7 +100,7 @@ func TestPayloadMutations(t *testing.T) {
 		p := encodePayload(enc, keys, vals)
 		// Insert a fresh key.
 		pos, _ := p.search(keys[10] + 1)
-		p2 := insertAt(p, enc, pos, keys[10]+1, 999, 0)
+		p2 := insertAt(p, enc, pos, keys[10]+1, 999)
 		if pos, found := p2.search(keys[10] + 1); !found || p2.valAt(pos) != 999 {
 			t.Fatalf("%s: insert lost", EncodingName(enc))
 		}
@@ -124,7 +124,7 @@ func TestPayloadMutations(t *testing.T) {
 		}
 		// Remove.
 		pos, _ = p3.search(keys[10] + 1)
-		p4 := removeAt(p3, pos, 0)
+		p4 := removeAt(p3, pos)
 		if _, found := p4.search(keys[10] + 1); found {
 			t.Fatalf("%s: remove failed", EncodingName(enc))
 		}
@@ -155,7 +155,7 @@ func TestReencodeAllPairs(t *testing.T) {
 	for _, from := range allEncodings() {
 		for _, to := range allEncodings() {
 			p := encodePayload(from, keys, vals)
-			q := reencode(p, to, 0)
+			q := reencode(p, to)
 			if q.encoding() != to {
 				t.Fatalf("%s->%s: wrong encoding", EncodingName(from), EncodingName(to))
 			}

@@ -61,7 +61,7 @@ func (m *Manager[ID, Ctx]) adapt(epoch uint32) {
 		}
 		cls.Offer(topk.Entry{
 			Item:     i,
-			Priority: cands[i].stats.WeightedFreq(m.cfg.ReadWeight, m.cfg.WriteWeight),
+			Priority: cands[i].stats.Freq(),
 		})
 	}
 	for _, e := range cls.Hot() {
@@ -126,7 +126,7 @@ func (m *Manager[ID, Ctx]) adapt(epoch uint32) {
 				case proposedSame:
 					deduped++
 				}
-				if res != proposedClosed && backlog >= backpressureBacklog {
+				if res != proposedClosed && backlog >= BackpressureBacklog {
 					backpressured++
 				}
 			} else {

@@ -16,7 +16,7 @@ func TestChargedBytesShrinksHeadroom(t *testing.T) {
 	const n = 500
 	run := func(charge int64) (expanded int, remaining []int64) {
 		ix := newMockIndex(n)
-		cfg := ix.config(SingleThreaded, 1)
+		cfg := ix.config(TLS)
 		budget := int64(n)*10 + 40*100 // floor + room for ~40 expansions
 		cfg.MemoryBudget = budget
 		if charge > 0 {
@@ -63,7 +63,7 @@ func TestChargedBytesShrinksHeadroom(t *testing.T) {
 func TestChargedBytesAtEdge(t *testing.T) {
 	const n = 200
 	ix := newMockIndex(n)
-	cfg := ix.config(SingleThreaded, 1)
+	cfg := ix.config(TLS)
 	budget := int64(n)*10 + 20*100
 	cfg.MemoryBudget = budget
 	cfg.ChargedBytes = func() int64 { return budget } // everything charged
@@ -80,7 +80,7 @@ func TestChargedBytesTrainOffline(t *testing.T) {
 	const n = 100
 	train := func(charge int64) int {
 		ix := newMockIndex(n)
-		cfg := ix.config(SingleThreaded, 1)
+		cfg := ix.config(TLS)
 		cfg.MemoryBudget = int64(n)*10 + 10*100 // room for 10 expansions
 		if charge > 0 {
 			cfg.ChargedBytes = func() int64 { return charge }

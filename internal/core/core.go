@@ -66,15 +66,9 @@ type Stats struct {
 	HistoryLen uint8
 }
 
-// Freq returns the default classification priority, the sum of read and
-// write counters. WeightedFreq applies custom weights (§3.1.4: "we could
-// also assign custom weights to the different access counters").
+// Freq returns the classification priority, the sum of read and write
+// counters.
 func (s *Stats) Freq() uint64 { return uint64(s.Reads) + uint64(s.Writes) }
-
-// WeightedFreq returns readWeight·reads + writeWeight·writes.
-func (s *Stats) WeightedFreq(readWeight, writeWeight uint32) uint64 {
-	return uint64(s.Reads)*uint64(readWeight) + uint64(s.Writes)*uint64(writeWeight)
-}
 
 // PushClassification records a hot/cold label into the history bitset.
 func (s *Stats) PushClassification(hot bool) {
@@ -161,17 +155,17 @@ func (u UnitCounts) Total() int64 { return u.Compressed + u.Uncompressed }
 type ConcurrencyMode uint8
 
 const (
-	// SingleThreaded keeps all state in one hopscotch map with no
-	// synchronization; IsSample/Track must be called from one goroutine.
-	SingleThreaded ConcurrencyMode = iota
+	// TLS (thread-local sampling, the default) gives every sampler a
+	// private hopscotch map. A sampler merges its map into the manager's
+	// store once it has taken its share of the sample size, ⌈sample size
+	// ÷ samplers handed out⌉ samples (or earlier, when the map is full),
+	// and the merge that completes the sample runs the adaptation while
+	// the other samplers keep sampling. A lone sampler therefore runs each
+	// phase at exactly the sample size.
+	TLS ConcurrencyMode = iota
 	// GS (global sampling) shares one concurrent cuckoo map between all
-	// worker threads.
+	// samplers.
 	GS
-	// TLS (thread-local sampling) gives every worker a private hopscotch
-	// map; maps merge into a shared store when the worker's share of the
-	// sample size fills up, and the merging worker that completes the
-	// sample runs the adaptation while the others continue sampling.
-	TLS
 )
 
 // AdaptInfo summarizes one completed adaptation phase for observers.

@@ -80,7 +80,7 @@ func (ix *mockIndex) migrate(id int, _ struct{}, target Encoding) (int, bool) {
 	return id, true
 }
 
-func (ix *mockIndex) config(mode ConcurrencyMode, workers int) Config[int, struct{}] {
+func (ix *mockIndex) config(mode ConcurrencyMode) Config[int, struct{}] {
 	return Config[int, struct{}]{
 		Hash:         func(id int) uint64 { return hashmap.HashU64(uint64(id)) },
 		Units:        ix.units,
@@ -88,7 +88,6 @@ func (ix *mockIndex) config(mode ConcurrencyMode, workers int) Config[int, struc
 		Heuristic:    ix.heuristic,
 		Migrate:      ix.migrate,
 		Mode:         mode,
-		Workers:      workers,
 		InitialSkip:  4,
 		MinSkip:      2,
 		MaxSkip:      64,
@@ -179,10 +178,10 @@ func driveSkewed(m *Manager[int, struct{}], n, ops int, seed int64) {
 	s.Flush()
 }
 
-func TestSingleThreadedAdaptationExpandsHotUnits(t *testing.T) {
+func TestLoneSamplerAdaptationExpandsHotUnits(t *testing.T) {
 	const n = 1000
 	ix := newMockIndex(n)
-	cfg := ix.config(SingleThreaded, 1)
+	cfg := ix.config(TLS)
 	cfg.MemoryBudget = 10*int64(n) + 100*100 // room for ~100 expansions
 	var adapts []AdaptInfo
 	cfg.OnAdapt = func(ai AdaptInfo) { adapts = append(adapts, ai) }
@@ -216,7 +215,7 @@ func TestSingleThreadedAdaptationExpandsHotUnits(t *testing.T) {
 func TestBudgetIsRespected(t *testing.T) {
 	const n = 500
 	ix := newMockIndex(n)
-	cfg := ix.config(SingleThreaded, 1)
+	cfg := ix.config(TLS)
 	budget := int64(n)*10 + 20*100
 	cfg.MemoryBudget = budget
 	m := New(cfg)
@@ -229,7 +228,7 @@ func TestBudgetIsRespected(t *testing.T) {
 func TestColdReclassificationCompacts(t *testing.T) {
 	const n = 400
 	ix := newMockIndex(n)
-	cfg := ix.config(SingleThreaded, 1)
+	cfg := ix.config(TLS)
 	cfg.MemoryBudget = int64(n)*10 + 40*100
 	m := New(cfg)
 	// Phase A: heat the low range.
@@ -273,7 +272,7 @@ func TestColdReclassificationCompacts(t *testing.T) {
 func TestAdaptiveSkipMoves(t *testing.T) {
 	const n = 200
 	ix := newMockIndex(n)
-	cfg := ix.config(SingleThreaded, 1)
+	cfg := ix.config(TLS)
 	m := New(cfg)
 	initial := m.SkipLength()
 	// A stable workload (no migrations after warm-up) must grow the skip.
@@ -288,7 +287,7 @@ func TestAdaptiveSkipMoves(t *testing.T) {
 
 func TestFixedSkipStaysPut(t *testing.T) {
 	ix := newMockIndex(100)
-	cfg := ix.config(SingleThreaded, 1)
+	cfg := ix.config(TLS)
 	cfg.AdaptiveSkip = false
 	cfg.InitialSkip = 7
 	m := New(cfg)
@@ -300,7 +299,7 @@ func TestFixedSkipStaysPut(t *testing.T) {
 
 func TestSamplerSkipCadence(t *testing.T) {
 	ix := newMockIndex(10)
-	cfg := ix.config(SingleThreaded, 1)
+	cfg := ix.config(TLS)
 	cfg.AdaptiveSkip = false
 	cfg.InitialSkip = 4
 	m := New(cfg)
@@ -321,7 +320,7 @@ func TestSamplerSkipCadence(t *testing.T) {
 func TestBloomFilterSuppressesOneOffs(t *testing.T) {
 	const n = 10000
 	ix := newMockIndex(n)
-	cfg := ix.config(SingleThreaded, 1)
+	cfg := ix.config(TLS)
 	cfg.InitialSkip = 0
 	cfg.AdaptiveSkip = false
 	cfg.MaxSampleSize = 1 << 20
@@ -331,6 +330,7 @@ func TestBloomFilterSuppressesOneOffs(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		s.Track(i, Read, struct{}{})
 	}
+	s.Flush()
 	if got := m.TrackedUnits(); got != 0 {
 		t.Fatalf("one-off accesses tracked: %d", got)
 	}
@@ -338,6 +338,7 @@ func TestBloomFilterSuppressesOneOffs(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		s.Track(i%5, Read, struct{}{})
 	}
+	s.Flush()
 	if got := m.TrackedUnits(); got == 0 || got > 5 {
 		t.Fatalf("tracked=%d want 1..5", got)
 	}
@@ -345,11 +346,12 @@ func TestBloomFilterSuppressesOneOffs(t *testing.T) {
 
 func TestDisableBloomTracksImmediately(t *testing.T) {
 	ix := newMockIndex(100)
-	cfg := ix.config(SingleThreaded, 1)
+	cfg := ix.config(TLS)
 	cfg.DisableBloom = true
 	m := New(cfg)
 	s := m.NewSampler()
 	s.Track(1, Read, struct{}{})
+	s.Flush()
 	if m.TrackedUnits() != 1 {
 		t.Fatal("tracking with disabled filter must be immediate")
 	}
@@ -369,6 +371,7 @@ func TestForgetAndUpdateContext(t *testing.T) {
 	m := New(cfg)
 	s := m.NewSampler()
 	s.Track(3, Read, ctx{parent: 7})
+	s.Flush()
 	m.UpdateContext(3, ctx{parent: 9})
 	m.UpdateContext(4, ctx{parent: 1}) // untracked: no-op, must not create
 	if m.TrackedUnits() != 1 {
@@ -383,7 +386,7 @@ func TestForgetAndUpdateContext(t *testing.T) {
 func TestTrainOffline(t *testing.T) {
 	const n = 300
 	ix := newMockIndex(n)
-	cfg := ix.config(SingleThreaded, 1)
+	cfg := ix.config(TLS)
 	cfg.MemoryBudget = int64(n)*10 + 30*100
 	m := New(cfg)
 	freqs := make([]IDFreq[int, struct{}], n)
@@ -409,7 +412,7 @@ func TestTrainOffline(t *testing.T) {
 func TestRelativeBudget(t *testing.T) {
 	const n = 100
 	ix := newMockIndex(n)
-	cfg := ix.config(SingleThreaded, 1)
+	cfg := ix.config(TLS)
 	cfg.RelativeBudget = 0.2 // 20% of all-expanded (100*100) = 2000 bytes
 	m := New(cfg)
 	driveSkewed(m, n, 1_000_000, 4)
@@ -421,7 +424,7 @@ func TestRelativeBudget(t *testing.T) {
 func TestGSConcurrentAdaptation(t *testing.T) {
 	const n = 2000
 	ix := newMockIndex(n)
-	cfg := ix.config(GS, 4)
+	cfg := ix.config(GS)
 	cfg.MemoryBudget = int64(n)*10 + 50*100
 	m := New(cfg)
 	var wg sync.WaitGroup
@@ -447,7 +450,7 @@ func TestGSConcurrentAdaptation(t *testing.T) {
 func TestTLSConcurrentAdaptation(t *testing.T) {
 	const n = 2000
 	ix := newMockIndex(n)
-	cfg := ix.config(TLS, 4)
+	cfg := ix.config(TLS)
 	cfg.MemoryBudget = int64(n)*10 + 50*100
 	m := New(cfg)
 	var wg sync.WaitGroup
@@ -469,7 +472,7 @@ func TestTLSConcurrentAdaptation(t *testing.T) {
 
 func TestManagerBytesNonZero(t *testing.T) {
 	ix := newMockIndex(100)
-	m := New(ix.config(SingleThreaded, 1))
+	m := New(ix.config(TLS))
 	_ = m.NewSampler()
 	if m.Bytes() <= 0 {
 		t.Fatal("sampling framework must report its footprint")
@@ -479,7 +482,7 @@ func TestManagerBytesNonZero(t *testing.T) {
 func TestEvictionsRemoveStaleUnits(t *testing.T) {
 	const n = 100
 	ix := newMockIndex(n)
-	cfg := ix.config(SingleThreaded, 1)
+	cfg := ix.config(TLS)
 	m := New(cfg)
 	s := m.NewSampler()
 	rng := rand.New(rand.NewSource(11))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -62,26 +63,12 @@ type Config[ID comparable, Ctx any] struct {
 	// MaxSampleSize caps Equation (1)'s result (and bounds memory).
 	MaxSampleSize int
 
-	// ReadWeight and WriteWeight bias the classification priority
-	// (default 1 and 1: plain access counts). A write-averse deployment
-	// can rank write-heavy nodes hotter so they reach the write-friendly
-	// encoding sooner (§3.1.4's custom weights).
-	ReadWeight, WriteWeight uint32
-
-	// RandomizeSkip jitters each reloaded skip by up to ±25% (§3.1.4:
-	// "the adaptation manager could randomize sk in a limited range to
-	// cope with query patterns" — periodic access patterns would otherwise
-	// alias with a fixed stride).
-	RandomizeSkip bool
-
 	// DisableBloom removes the Bloom filter in front of the sample map
 	// (the ablation of Figure 5's blue vs. red line).
 	DisableBloom bool
 
-	// Mode selects SingleThreaded (default), GS or TLS; Workers sizes the
-	// concurrent structures (defaults to 1).
-	Mode    ConcurrencyMode
-	Workers int
+	// Mode selects the sample store of §3.1.5: TLS (default) or GS.
+	Mode ConcurrencyMode
 
 	// AsyncMigrations moves encoding migrations off the critical path:
 	// adapt() records each unit's target encoding and returns after
@@ -136,15 +123,6 @@ func (c *Config[ID, Ctx]) setDefaults() {
 	if c.MaxSampleSize <= 0 {
 		c.MaxSampleSize = 1 << 20
 	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.ReadWeight == 0 {
-		c.ReadWeight = 1
-	}
-	if c.WriteWeight == 0 {
-		c.WriteWeight = 1
-	}
 }
 
 // entry is the per-unit record in the sample stores: aggregated statistics
@@ -166,8 +144,9 @@ type Manager[ID comparable, Ctx any] struct {
 	sampled     atomic.Int64 // samples accumulated in the current phase
 	adapting    atomic.Bool
 	filterEpoch atomic.Uint32 // samplers reset their filters lazily
+	samplers    atomic.Int64  // samplers handed out: TLS merge quota divisor
 
-	// Single-threaded / TLS-merge store (guarded by mergeMu in TLS mode).
+	// TLS store the samplers merge into, guarded by mergeMu.
 	local   *hashmap.Hopscotch[ID, entry[Ctx]]
 	mergeMu sync.Mutex
 
@@ -207,10 +186,9 @@ func New[ID comparable, Ctx any](cfg Config[ID, Ctx]) *Manager[ID, Ctx] {
 	m := &Manager[ID, Ctx]{cfg: cfg}
 	m.globalSkip.Store(int64(cfg.InitialSkip))
 	m.sampleSize.Store(int64(m.initialSampleSize()))
-	switch cfg.Mode {
-	case GS:
-		m.shared = hashmap.NewCuckoo[ID, entry[Ctx]](cfg.Hash, 4096, cfg.Workers*4)
-	default:
+	if cfg.Mode == GS {
+		m.shared = hashmap.NewCuckoo[ID, entry[Ctx]](cfg.Hash, 4096, runtime.GOMAXPROCS(0)*4)
+	} else {
 		m.local = hashmap.NewHopscotch[ID, entry[Ctx]](cfg.Hash, 1024)
 	}
 	if cfg.AsyncMigrations {
@@ -426,27 +404,34 @@ func (m *Manager[ID, Ctx]) Forget(id ID) {
 type Sampler[ID comparable, Ctx any] struct {
 	m           *Manager[ID, Ctx]
 	skip        int64
-	rng         uint64 // xorshift state for skip jitter
 	filter      *bloom.Filter
 	filterEpoch uint32
-	local       *hashmap.Hopscotch[ID, entry[Ctx]] // TLS mode only
-	localCount  int
-	quota       int   // TLS: local samples before merging
-	reported    int64 // TLS: local map bytes already counted in samplerBytes
+	// TLS mode only: the thread-local sample map, the samples it buffers,
+	// the samples since the last quota merge, and the map bytes already
+	// counted in samplerBytes.
+	local      *hashmap.Hopscotch[ID, entry[Ctx]]
+	localCount int
+	share      int
+	reported   int64
 }
 
-// NewSampler creates a sampling handle. Each worker goroutine must use its
-// own; in SingleThreaded mode create exactly one.
+// localUnits bounds the units a TLS sampler buffers: it merges early when
+// its map holds this many, so the map never grows past its initial
+// 2·localUnits slots whatever the phase's unit count.
+const localUnits = 64
+
+// NewSampler creates a sampling handle. Each goroutine uses its own, any
+// number at once; call Flush when one retires so its buffered samples
+// reach the manager.
 func (m *Manager[ID, Ctx]) NewSampler() *Sampler[ID, Ctx] {
-	s := &Sampler[ID, Ctx]{m: m, skip: m.globalSkip.Load(), rng: 0x9e3779b97f4a7c15}
-	size := int(m.sampleSize.Load())
+	s := &Sampler[ID, Ctx]{m: m, skip: m.globalSkip.Load()}
+	m.samplers.Add(1)
 	if !m.cfg.DisableBloom {
-		s.filter = bloom.New(size/2+1, bloom.BitsPerKey)
+		s.filter = bloom.New(int(m.sampleSize.Load())/2+1, bloom.BitsPerKey)
 		m.samplerBytes.Add(int64(s.filter.Bytes()))
 	}
-	if m.cfg.Mode == TLS {
-		s.local = hashmap.NewHopscotch[ID, entry[Ctx]](m.cfg.Hash, 256)
-		s.quota = size/m.cfg.Workers + 1
+	if m.shared == nil {
+		s.local = hashmap.NewHopscotch[ID, entry[Ctx]](m.cfg.Hash, localUnits)
 		// The paper's TLS trade-off: thread-local maps cost extra memory
 		// (up to 10x the GS map in their runs); account for them.
 		s.reported = int64(s.local.Bytes())
@@ -457,19 +442,10 @@ func (m *Manager[ID, Ctx]) NewSampler() *Sampler[ID, Ctx] {
 
 // IsSample reports whether the current access should be tracked. The
 // thread-local counter is decremented without synchronization; only on
-// expiry is the shared skip length loaded atomically (§3.1.3), optionally
-// jittered so periodic query patterns cannot alias with the stride.
+// expiry is the shared skip length loaded atomically (§3.1.3).
 func (s *Sampler[ID, Ctx]) IsSample() bool {
 	if s.skip <= 0 {
-		sk := s.m.globalSkip.Load()
-		if s.m.cfg.RandomizeSkip && sk > 3 {
-			s.rng ^= s.rng << 13
-			s.rng ^= s.rng >> 7
-			s.rng ^= s.rng << 17
-			span := sk / 2 // ±25%
-			sk += int64(s.rng%uint64(span+1)) - span/2
-		}
-		s.skip = sk
+		s.skip = s.m.globalSkip.Load()
 		return true
 	}
 	s.skip--
@@ -484,15 +460,7 @@ func (s *Sampler[ID, Ctx]) IsSample() bool {
 func (s *Sampler[ID, Ctx]) SampleOffsets(n int, dst []int) []int {
 	for off := 0; off < n; {
 		if s.skip <= 0 {
-			sk := s.m.globalSkip.Load()
-			if s.m.cfg.RandomizeSkip && sk > 3 {
-				s.rng ^= s.rng << 13
-				s.rng ^= s.rng >> 7
-				s.rng ^= s.rng << 17
-				span := sk / 2 // ±25%
-				sk += int64(s.rng%uint64(span+1)) - span/2
-			}
-			s.skip = sk
+			s.skip = s.m.globalSkip.Load()
 			dst = append(dst, off)
 			off++
 			continue
@@ -536,45 +504,44 @@ func (s *Sampler[ID, Ctx]) Track(id ID, at AccessType, ctx Ctx) {
 		e.stats.Count(at)
 		e.ctx = ctx
 	}
-	switch m.cfg.Mode {
-	case GS:
+	if m.shared != nil {
 		m.shared.Upsert(id, update)
 		if m.sampled.Add(1) >= m.sampleSize.Load() {
 			s.tryAdapt(epoch)
 		}
-	case TLS:
-		s.local.Upsert(id, update)
-		s.localCount++
-		if s.localCount >= s.quota {
-			s.merge(epoch)
-		}
-	default:
-		m.local.Upsert(id, update)
-		m.sampled.Add(1)
-		if m.sampled.Load() >= m.sampleSize.Load() {
-			m.adapt(epoch)
-		}
+		return
+	}
+	s.local.Upsert(id, update)
+	s.localCount++
+	s.share++
+	// The merge quota is ⌈sample size ÷ samplers⌉, compared without a
+	// division. Early merges of a full map leave the quota's count alone,
+	// so a lone sampler still completes the sample at its quota merge.
+	if int64(s.share)*m.samplers.Load() >= m.sampleSize.Load() {
+		s.share = 0
+		s.merge(epoch)
+	} else if s.local.Len() >= localUnits {
+		s.merge(epoch)
 	}
 }
 
 // merge flushes a TLS sampler's local map into the central store; if that
-// completes the global sample, this worker runs the adaptation while the
+// completes the global sample, this sampler runs the adaptation while the
 // others keep sampling (§3.1.5).
 func (s *Sampler[ID, Ctx]) merge(epoch uint32) {
 	m := s.m
 	m.mergeMu.Lock()
+	cur := m.epoch.Load()
 	s.local.Range(func(id ID, e *entry[Ctx]) bool {
+		if e.stats.LastEpoch != cur {
+			// Counts of a phase that was classified without them. Dropping
+			// them keeps a merge from re-creating an entry that phase's
+			// migrations forgot (the Hybrid Trie recycles node handles).
+			return true
+		}
 		m.local.Upsert(id, func(dst *entry[Ctx], created bool) {
-			if created || dst.stats.LastEpoch != e.stats.LastEpoch {
-				if dst.stats.LastEpoch < e.stats.LastEpoch || created {
-					hist, histLen := dst.stats.History, dst.stats.HistoryLen
-					dst.stats = e.stats
-					if !created {
-						dst.stats.History, dst.stats.HistoryLen = hist, histLen
-					}
-					dst.ctx = e.ctx
-				}
-				return
+			if created || dst.stats.LastEpoch != cur {
+				dst.stats.Reads, dst.stats.Writes, dst.stats.LastEpoch = 0, 0, cur
 			}
 			dst.stats.Reads += e.stats.Reads
 			dst.stats.Writes += e.stats.Writes
@@ -592,21 +559,20 @@ func (s *Sampler[ID, Ctx]) merge(epoch uint32) {
 	merged := s.localCount
 	s.local.Clear()
 	s.localCount = 0
-	s.quota = int(m.sampleSize.Load())/m.cfg.Workers + 1
 	if m.sampled.Add(int64(merged)) >= m.sampleSize.Load() {
 		s.tryAdapt(epoch)
 	}
 }
 
 // Flush force-merges any locally buffered samples (TLS mode); call when a
-// worker retires. No-op in other modes.
+// sampler retires. No-op in GS mode.
 func (s *Sampler[ID, Ctx]) Flush() {
 	if s.local != nil && s.localCount > 0 {
 		s.merge(s.m.epoch.Load())
 	}
 }
 
-// tryAdapt lets exactly one worker run the adaptation for this phase.
+// tryAdapt lets exactly one sampler run the adaptation for this phase.
 func (s *Sampler[ID, Ctx]) tryAdapt(epoch uint32) {
 	m := s.m
 	if !m.adapting.CompareAndSwap(false, true) {
@@ -614,7 +580,7 @@ func (s *Sampler[ID, Ctx]) tryAdapt(epoch uint32) {
 	}
 	defer m.adapting.Store(false)
 	if m.epoch.Load() != epoch {
-		return // another worker already completed this phase
+		return // another sampler already completed this phase
 	}
 	m.adapt(epoch)
 }

@@ -14,7 +14,7 @@ import (
 
 func TestMaxSampleSizeClamps(t *testing.T) {
 	ix := newMockIndex(1_000_000) // Eq.(1) would want a huge sample here
-	cfg := ix.config(SingleThreaded, 1)
+	cfg := ix.config(TLS)
 	cfg.MaxSampleSize = 500
 	m := New(cfg)
 	if m.SampleSize() > 500 {
@@ -22,7 +22,7 @@ func TestMaxSampleSizeClamps(t *testing.T) {
 	}
 	// A floor keeps degenerate indexes from adapting on every access.
 	ix2 := newMockIndex(1)
-	cfg2 := ix2.config(SingleThreaded, 1)
+	cfg2 := ix2.config(TLS)
 	m2 := New(cfg2)
 	if m2.SampleSize() < 64 {
 		t.Fatalf("sample size %d below floor", m2.SampleSize())
@@ -31,15 +31,16 @@ func TestMaxSampleSizeClamps(t *testing.T) {
 
 func TestScanAccessesCountAsReads(t *testing.T) {
 	ix := newMockIndex(16)
-	cfg := ix.config(SingleThreaded, 1)
+	cfg := ix.config(TLS)
 	cfg.DisableBloom = true
 	m := New(cfg)
 	s := m.NewSampler()
 	s.Track(3, Scan, struct{}{})
 	s.Track(3, Read, struct{}{})
 	s.Track(3, Insert, struct{}{})
+	s.Flush()
 	found := false
-	// Inspect via the store (single-threaded mode keeps it in m.local).
+	// Inspect via the store the TLS samplers merge into.
 	m.mergeMu.Lock()
 	if e := m.local.Ref(3); e != nil {
 		found = true
@@ -55,7 +56,7 @@ func TestScanAccessesCountAsReads(t *testing.T) {
 
 func TestEpochResetsCounters(t *testing.T) {
 	ix := newMockIndex(64)
-	cfg := ix.config(SingleThreaded, 1)
+	cfg := ix.config(TLS)
 	cfg.DisableBloom = true
 	cfg.MaxSampleSize = 64 // minimum: adapt quickly
 	m := New(cfg)
@@ -69,6 +70,7 @@ func TestEpochResetsCounters(t *testing.T) {
 	}
 	// Track in the new epoch: counters must restart, not accumulate.
 	s.Track(5, Read, struct{}{})
+	s.Flush()
 	m.mergeMu.Lock()
 	e := m.local.Ref(5)
 	if e == nil {
@@ -93,7 +95,6 @@ func TestGSUpdateContextAndForget(t *testing.T) {
 		Heuristic:    func(int, *ctx, *Stats, Env) Action { return Action{} },
 		Migrate:      func(id int, _ ctx, _ Encoding) (int, bool) { return id, false },
 		Mode:         GS,
-		Workers:      2,
 		DisableBloom: true,
 	}
 	m := New(cfg)
@@ -110,9 +111,38 @@ func TestGSUpdateContextAndForget(t *testing.T) {
 	}
 }
 
+// TestTLSMergeQuota: a TLS sampler merges after ⌈sample size ÷ samplers
+// handed out⌉ samples, and the phase completes at the first merge that
+// brings the merged samples to the sample size — for a lone sampler, at
+// exactly the sample size.
+func TestTLSMergeQuota(t *testing.T) {
+	for _, samplers := range []int{1, 3} {
+		ix := newMockIndex(8)
+		cfg := ix.config(TLS)
+		cfg.DisableBloom = true
+		cfg.MaxSampleSize = 64 // the minimum: the sample size is 64
+		m := New(cfg)
+		s := m.NewSampler()
+		for i := 1; i < samplers; i++ {
+			m.NewSampler() // handed out, never used
+		}
+		quota := (64 + samplers - 1) / samplers
+		phase := (64 + quota - 1) / quota * quota
+		for i := 1; i <= phase; i++ {
+			s.Track(i%8, Read, struct{}{})
+			if merged := m.TrackedUnits() > 0 || m.Epoch() > 0; merged != (i >= quota) {
+				t.Fatalf("%d samplers: after %d samples merged=%v, quota %d", samplers, i, merged, quota)
+			}
+			if adapted := m.Epoch() > 0; adapted != (i == phase) {
+				t.Fatalf("%d samplers: after %d samples adapted=%v, want a phase at %d", samplers, i, adapted, phase)
+			}
+		}
+	}
+}
+
 func TestTLSFlushIdempotent(t *testing.T) {
 	ix := newMockIndex(32)
-	cfg := ix.config(TLS, 2)
+	cfg := ix.config(TLS)
 	cfg.DisableBloom = true
 	m := New(cfg)
 	s := m.NewSampler()
@@ -127,7 +157,7 @@ func TestTLSFlushIdempotent(t *testing.T) {
 
 func TestSamplerPerGoroutineIndependence(t *testing.T) {
 	ix := newMockIndex(128)
-	cfg := ix.config(GS, 4)
+	cfg := ix.config(GS)
 	cfg.AdaptiveSkip = false
 	cfg.InitialSkip = 9
 	m := New(cfg)
@@ -153,86 +183,11 @@ func TestSamplerPerGoroutineIndependence(t *testing.T) {
 	}
 }
 
-func TestRandomizeSkipJitters(t *testing.T) {
-	ix := newMockIndex(64)
-	cfg := ix.config(SingleThreaded, 1)
-	cfg.AdaptiveSkip = false
-	cfg.InitialSkip = 20
-	cfg.RandomizeSkip = true
-	m := New(cfg)
-	s := m.NewSampler()
-	// Collect inter-sample gaps; with jitter they must vary but stay in
-	// roughly [skip/2, 3*skip/2], and the mean must stay near the skip.
-	gaps := map[int]int{}
-	gap := 0
-	total, count := 0, 0
-	for i := 0; i < 200_000; i++ {
-		if s.IsSample() {
-			if gap > 0 {
-				gaps[gap]++
-				total += gap
-				count++
-			}
-			gap = 0
-		} else {
-			gap++
-		}
-	}
-	if len(gaps) < 5 {
-		t.Fatalf("jitter produced only %d distinct gaps", len(gaps))
-	}
-	mean := float64(total) / float64(count)
-	if mean < 15 || mean > 26 {
-		t.Fatalf("jittered mean gap %.1f drifted from skip 20", mean)
-	}
-	for g := range gaps {
-		if g < 9 || g > 32 {
-			t.Fatalf("gap %d outside the jitter envelope", g)
-		}
-	}
-}
-
-func TestWeightedClassification(t *testing.T) {
-	var s Stats
-	s.Count(Read)
-	s.Count(Insert)
-	s.Count(Insert)
-	if s.WeightedFreq(1, 1) != 3 || s.WeightedFreq(10, 1) != 12 || s.WeightedFreq(1, 10) != 21 {
-		t.Fatalf("weighted freq wrong: %d %d %d", s.WeightedFreq(1, 1), s.WeightedFreq(10, 1), s.WeightedFreq(1, 10))
-	}
-	// A write-weighted manager must prefer the write-heavy unit when the
-	// budget allows only one expansion.
-	ix := newMockIndex(4)
-	cfg := ix.config(SingleThreaded, 1)
-	cfg.DisableBloom = true
-	cfg.MaxSampleSize = 64
-	cfg.MemoryBudget = 170 // k = (170-40)/90 = 1: exactly one expansion
-	cfg.WriteWeight = 100
-	m := New(cfg)
-	smp := m.NewSampler()
-	for i := 0; i < 32; i++ {
-		smp.Track(0, Read, struct{}{}) // read-heavy unit
-	}
-	for i := 0; i < 32; i++ {
-		if i%4 == 0 {
-			smp.Track(1, Insert, struct{}{}) // write-ish unit, fewer accesses
-		} else {
-			smp.Track(0, Read, struct{}{})
-		}
-	}
-	if !ix.isExpanded(1) {
-		t.Fatal("write-weighted unit not preferred")
-	}
-	if ix.isExpanded(0) {
-		t.Fatal("read unit expanded despite budget for one")
-	}
-}
-
 func TestCustomEpsilonShrinksSample(t *testing.T) {
 	ix := newMockIndex(10_000)
-	loose := ix.config(SingleThreaded, 1)
+	loose := ix.config(TLS)
 	loose.Epsilon, loose.Delta = 0.2, 0.2
-	tight := ix.config(SingleThreaded, 1)
+	tight := ix.config(TLS)
 	tight.Epsilon, tight.Delta = 0.02, 0.02
 	if New(loose).SampleSize() >= New(tight).SampleSize() {
 		t.Fatal("looser bounds must yield smaller samples")
@@ -244,7 +199,7 @@ func TestSampleOffsetsMatchesIsSample(t *testing.T) {
 	// the same access stream, both must pick exactly the same positions.
 	mk := func() *Sampler[int, struct{}] {
 		ix := newMockIndex(64)
-		cfg := ix.config(SingleThreaded, 1)
+		cfg := ix.config(TLS)
 		cfg.InitialSkip = 7
 		cfg.AdaptiveSkip = false
 		return New(cfg).NewSampler()
@@ -282,7 +237,7 @@ func TestSampleOffsetsMatchesIsSample(t *testing.T) {
 
 func TestSampleOffsetsEdgeCases(t *testing.T) {
 	ix := newMockIndex(64)
-	cfg := ix.config(SingleThreaded, 1)
+	cfg := ix.config(TLS)
 	cfg.InitialSkip = 100
 	cfg.AdaptiveSkip = false
 	s := New(cfg).NewSampler()
@@ -320,7 +275,7 @@ func TestStoreStatsConsistentUnderConcurrentForget(t *testing.T) {
 	// produced (units, bytes) pairs no single moment ever exhibited.
 	// StoreStats reads both in one pass; this hammers it under -race.
 	ix := newMockIndex(4096)
-	cfg := ix.config(GS, 4)
+	cfg := ix.config(GS)
 	cfg.DisableBloom = true
 	m := New(cfg)
 	var wg sync.WaitGroup

@@ -33,10 +33,11 @@ import (
 // migrationWorkers is the number of goroutines applying pending targets.
 const migrationWorkers = 2
 
-// backpressureBacklog is the backlog at which a proposal counts as
+// BackpressureBacklog is the backlog at which a proposal counts as
 // Backpressured: proposals have outrun the workers, and adapt() doubles
-// the skip length so the next phase samples, and proposes, less.
-const backpressureBacklog = 128
+// the skip length so the next phase samples, and proposes, less. The
+// B+-tree's flight recorder marks traced ops at the same bound.
+const BackpressureBacklog = 128
 
 // pending is the target owed to one unit, with the trace context of the
 // decision that set it (enqueuedAt is 0 without observability).

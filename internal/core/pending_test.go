@@ -12,8 +12,8 @@ import (
 )
 
 // asyncConfig returns a mockIndex config with asynchronous migrations on.
-func asyncConfig(ix *mockIndex, mode ConcurrencyMode, workers int) Config[int, struct{}] {
-	cfg := ix.config(mode, workers)
+func asyncConfig(ix *mockIndex, mode ConcurrencyMode) Config[int, struct{}] {
+	cfg := ix.config(mode)
 	cfg.AsyncMigrations = true
 	return cfg
 }
@@ -36,7 +36,7 @@ func flatConfig(n int64) Config[int, struct{}] {
 func TestAsyncMigrationsRunOffAdaptPath(t *testing.T) {
 	const n = 1000
 	ix := newMockIndex(n)
-	cfg := asyncConfig(ix, SingleThreaded, 1)
+	cfg := asyncConfig(ix, TLS)
 	cfg.MemoryBudget = 10*int64(n) + 100*100
 	var mu sync.Mutex
 	var adapts []AdaptInfo
@@ -100,7 +100,9 @@ func TestAsyncIDChangeKeepsOldEntry(t *testing.T) {
 		defer m.mergeMu.Unlock()
 		return m.local.Ref(id) != nil
 	}
-	m.NewSampler().Track(5, Read, struct{}{})
+	s := m.NewSampler()
+	s.Track(5, Read, struct{}{})
+	s.Flush()
 	m.adapt(m.epoch.Load())
 	m.DrainMigrations()
 	if migrated.Load() != 1 {
@@ -130,7 +132,7 @@ func TestAsyncQueueFullDefersEnqueue(t *testing.T) {
 	block := make(chan struct{})
 	var calls atomic.Int32
 	ix := newMockIndex(10)
-	cfg := asyncConfig(ix, SingleThreaded, 1)
+	cfg := asyncConfig(ix, TLS)
 	cfg.Migrate = func(id int, _ struct{}, _ Encoding) (int, bool) {
 		calls.Add(1)
 		<-block
@@ -143,7 +145,7 @@ func TestAsyncQueueFullDefersEnqueue(t *testing.T) {
 	for calls.Load() < migrationWorkers {
 		time.Sleep(time.Millisecond)
 	}
-	n := migrationWorkers + backpressureBacklog + 3
+	n := migrationWorkers + BackpressureBacklog + 3
 	for i := migrationWorkers; i < n; i++ {
 		res, backlog := m.pend.propose(i, pending[struct{}]{target: 1})
 		if res != proposedNew || backlog != i-migrationWorkers {
@@ -167,7 +169,7 @@ func TestAsyncQueueFullDefersEnqueue(t *testing.T) {
 func TestAsyncCloseFlushesQueue(t *testing.T) {
 	var calls atomic.Int32
 	ix := newMockIndex(10)
-	cfg := asyncConfig(ix, SingleThreaded, 1)
+	cfg := asyncConfig(ix, TLS)
 	cfg.Migrate = func(id int, _ struct{}, _ Encoding) (int, bool) {
 		calls.Add(1)
 		return id, true
@@ -196,7 +198,7 @@ func TestAsyncTinyQueueBackpressure(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, migrationWorkers)
 	ix := newMockIndex(n)
-	cfg := asyncConfig(ix, SingleThreaded, 1)
+	cfg := asyncConfig(ix, TLS)
 	cfg.MemoryBudget = 10*int64(n) + 60*100
 	cfg.Migrate = func(id int, c struct{}, tgt Encoding) (int, bool) {
 		if id >= n {
@@ -221,7 +223,7 @@ func TestAsyncTinyQueueBackpressure(t *testing.T) {
 		m.pend.propose(n+i, pending[struct{}]{target: 1})
 		<-started
 	}
-	for i := 0; i < backpressureBacklog; i++ {
+	for i := 0; i < BackpressureBacklog; i++ {
 		m.pend.propose(2*n+i, pending[struct{}]{target: 1})
 	}
 	driveSkewed(m, n, 1_500_000, 5)
@@ -251,7 +253,7 @@ func TestAsyncTinyQueueBackpressure(t *testing.T) {
 func TestGSAsyncConcurrentAdaptation(t *testing.T) {
 	const n = 2000
 	ix := newMockIndex(n)
-	cfg := asyncConfig(ix, GS, 4)
+	cfg := asyncConfig(ix, GS)
 	cfg.MemoryBudget = int64(n)*10 + 50*100
 	m := New(cfg)
 	var wg sync.WaitGroup
@@ -452,7 +454,7 @@ func TestAdaptInfoSurfacesPipelinePressure(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, migrationWorkers)
 	ix := newMockIndex(64)
-	cfg := asyncConfig(ix, SingleThreaded, 1)
+	cfg := asyncConfig(ix, TLS)
 	cfg.DisableBloom = true
 	cfg.Migrate = func(id int, c struct{}, tgt Encoding) (int, bool) {
 		if id >= 1000 {
@@ -474,7 +476,7 @@ func TestAdaptInfoSurfacesPipelinePressure(t *testing.T) {
 		m.pend.propose(1000+i, pending[struct{}]{target: 1})
 		<-started
 	}
-	for i := 0; i < backpressureBacklog; i++ {
+	for i := 0; i < BackpressureBacklog; i++ {
 		m.pend.propose(2000+i, pending[struct{}]{target: 1})
 	}
 	// Units 0..3 already owe a different target, which the phase replaces.
@@ -487,6 +489,7 @@ func TestAdaptInfoSurfacesPipelinePressure(t *testing.T) {
 			s.Track(i, Read, struct{}{})
 			s.Track(i, Read, struct{}{})
 		}
+		s.Flush()
 	}
 	track()
 	skipBefore := m.SkipLength()
@@ -495,7 +498,7 @@ func TestAdaptInfoSurfacesPipelinePressure(t *testing.T) {
 		t.Fatalf("phase 1: backpressured=%d coalesced=%d queued=%d inline=%d, want 8, 4, 4, 0",
 			last.Backpressured, last.Coalesced, last.Queued, last.Migrations)
 	}
-	if want := backpressureBacklog + 8; last.Backlog != want {
+	if want := BackpressureBacklog + 8; last.Backlog != want {
 		t.Fatalf("Backlog=%d want %d", last.Backlog, want)
 	}
 	if m.Backpressured() != 8 {
@@ -535,7 +538,7 @@ func TestAdaptInfoSurfacesPipelinePressure(t *testing.T) {
 // takes precedence over the configured budgets and can be removed.
 func TestSetMemoryBudgetOverride(t *testing.T) {
 	ix := newMockIndex(10)
-	cfg := ix.config(SingleThreaded, 1)
+	cfg := ix.config(TLS)
 	cfg.MemoryBudget = 1000
 	m := New(cfg)
 	u := cfg.Units()
@@ -562,7 +565,7 @@ func TestEnqueueDedupStatuses(t *testing.T) {
 	var mu sync.Mutex
 	seq := map[int][]Encoding{}
 	ix := newMockIndex(10)
-	cfg := asyncConfig(ix, SingleThreaded, 1)
+	cfg := asyncConfig(ix, TLS)
 	cfg.Migrate = func(id int, _ struct{}, tgt Encoding) (int, bool) {
 		mu.Lock()
 		seq[id] = append(seq[id], tgt)
@@ -602,7 +605,7 @@ func TestAdaptCountsDedupedEnqueues(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 1)
 	ix := newMockIndex(64)
-	cfg := asyncConfig(ix, SingleThreaded, 1)
+	cfg := asyncConfig(ix, TLS)
 	cfg.DisableBloom = true
 	cfg.Migrate = func(id int, c struct{}, tgt Encoding) (int, bool) {
 		if id == 0 {
@@ -624,6 +627,7 @@ func TestAdaptCountsDedupedEnqueues(t *testing.T) {
 		s.Track(i, Read, struct{}{})
 		s.Track(i, Read, struct{}{})
 	}
+	s.Flush()
 	m.adapt(m.epoch.Load())
 	if last.Deduped != 1 {
 		t.Fatalf("AdaptInfo.Deduped = %d, want 1", last.Deduped)

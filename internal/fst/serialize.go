@@ -15,8 +15,8 @@ import (
 // layout fields, each section as a uint64-word stream, then a CRC-32C
 // trailer word covering every preceding byte. Rank/select directories are
 // rebuilt at load time, so the on-disk form is close to the succinct
-// in-memory payload. All integers are little-endian. Version-1 streams
-// (no trailer) still load; writers always emit version 2.
+// in-memory payload. All integers are little-endian. Any other version
+// is rejected.
 const (
 	fstMagic   = uint64(0x4148494653543031) // "AHIFST01"
 	fstVersion = uint64(2)
@@ -106,7 +106,7 @@ func ReadFST(r io.Reader) (*FST, error) {
 	if head[0] != fstMagic {
 		return nil, fmt.Errorf("fst: bad magic %#x: %w", head[0], ErrCorrupt)
 	}
-	if head[1] != 1 && head[1] != fstVersion {
+	if head[1] != fstVersion {
 		return nil, fmt.Errorf("fst: unsupported version %d: %w", head[1], ErrCorrupt)
 	}
 	f := &FST{
@@ -130,17 +130,15 @@ func ReadFST(r io.Reader) (*FST, error) {
 		}
 		words = append(words, v)
 	}
-	if head[1] == fstVersion {
-		// Snapshot before the trailer word feeds the hash; compare the full
-		// word so flips in its zero upper half are caught too.
-		want := uint64(crc)
-		var buf [8]byte
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("fst: reading checksum trailer: %w", ErrCorrupt)
-		}
-		if got := binary.LittleEndian.Uint64(buf[:]); got != want {
-			return nil, fmt.Errorf("fst: checksum mismatch %#x != %#x: %w", got, want, ErrCorrupt)
-		}
+	// Snapshot before the trailer word feeds the hash; compare the full
+	// word so flips in its zero upper half are caught too.
+	want := uint64(crc)
+	var buf [8]byte
+	if _, err := io.ReadFull(br, buf[:]); err != nil {
+		return nil, fmt.Errorf("fst: reading checksum trailer: %w", ErrCorrupt)
+	}
+	if got := binary.LittleEndian.Uint64(buf[:]); got != want {
+		return nil, fmt.Errorf("fst: checksum mismatch %#x != %#x: %w", got, want, ErrCorrupt)
 	}
 	if f.dLabels, words, err = bitutil.BitVectorFromUint64s(words); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package fst
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -96,6 +97,12 @@ func TestSerializeRejectsCorrupt(t *testing.T) {
 	bad[8] ^= 0xff
 	if _, err := ReadFST(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad version accepted")
+	}
+	// A version-1 stream: no checksum trailer.
+	bad = append([]byte{}, good[:len(good)-8]...)
+	binary.LittleEndian.PutUint64(bad[8:], 1)
+	if _, err := ReadFST(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version-1 stream: err = %v, want ErrCorrupt", err)
 	}
 	// Truncated payload.
 	if _, err := ReadFST(bytes.NewReader(good[:len(good)-9])); err == nil {

@@ -88,7 +88,6 @@ func WireAdaptive(t *Trie, cfg AdaptiveConfig) *Adaptive {
 		AdaptiveSkip:   !cfg.FixedSkip,
 		MaxSampleSize:  cfg.MaxSampleSize,
 		DisableBloom:   cfg.DisableBloom,
-		Mode:           core.SingleThreaded,
 		OnAdapt: func(ai core.AdaptInfo) {
 			clear(a.freedThisPhase)
 			a.Trie.art.FlushFrees()

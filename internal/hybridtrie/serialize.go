@@ -16,8 +16,8 @@ import (
 // migration counters and size baselines) protected by its own CRC-32C
 // word, followed by the embedded FST and ART streams, each carrying its
 // own checksum trailer. The loaded trie resumes exactly where the saved
-// one was, including its current expansions. Version-1 headers (no CRC
-// word) still load; writers always emit version 2.
+// one was, including its current expansions. Any other version is
+// rejected.
 const (
 	trieMagic   = uint64(0x4148494854523031) // "AHIHTR01"
 	trieVersion = uint64(2)
@@ -91,17 +91,15 @@ func ReadTrie(r io.Reader) (*Trie, error) {
 	if head[0] != trieMagic {
 		return nil, fmt.Errorf("hybridtrie: bad magic %#x: %w", head[0], ErrCorrupt)
 	}
-	if head[1] != 1 && head[1] != trieVersion {
+	if head[1] != trieVersion {
 		return nil, fmt.Errorf("hybridtrie: unsupported version %d: %w", head[1], ErrCorrupt)
 	}
-	if head[1] == trieVersion {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("hybridtrie: reading header checksum: %w", ErrCorrupt)
-		}
-		// Full-word compare: flips in the trailer's zero upper half count.
-		if got := binary.LittleEndian.Uint64(buf[:]); got != uint64(crc) {
-			return nil, fmt.Errorf("hybridtrie: header checksum mismatch %#x != %#x: %w", got, crc, ErrCorrupt)
-		}
+	if _, err := io.ReadFull(br, buf[:]); err != nil {
+		return nil, fmt.Errorf("hybridtrie: reading header checksum: %w", ErrCorrupt)
+	}
+	// Full-word compare: flips in the trailer's zero upper half count.
+	if got := binary.LittleEndian.Uint64(buf[:]); got != uint64(crc) {
+		return nil, fmt.Errorf("hybridtrie: header checksum mismatch %#x != %#x: %w", got, crc, ErrCorrupt)
 	}
 	t := &Trie{
 		cArt: int(head[2]), numKeys: int(head[3]), maxKeyLen: int(head[4]),

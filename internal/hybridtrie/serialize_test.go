@@ -2,6 +2,7 @@ package hybridtrie
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -70,10 +71,17 @@ func TestTrieSerializeRejectsCorrupt(t *testing.T) {
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	bad := append([]byte{}, buf.Bytes()...)
+	good := buf.Bytes()
+	bad := append([]byte{}, good...)
 	bad[0] ^= 0x10
 	if _, err := ReadTrie(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+	// A version-1 stream: the nine header words without their CRC word.
+	bad = append(append([]byte{}, good[:72]...), good[80:]...)
+	binary.LittleEndian.PutUint64(bad[8:], 1)
+	if _, err := ReadTrie(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version-1 stream: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -102,8 +102,6 @@ const (
 	// CauseCacheContention: the cache probe observed torn seqlock slots
 	// (concurrent writers) before resolving.
 	CauseCacheContention
-	// CauseNegFilter: a succinct-leaf Bloom filter rejected the key.
-	CauseNegFilter
 	// CauseDeepDescent: the descent chased right-links (split races) or an
 	// unusually deep path.
 	CauseDeepDescent
@@ -115,7 +113,7 @@ const (
 	// waiting for its commit group's fsync.
 	CauseFsyncStall
 
-	numCauses = 10
+	numCauses = 9
 )
 
 // String returns the cause's label name.
@@ -131,8 +129,6 @@ func (c Cause) String() string {
 		return "write-retry"
 	case CauseCacheContention:
 		return "cache-contention"
-	case CauseNegFilter:
-		return "negative-filter"
 	case CauseDeepDescent:
 		return "deep-descent"
 	case CauseCacheHit:
@@ -196,8 +192,6 @@ func classify(ev *OpEvent) Cause {
 		return CauseWriteRetry
 	case ev.CacheTorn > 0:
 		return CauseCacheContention
-	case ev.NegFiltered:
-		return CauseNegFilter
 	case ev.RightHops > 0 || ev.Depth > deepDescentDepth:
 		return CauseDeepDescent
 	case ev.CacheHit:
@@ -238,7 +232,6 @@ type OpEvent struct {
 
 	// Lifecycle stage signals, filled by the instrumented path:
 	CacheHit     bool  `json:"cache_hit,omitempty"`
-	NegFiltered  bool  `json:"neg_filtered,omitempty"`
 	Depth        int32 `json:"depth,omitempty"`      // inner levels descended
 	RightHops    int32 `json:"right_hops,omitempty"` // B-link right chases
 	CacheTorn    int32 `json:"cache_torn,omitempty"` // seqlock probe retries

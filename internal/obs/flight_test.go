@@ -117,8 +117,7 @@ func TestFlightClassifyPriority(t *testing.T) {
 		{"overlap wins over everything", OpEvent{MigOverlap: true, Deferred: 3, CacheHit: true}, CauseMigrationOverlap},
 		{"backpressure before write-retry", OpEvent{Deferred: 2, WriteRetries: 4}, CauseBackpressure},
 		{"write-retry before torn", OpEvent{WriteRetries: 1, CacheTorn: 7}, CauseWriteRetry},
-		{"torn before negfilter", OpEvent{CacheTorn: 1, NegFiltered: true}, CauseCacheContention},
-		{"negfilter before deep", OpEvent{NegFiltered: true, RightHops: 2}, CauseNegFilter},
+		{"torn before deep", OpEvent{CacheTorn: 1, RightHops: 2}, CauseCacheContention},
 		{"right hops are deep", OpEvent{RightHops: 1}, CauseDeepDescent},
 		{"depth over threshold is deep", OpEvent{Depth: deepDescentDepth + 1}, CauseDeepDescent},
 		{"cache hit", OpEvent{CacheHit: true, Depth: 2}, CauseCacheHit},

@@ -45,7 +45,6 @@ import (
 	"sync/atomic"
 
 	"ahi/internal/btree"
-	"ahi/internal/core"
 	"ahi/internal/obs"
 )
 
@@ -252,12 +251,6 @@ func (s *ShardedBTree) perShardCfg(cfg Config, i int) btree.AdaptiveConfig {
 	if cfg.Obs != nil {
 		acfg.Obs = cfg.Obs
 		acfg.ObsSource = fmt.Sprintf("shard%d", i)
-	}
-	if acfg.Mode == core.SingleThreaded {
-		// Sessions run concurrently, so the manager must take their samples
-		// concurrently. TLS, not GS: as fast on serve-shift, but GS costs
-		// 5 % more heap_bytes_per_key (EXPERIMENTS.md, shardfront).
-		acfg.Mode, acfg.Workers = core.TLS, runtime.GOMAXPROCS(0)
 	}
 	return acfg
 }
