@@ -9,12 +9,16 @@ import "math/bits"
 // encoding of the paper relies on.
 //
 // NewFORArray produces the canonical form: the frame is the true minimum
-// and the width the smallest that fits the largest delta. WithSet may
-// return a non-canonical array — same frame and width as its source even
-// when the patched value would now allow a tighter one — whose Bytes()
-// equals its source's. Every operation reads such an array correctly;
-// decoding and re-encoding through NewFORArray (leaf migrations and
-// checkpoints do) restores the canonical form.
+// and the width the smallest that fits the largest delta. WithSet and
+// WithoutAt may return a non-canonical array: they keep their source's
+// frame and width even when the patched or remaining values would allow a
+// tighter one, so the frame can sit below the smallest element and the
+// width can exceed what the largest delta needs. WithSet's result has its
+// source's Bytes(); WithoutAt's has at most its source's. Every operation
+// reads such an array correctly (Search and SearchSkipFrom need only a
+// frame <= the first element); decoding and re-encoding through
+// NewFORArray (leaf migrations, splits and checkpoints do) restores the
+// canonical form.
 type FORArray struct {
 	deltas PackedArray
 	min    uint64
@@ -79,6 +83,55 @@ func (f *FORArray) WithSet(i int, v uint64) FORArray {
 	f.DecodeRange(0, n, buf)
 	buf[i] = v
 	return NewFORArray(buf[:n])
+}
+
+// WithoutAt returns a copy of f without element i, in f's frame and width;
+// f itself is not modified. Removing a field shifts every later bit down
+// by the width w, so no element is decoded: the words before the one that
+// holds field i are copied, and output word j from there on is the source
+// stream read w bits further along, src[j+q]>>r | src[j+q+1]<<(64-r) with
+// q = w/64 and r = w%64 fixed for the whole array (at w = 64 the second
+// term shifts by 64, which Go defines as 0). The word that holds field i
+// keeps its bits below field i, and the bits past the last field are
+// cleared. The result may be non-canonical (see the type comment); a
+// single element leaves the canonical empty array.
+func (f *FORArray) WithoutAt(i int) FORArray {
+	n, w := f.deltas.n, uint(f.deltas.width)
+	if uint(i) >= uint(n) {
+		panic("bitutil: FORArray.WithoutAt index out of range")
+	}
+	if n == 1 {
+		return FORArray{}
+	}
+	nf := FORArray{min: f.min, deltas: PackedArray{n: n - 1, width: uint8(w)}}
+	if w == 0 {
+		return nf
+	}
+	src := f.deltas.words
+	total := uint(n-1) * w
+	dst := make([]uint64, (total+63)/64)
+	bit := uint(i) * w
+	k, off := bit/64, bit%64 // k <= len(dst): bit <= total
+	copy(dst[:k], src[:k])
+	if d := dst[k:]; len(d) > 0 {
+		q, r := w/64, w%64
+		lo, hi := src[k+q:], src[k+q+1:]
+		m := min(len(d), len(hi)) // len(d)-1 when the source has no word past the last one read
+		lo, hi = lo[:len(d)], hi[:m]
+		for j, h := range hi {
+			d[j] = lo[j]>>r | h<<(64-r)
+		}
+		if m < len(d) {
+			d[m] = lo[m] >> r
+		}
+		keep := uint64(1)<<off - 1
+		d[0] = src[k]&keep | d[0]&^keep
+	}
+	if t := total % 64; t != 0 {
+		dst[len(dst)-1] &= 1<<t - 1
+	}
+	nf.deltas.words = dst
+	return nf
 }
 
 // Len returns the number of elements.

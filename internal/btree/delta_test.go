@@ -114,6 +114,49 @@ func TestInsertAtRemoveAt(t *testing.T) {
 	}
 }
 
+// TestRemoveAtSuccinctToEmpty deletes every pair of a full Succinct leaf,
+// one at a time in a scattered order that takes the first and the last
+// pair along the way, each result the donor of the next. Every step keeps
+// the frames and widths of the full leaf, so the later images are
+// non-canonical; each must still read like a fresh encode, leave its donor
+// alone, and come back canonical from a re-encode to Gapped and back.
+func TestRemoveAtSuccinctToEmpty(t *testing.T) {
+	keys, vals := sortedPairs(LeafCap, 44)
+	p := payload(newSuccinct(keys, vals))
+	for x := uint64(0x2545f4914f6cdd1d); len(keys) > 0; {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		i := int(x % uint64(len(keys)))
+		switch len(keys) {
+		case LeafCap - 1:
+			i = 0
+		case LeafCap - 2:
+			i = len(keys) - 1
+		}
+		what := fmt.Sprintf("removeAt(%d) of %d", i, len(keys))
+		gone := keys[i]
+		snap := imageBits(p)
+		next := removeAt(p, i)
+		if imageBits(p) != snap {
+			t.Fatalf("%s: donor image changed", what)
+		}
+		keys, vals = slices.Delete(keys, i, i+1), slices.Delete(vals, i, i+1)
+		checkImage(t, what, next, EncSuccinct, keys, vals)
+		if pos, ok := next.search(gone); ok || pos != i {
+			t.Fatalf("%s: search(removed %d) = (%d,%v), want (%d,false)", what, gone, pos, ok, i)
+		}
+		if next.bytes() > p.bytes() {
+			t.Fatalf("%s: bytes grew %d -> %d", what, p.bytes(), next.bytes())
+		}
+		back := reencode(reencode(next, EncGapped), EncSuccinct)
+		if got, want := imageBits(back), imageBits(newSuccinct(keys, vals)); got != want {
+			t.Fatalf("%s: Gapped round trip is not canonical:\n got %s\nwant %s", what, got, want)
+		}
+		p = next
+	}
+}
+
 // TestSplitAtLeafCap writes into a full single-leaf tree of every encoding
 // at the first, a middle and the last position, with and without eager
 // expansion, holding the pre-split image like a reader would. The split

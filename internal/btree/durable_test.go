@@ -372,3 +372,96 @@ func TestOpenAdaptiveVolatile(t *testing.T) {
 func BenchmarkSessionLookupDurOff(b *testing.B) { benchmarkLookup(b, 0) }
 
 func BenchmarkLookupBatchDurOff(b *testing.B) { benchmarkLookupBatch(b, 0) }
+
+// TestDurableSuccinctDeletesReplay checkpoints a tree of Succinct leaves,
+// deletes a few hundred keys spread over them — the first and the last
+// key of many leaves among them — and closes without a second checkpoint.
+// Recovery replays the deletes with eager expansion off, so each one
+// shifts its leaf's packed words in place of a re-encode: the reopened
+// tree must equal a map oracle and keep every leaf Succinct.
+func TestDurableSuccinctDeletesReplay(t *testing.T) {
+	dir := t.TempDir()
+	a, _, err := OpenAdaptive(durCfg(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := a.NewSession()
+	oracle := map[uint64]uint64{}
+	keys, vals := make([]uint64, 1000), make([]uint64, 1000)
+	inserted := make([]bool, 1000)
+	for round := uint64(0); round < 20; round++ {
+		for i := range keys {
+			keys[i] = (round*1000 + uint64(i)) * 7
+			vals[i] = keys[i]<<3 | round
+			oracle[keys[i]] = vals[i]
+		}
+		s.InsertBatch(keys, vals, inserted)
+	}
+	a.Tree.WalkLeaves(func(l *Leaf) bool {
+		a.Tree.MigrateLeaf(l, EncSuccinct)
+		return true
+	})
+	if _, p, g := a.Tree.LeafCounts(); p+g != 0 {
+		t.Fatalf("%d packed and %d gapped leaves left after migrating all to Succinct", p, g)
+	}
+	if err := a.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	var doomed []uint64
+	leaves := 0
+	a.Tree.WalkLeaves(func(l *Leaf) bool {
+		ks, _ := l.box.Load().p.appendAll(nil, nil)
+		for j, k := range ks {
+			if (j == 0 && leaves%2 == 0) || (j == len(ks)-1 && leaves%3 == 0) || j%41 == leaves%41 {
+				doomed = append(doomed, k)
+			}
+		}
+		leaves++
+		return true
+	})
+	if len(doomed) < 200 {
+		t.Fatalf("only %d keys to delete over %d leaves", len(doomed), leaves)
+	}
+	for _, k := range doomed {
+		if !s.Delete(k) {
+			t.Fatalf("delete %d found nothing", k)
+		}
+		delete(oracle, k)
+	}
+	a.Close()
+
+	b, st, err := OpenAdaptive(durCfg(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if !st.WarmStart || st.Replayed != len(doomed) {
+		t.Fatalf("warm start %v, replayed %d records, want %d deletes", st.WarmStart, st.Replayed, len(doomed))
+	}
+	if sc, p, g := b.Tree.LeafCounts(); p+g != 0 || sc != int64(leaves) {
+		t.Fatalf("recovered leaves are %d succinct, %d packed, %d gapped; want %d succinct", sc, p, g, leaves)
+	}
+	if err := b.Tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var got int
+	b.Tree.WalkLeaves(func(l *Leaf) bool {
+		ks, vs := l.box.Load().p.appendAll(nil, nil)
+		for j, k := range ks {
+			if v, ok := oracle[k]; !ok || v != vs[j] {
+				t.Fatalf("recovered pair (%d,%d); oracle has (%d,%v)", k, vs[j], v, ok)
+			}
+		}
+		got += len(ks)
+		return true
+	})
+	if got != len(oracle) || b.Tree.Len() != len(oracle) {
+		t.Fatalf("recovered %d pairs (Len %d), oracle holds %d", got, b.Tree.Len(), len(oracle))
+	}
+	for _, k := range doomed {
+		if v, ok := b.Tree.Lookup(k); ok {
+			t.Fatalf("deleted key %d recovered with value %d", k, v)
+		}
+	}
+}

@@ -234,8 +234,11 @@ var kvPool = sync.Pool{New: func() any { return new(kvScratch) }}
 // succinct combines frame-of-reference coding with bit packing for both
 // keys and values (Figure 8 bottom). Random access survives, at the cost
 // of extra shift/mask work per probe. An overwrite shares the keys and
-// patches or re-encodes the values (FORArray.WithSet); an insert or delete
-// decodes and re-encodes both.
+// patches or re-encodes the values (FORArray.WithSet); a delete shifts the
+// packed words of both over the removed field (FORArray.WithoutAt); an
+// insert decodes and re-encodes both. Both delta writes keep the donor's
+// frames and widths, so the image may be non-canonical until a migration,
+// split or checkpoint restore encodes it afresh.
 type succinct struct {
 	keys bitutil.FORArray
 	vals bitutil.FORArray
@@ -358,9 +361,14 @@ func insertAt(p payload, target core.Encoding, pos int, k, v uint64) payload {
 }
 
 // removeAt returns an image in p's encoding without the pair at position
-// pos: one decode that closes the hole, one encode. The caller holds the
-// leaf's write lock.
+// pos. A Succinct image shifts the packed words of its keys and values
+// down over the hole (FORArray.WithoutAt) in its frames and widths, with
+// no decode; a Gapped or Packed image is decoded into the new arrays with
+// the hole closed. The caller holds the leaf's write lock.
 func removeAt(p payload, pos int) payload {
+	if s, ok := p.(*succinct); ok {
+		return &succinct{keys: s.keys.WithoutAt(pos), vals: s.vals.WithoutAt(pos)}
+	}
 	n := p.count()
 	b := newImageBuf(p.encoding(), n-1)
 	decodeLocked(p, 0, pos, b.keys, b.vals)

@@ -63,6 +63,25 @@ func benchInsertDelete(b *testing.B, enc core.Encoding) {
 func BenchmarkInsertDeleteSuccinct(b *testing.B) { benchInsertDelete(b, EncSuccinct) }
 func BenchmarkInsertDeleteGapped(b *testing.B)   { benchInsertDelete(b, EncGapped) }
 
+// BenchmarkDeleteSuccinct times one delete of a present key, the delete
+// half of BenchmarkInsertDeleteSuccinct on its own. The tree is rebuilt
+// off the clock once half of its keys are gone, so it never holds fewer
+// than half of them.
+func BenchmarkDeleteSuccinct(b *testing.B) {
+	t, probe := writeBenchTree(EncSuccinct)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % (writeBenchKeys / 2)
+		if j == 0 && i > 0 {
+			b.StopTimer()
+			t, _ = writeBenchTree(EncSuccinct)
+			b.StartTimer()
+		}
+		t.Delete(probe[j])
+	}
+}
+
 // TestWriteAllocs bounds what an overwrite allocates on every encoding:
 // on Succinct the leaf box, the payload header and the new values — no
 // clone of the keys and no heap-allocated descent stack; Gapped and Packed
@@ -81,6 +100,29 @@ func TestWriteAllocs(t *testing.T) {
 		})
 		if got > 4 {
 			t.Errorf("%s: overwrite allocates %.1f objects, want <= 4", EncodingName(enc), got)
+		}
+	}
+}
+
+// TestDeleteAllocs bounds what a delete allocates on every encoding: the
+// leaf box, the payload header and the two new arrays (on Succinct the
+// packed words FORArray.WithoutAt shifts into).
+func TestDeleteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	keys, vals := sortedPairs(4096, 22)
+	for _, enc := range allEncodings() {
+		tr := BulkLoad(Config{DefaultEncoding: enc}, keys, vals)
+		i := 0
+		got := testing.AllocsPerRun(500, func() {
+			if !tr.Delete(keys[(i*37)%len(keys)]) {
+				t.Fatalf("%s: delete %d found nothing", EncodingName(enc), i)
+			}
+			i++
+		})
+		if got > 4 {
+			t.Errorf("%s: delete allocates %.1f objects, want <= 4", EncodingName(enc), got)
 		}
 	}
 }
