@@ -291,7 +291,7 @@ func BenchmarkBitVectorRank1(b *testing.B) {
 	v := bl.Build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = v.Rank1(int(uint(i*2654435761) % uint(v.Len())))
+		_ = v.Rank1(int(uint(i) * 2654435761 % uint(v.Len())))
 	}
 }
 
@@ -304,7 +304,7 @@ func BenchmarkBitVectorSelect1(b *testing.B) {
 	v := bl.Build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = v.Select1(1 + int(uint(i*2654435761)%uint(v.Ones())))
+		_ = v.Select1(1 + int(uint(i)*2654435761%uint(v.Ones())))
 	}
 }
 
@@ -318,7 +318,7 @@ func BenchmarkBitVectorSelect1Sparse(b *testing.B) {
 	v := bl.Build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = v.Select1(1 + int(uint(i*2654435761)%uint(v.Ones())))
+		_ = v.Select1(1 + int(uint(i)*2654435761%uint(v.Ones())))
 	}
 }
 
@@ -331,6 +331,6 @@ func BenchmarkBitVectorSelect0(b *testing.B) {
 	v := bl.Build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = v.Select0(1 + int(uint(i*2654435761)%uint(v.Zeros())))
+		_ = v.Select0(1 + int(uint(i)*2654435761%uint(v.Zeros())))
 	}
 }

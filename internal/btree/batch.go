@@ -666,8 +666,8 @@ func firstKey(keys []uint64) uint64 {
 	return keys[0]
 }
 
-// lookupBatchCached is the cache-on half of LookupBatch: probe, descend
-// for the misses and the sampled keys, admit.
+// lookupBatchCached is the cache-on half of LookupBatch: load the
+// buckets, probe, descend for the misses and the sampled keys, admit.
 func (s *Session) lookupBatchCached(keys, vals []uint64, found []bool) {
 	n := len(keys)
 	if len(vals) < n || len(found) < n {
@@ -677,6 +677,9 @@ func (s *Session) lookupBatchCached(keys, vals []uint64, found []bool) {
 	cb.grow(n)
 	s.drawSamples(n)
 	defer s.clearSamples()
+	// Load every key's bucket before probing any, so the batch's bucket
+	// misses overlap instead of queuing one probe at a time.
+	cb.touched = s.c.Touch(keys)
 	miss := 0
 	// Probes are tallied here and reach the shared counters once per
 	// batch: a per-key atomic add is a write to a line every caller reads.
@@ -799,15 +802,17 @@ func (s *Session) trackInsert(i int, l *Leaf, expanded bool) {
 }
 
 // cacheBatch is the session-owned scratch of the cached batch path: the
-// compacted miss batch (keys/pos/snaps in batch order) and its results.
-// Sessions are single-goroutine, so no pooling or locking is needed and
-// the buffers amortize to zero allocations per batch.
+// compacted miss batch (keys/pos/snaps in batch order) and its results,
+// and the sum of the bucket-load pass (cache.Touch). Sessions are
+// single-goroutine, so no pooling or locking is needed and the buffers
+// amortize to zero allocations per batch.
 type cacheBatch struct {
-	keys  []uint64
-	vals  []uint64
-	found []bool
-	pos   []int32
-	snaps []uint64
+	keys    []uint64
+	vals    []uint64
+	found   []bool
+	pos     []int32
+	snaps   []uint64
+	touched uint64
 }
 
 func (cb *cacheBatch) grow(n int) {

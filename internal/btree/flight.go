@@ -11,7 +11,7 @@ import (
 // operations brackets its one body with beginOp and finishOp; in between
 // the body hands the operation's event — the probe — to the stages it
 // runs through, and each stage leaves what it counted in it: the cache
-// probe its torn seqlock ways, descend and moveRightLeaf the levels and
+// probe whether its bucket was torn, descend and moveRightLeaf the levels and
 // B-link right-hops, lockLeaf a write's re-descents (and nothing about
 // the descents themselves: writes report no depth), the WAL bracket the
 // commit wait. finishOp adds what only the end of the op can see: overlap

@@ -99,8 +99,8 @@ const (
 	// CauseWriteRetry: an insert lost its leaf lock (or found a dead leaf)
 	// and re-descended.
 	CauseWriteRetry
-	// CauseCacheContention: the cache probe observed torn seqlock slots
-	// (concurrent writers) before resolving.
+	// CauseCacheContention: the cache probe found its bucket torn — a
+	// concurrent cache writer held the bucket's seqlock — and missed.
 	CauseCacheContention
 	// CauseDeepDescent: the descent chased right-links (split races) or an
 	// unusually deep path.
@@ -234,7 +234,7 @@ type OpEvent struct {
 	CacheHit     bool  `json:"cache_hit,omitempty"`
 	Depth        int32 `json:"depth,omitempty"`      // inner levels descended
 	RightHops    int32 `json:"right_hops,omitempty"` // B-link right chases
-	CacheTorn    int32 `json:"cache_torn,omitempty"` // seqlock probe retries
+	CacheTorn    int32 `json:"cache_torn,omitempty"` // 1 if the probe's bucket seqlock was torn, else 0
 	WriteRetries int32 `json:"write_retries,omitempty"`
 	Deferred     int32 `json:"deferred,omitempty"` // migration backlog, set at or above its bound
 	MigOverlap   bool  `json:"mig_overlap,omitempty"`

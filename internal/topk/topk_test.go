@@ -166,6 +166,6 @@ func BenchmarkClassifierOffer(b *testing.B) {
 	c := NewClassifier(1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Offer(Entry{Item: i, Priority: uint64(i*2654435761) % 1_000_000})
+		c.Offer(Entry{Item: i, Priority: uint64(i) * 2654435761 % 1_000_000})
 	}
 }
