@@ -165,29 +165,31 @@ type BTreeOptions struct {
 	// OnAdapt observes adaptation phases.
 	OnAdapt func(AdaptInfo)
 	// Shards, when > 1, key-range-partitions the index across that many
-	// adaptive trees behind one front-end (use NewShardedBTree /
-	// BulkLoadShardedBTree). Each shard owns its own adaptation manager;
-	// MemoryBudget is the total across shards, re-split by hotness.
+	// trees behind one front-end (use NewShardedBTree /
+	// BulkLoadShardedBTree). The shards share one adaptation manager and
+	// one result cache; MemoryBudget and CacheFraction cover them all.
 	Shards int
 	// Workers bounds the goroutines batch segments are handed to
 	// (default GOMAXPROCS, capped at Shards; 1 keeps every batch on its
 	// caller). It does not bound callers: any number run concurrently.
 	Workers int
 	// AsyncMigrations moves leaf re-encodings off the critical path: each
-	// adaptation phase records a target encoding per leaf, and two worker
-	// goroutines per tree apply them (call Close on the tree when retiring
-	// it).
+	// adaptation phase records a target encoding per leaf, and the
+	// manager's two worker goroutines apply them (call Close on the tree
+	// when retiring it).
 	AsyncMigrations bool
 	// CacheFraction, in (0, 1), dedicates that slice of MemoryBudget to a
-	// per-tree hot-key result cache probed before the tree walk. The cache
-	// bytes are charged against the budget (encodings + cache never exceed
-	// it) and admission follows the adaptation sampler's hotness signal.
+	// hot-key result cache probed before the tree walk — one cache for the
+	// index, shared by all shards of a sharded one. The cache bytes are
+	// charged against the budget (encodings + cache never exceed it) and
+	// admission follows the adaptation sampler's hotness signal.
 	// Requires an absolute MemoryBudget; 0 disables the cache. 0.05–0.10
 	// is a good starting range for skewed read-heavy workloads.
 	CacheFraction float64
 	// Obs attaches an observability bundle: metrics, migration traces and
-	// encoding snapshots flow into it, labelled ObsSource (sharded trees
-	// label per shard automatically). Nil disables all instrumentation.
+	// encoding snapshots flow into it, labelled ObsSource (a sharded tree
+	// labels its manager and cache "front" and each shard's flight recorder
+	// "shard<i>"). Nil disables all instrumentation.
 	Obs       *Observability
 	ObsSource string
 	// Tracing, with Obs set, enables the per-operation flight recorder and
@@ -272,8 +274,7 @@ func (o *DurabilityOptions) config() *btree.DurabilityConfig {
 func (o BTreeOptions) config() btree.AdaptiveConfig {
 	if o.Obs != nil && o.Tracing != nil {
 		// Enable before wiring: scopes derive from the recorder at wiring
-		// time. Idempotent, so sharded construction (N configs off one
-		// options value) enables once.
+		// time. Idempotent, so calling config more than once enables once.
 		o.Obs.EnableTracing(*o.Tracing)
 	}
 	return btree.AdaptiveConfig{
@@ -322,15 +323,15 @@ func BulkLoadPlainBTree(enc Encoding, keys, vals []uint64) *PlainBTree {
 }
 
 // ShardedBTree is the serving front-end: BTreeOptions.Shards key-range
-// partitions, each an adaptive B+-tree with its own adaptation manager,
-// with batch routing (LookupBatch/InsertBatch/ScanBatch group a request
-// batch by shard; large segments beyond the caller's own go to a bounded
-// worker pool) and a shared memory budget re-split by per-shard hotness.
-// All methods are safe from any number of goroutines, and callers of one
-// shard run concurrently: each call checks a session out of the shard,
-// and the front runs its shard managers in §3.1.5's thread-local
-// sampling mode. Scan and ScanBatch callbacks may call back into the same
-// ShardedBTree.
+// partitions, each a B+-tree, wired to one adaptation manager and one
+// result cache, with batch routing (LookupBatch/InsertBatch/ScanBatch
+// group a request batch by shard; large segments beyond the caller's own
+// go to a bounded worker pool). Each adaptation phase classifies one
+// top-k over all shards under the one memory budget. All methods are safe
+// from any number of goroutines, and callers of one shard run
+// concurrently: each call checks a session out of the shard, and sessions
+// sample in §3.1.5's thread-local mode. Scan and ScanBatch callbacks may
+// call back into the same ShardedBTree.
 type ShardedBTree = shard.ShardedBTree
 
 // NewShardedBTree creates an empty sharded adaptive B+-tree; shards split
@@ -346,9 +347,10 @@ func BulkLoadShardedBTree(opts BTreeOptions, keys, vals []uint64) *ShardedBTree 
 }
 
 // OpenShardedBTree opens a durable sharded adaptive B+-tree: shard i logs
-// to and recovers from Durability.Dir/shard<i>, all shards in parallel.
-// The shard count must match across restarts (routing bounds derive from
-// it). With Durability nil it behaves like NewShardedBTree.
+// to and recovers from Durability.Dir/shard<i>, all shards in parallel,
+// and the one manager resumes the newest shard checkpoint's adaptation
+// state. The shard count must match across restarts (routing bounds
+// derive from it). With Durability nil it behaves like NewShardedBTree.
 func OpenShardedBTree(opts BTreeOptions) (*ShardedBTree, *ShardedRecoveryStats, error) {
 	cfg := opts.shardConfig()
 	cfg.Adaptive.Dur = opts.Durability.config()

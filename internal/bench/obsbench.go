@@ -13,7 +13,8 @@ import (
 // RunTraced drives the observability layer end to end: a skewed lookup
 // phase against an adaptive tree (source "btree", asynchronous
 // migrations) followed by a batched phase against a small sharded
-// front-end (sources "shard0".."shardN"), all recording into o — with
+// front-end (its one manager "front", its shards' op events
+// "shard0".."shardN"), all recording into o — with
 // the flight recorder on (1/8 sampling), so the dump carries op events
 // for ahimon -explain-tail. The caller then serializes o.Dump() for
 // ahimon --replay; the printed table summarizes what was captured.
@@ -50,8 +51,8 @@ func RunTraced(sc Scale, o *obs.Observability, w io.Writer) error {
 	a.DrainMigrations()
 	a.Close()
 
-	// Phase 2: sharded front-end, batched lookups — populates the
-	// per-shard sources in the same registry.
+	// Phase 2: sharded front-end, batched lookups — populates the front's
+	// and the shards' sources in the same registry.
 	st := shard.BulkLoad(shard.Config{
 		Shards: 2,
 		Adaptive: btree.AdaptiveConfig{

@@ -164,10 +164,7 @@ func scalingSweep(sc Scale, keys, vals []uint64, budget int64, shards, opsPerCli
 	}
 
 	s.DrainMigrations()
-	for i := 0; i < s.Shards(); i++ {
-		mgr := s.Shard(i).Mgr
-		res.Backpressured += mgr.Backpressured()
-	}
+	res.Backpressured += s.Shard(0).Mgr.Backpressured() // one manager for all shards
 	s.Close()
 	runtime.GC()
 	return out

@@ -9,12 +9,10 @@ import (
 )
 
 // LeafCtx is the context the adaptation manager stores per tracked leaf:
-// the inner node the leaf was reached from. The B-link design keeps leaf
-// identities stable across migrations, so the parent is informational —
-// but the framework round-trips it exactly as the paper's variadic context
-// arguments do, and the Hybrid Trie relies on the same machinery for real.
+// the tree that owns it. The trees of a group share one manager, so a
+// migration finds its tree here; a leaf never moves between trees.
 type LeafCtx struct {
-	Parent *Inner
+	Tree *Tree
 }
 
 // AdaptiveConfig configures an adaptive Hybrid B+-tree (AHI-BTree).
@@ -46,38 +44,38 @@ type AdaptiveConfig struct {
 	// classification instead of waiting for two consecutive ones
 	// (ablation of the history byte).
 	ImpatientCompaction bool
-	// CacheFraction sizes a hot-key result cache as this fraction of the
-	// absolute MemoryBudget (0 disables it). The cache's bytes are
-	// charged against the adaptation budget — encodings plus cache never
-	// exceed MemoryBudget — and its admission signal reuses the hotness
-	// sampler: sampled lookups bypass the cache (keeping the adaptation
-	// signal exact) and admit their result pre-warmed. Requires an
-	// absolute MemoryBudget; fractions of a RelativeBudget would need
-	// the initial data size, which isn't known at construction.
+	// CacheFraction sizes a hot-key result cache, one for the whole group,
+	// as this fraction of the absolute MemoryBudget (0 disables it). The
+	// cache's bytes are charged against the adaptation budget — encodings
+	// plus cache never exceed MemoryBudget — and its admission signal
+	// reuses the hotness sampler: sampled lookups bypass the cache
+	// (keeping the adaptation signal exact) and admit their result
+	// pre-warmed. Requires an absolute MemoryBudget; fractions of a
+	// RelativeBudget would need the initial data size, which isn't known
+	// at construction.
 	CacheFraction float64
 	// Dur enables the write-ahead log + checkpoint durability layer
-	// (durable.go). Only honored by OpenAdaptive; NewAdaptive and
-	// BulkLoadAdaptive build volatile trees regardless.
+	// (durable.go). Only honored by OpenAdaptive and OpenGroup; the other
+	// constructors build volatile trees regardless.
 	Dur *DurabilityConfig
 	// OnAdapt observes adaptation phases.
 	OnAdapt func(core.AdaptInfo)
 	// Obs attaches an observability sink: the manager then emits metrics,
 	// per-migration trace events and per-epoch encoding-distribution
 	// snapshots into it. Nil disables all instrumentation (zero overhead on
-	// the access path). ObsSource labels this tree's series — shard fronts
-	// set it to "shard<i>" so per-shard scopes aggregate in one registry.
+	// the access path). ObsSource labels the series of the group's manager
+	// and cache, and of every tree unless NewGroup is given per-tree
+	// sources (a shard front labels shard i "shard<i>").
 	Obs       *obs.Observability
 	ObsSource string
 }
 
-// Adaptive is the workload-adaptive Hybrid B+-tree: a Tree plus its
-// adaptation manager. Obtain per-goroutine Sessions for tracked access.
+// Adaptive is the workload-adaptive Hybrid B+-tree: a Tree plus the
+// adaptation manager of its group. Obtain per-goroutine Sessions for
+// tracked access.
 type Adaptive struct {
 	Tree *Tree
 	Mgr  *core.Manager[*Leaf, LeafCtx]
-
-	impatient bool
-	cacheFrac float64
 
 	// dur is the durability runtime (nil: volatile tree). Session write
 	// paths branch on it once; the lookup path never touches it.
@@ -94,28 +92,31 @@ type Adaptive struct {
 // expand-on-insert (§5.2) unless ablated and Succinct as the default
 // (cold) encoding.
 func NewAdaptive(cfg AdaptiveConfig) *Adaptive {
-	cfg.Tree.ExpandOnInsert = !cfg.NoEagerExpand
-	t := New(cfg.Tree)
-	return wireAdaptive(t, cfg)
+	return NewGroup(cfg, []*Tree{New(cfg.Tree)}, nil)[0]
 }
 
 // BulkLoadAdaptive bulk-loads an adaptive tree from sorted keys. Leaves
 // start in cfg.Tree.DefaultEncoding (typically EncSuccinct: everything
 // cold until proven hot).
 func BulkLoadAdaptive(cfg AdaptiveConfig, keys, vals []uint64) *Adaptive {
-	cfg.Tree.ExpandOnInsert = !cfg.NoEagerExpand
-	t := BulkLoad(cfg.Tree, keys, vals)
-	return wireAdaptive(t, cfg)
+	return NewGroup(cfg, []*Tree{BulkLoad(cfg.Tree, keys, vals)}, nil)[0]
 }
 
-func wireAdaptive(t *Tree, cfg AdaptiveConfig) *Adaptive {
-	a := &Adaptive{Tree: t, impatient: cfg.ImpatientCompaction}
+// NewGroup wires trees to one adaptation manager and one result cache and
+// returns one Adaptive per tree, in order: one sampler population, one
+// top-k per phase and one memory budget (§3) over all of them. A plain
+// tree is a group of one. cfg.MemoryBudget and CacheFraction size the
+// whole group. With cfg.Obs set, cfg.ObsSource labels the manager's and
+// the cache's series and sources[i] (when sources is non-nil) tree i's
+// flight-recorder scope and log metrics. The trees must not be in use yet.
+func NewGroup(cfg AdaptiveConfig, trees []*Tree, sources []string) []*Adaptive {
+	g := &group{trees: trees, impatient: cfg.ImpatientCompaction}
 	mcfg := core.Config[*Leaf, LeafCtx]{
 		Hash:           func(l *Leaf) uint64 { return hashmap.HashU64(l.id) },
-		Units:          a.unitCounts,
-		UsedMemory:     t.Bytes,
-		Heuristic:      a.heuristic,
-		Migrate:        a.migrate,
+		Units:          g.unitCounts,
+		UsedMemory:     g.usedMemory,
+		Heuristic:      g.heuristic,
+		Migrate:        migrate,
 		MemoryBudget:   cfg.MemoryBudget,
 		RelativeBudget: cfg.RelativeBudget,
 		Epsilon:        cfg.Epsilon,
@@ -131,43 +132,50 @@ func wireAdaptive(t *Tree, cfg AdaptiveConfig) *Adaptive {
 
 		AsyncMigrations: cfg.AsyncMigrations,
 	}
+	var rc *cache.Cache
 	if cfg.CacheFraction > 0 && cfg.MemoryBudget > 0 {
 		// The result cache is carved out of the adaptation budget, not
 		// added on top: ChargedBytes makes the manager treat cache bytes
 		// exactly like index bytes when computing budget headroom.
-		t.rcache = cache.New(int64(cfg.CacheFraction * float64(cfg.MemoryBudget)))
-		if t.rcache != nil {
-			a.cacheFrac = cfg.CacheFraction
-			mcfg.ChargedBytes = t.rcache.Bytes
+		if rc = cache.New(int64(cfg.CacheFraction * float64(cfg.MemoryBudget))); rc != nil {
+			mcfg.ChargedBytes = rc.Bytes
 		}
 	}
 	if cfg.Obs != nil {
 		mcfg.Obs = cfg.Obs.Index(cfg.ObsSource,
 			func(e uint8) string { return EncodingName(core.Encoding(e)) })
-		mcfg.Distribution = a.distribution
+		mcfg.Distribution = g.distribution
 		mcfg.EncodingOf = func(l *Leaf) (core.Encoding, bool) { return l.Encoding(), true }
-		registerReadPathMetrics(cfg.Obs.Reg, cfg.ObsSource, t)
-		if cfg.Obs.Flight != nil {
-			a.flight = cfg.Obs.Flight.Scope(cfg.ObsSource)
+		registerCacheMetrics(cfg.Obs.Reg, cfg.ObsSource, rc)
+	}
+	mgr := core.New(mcfg)
+	as := make([]*Adaptive, len(trees))
+	for i, t := range trees {
+		if i > 0 {
+			t.liftIDs(uint64(i) << 48)
+		}
+		t.cfg.ExpandOnInsert = !cfg.NoEagerExpand
+		t.rcache = rc
+		as[i] = &Adaptive{Tree: t, Mgr: mgr}
+		if cfg.Obs != nil && cfg.Obs.Flight != nil {
+			as[i].flight = cfg.Obs.Flight.Scope(sourceOf(cfg, sources, i))
 		}
 	}
-	a.Mgr = core.New(mcfg)
-	// Keep tracked contexts fresh across splits (§4.1.4: "in case a leaf
-	// node gets a new parent, this information must be propagated").
-	t.onLeafSplit = func(left, right *Leaf) {
-		// The B-link design reaches leaves through sibling links, so only
-		// the (informational) parent context may go stale; refreshing the
-		// left leaf's entry keeps the bookkeeping exact.
-		a.Mgr.UpdateContext(left, LeafCtx{})
-	}
-	return a
+	return as
 }
 
-// registerReadPathMetrics exposes the hot-key cache counters as
-// pull-style gauges under the ahi_cache_ prefix, labelled like every other
-// per-tree series.
-func registerReadPathMetrics(reg *obs.Registry, source string, t *Tree) {
-	rc := t.rcache
+// sourceOf is tree i's observability label in a group (see NewGroup).
+func sourceOf(cfg AdaptiveConfig, sources []string, i int) string {
+	if sources != nil {
+		return sources[i]
+	}
+	return cfg.ObsSource
+}
+
+// registerCacheMetrics exposes the hot-key cache counters as pull-style
+// gauges under the ahi_cache_ prefix, labelled like every other series of
+// the group.
+func registerCacheMetrics(reg *obs.Registry, source string, rc *cache.Cache) {
 	if rc == nil {
 		return
 	}
@@ -191,54 +199,66 @@ func registerReadPathMetrics(reg *obs.Registry, source string, t *Tree) {
 	}
 }
 
-// ResizeCache re-targets the result cache to the configured fraction of
-// a new memory budget (shard rebalancing moves budgets between trees),
-// growing or shrinking it. A resize that changes the bucket count swaps
-// in an empty table of the new size, dropping the cached working set; one
-// that does not is free. No-op without a cache.
-func (a *Adaptive) ResizeCache(budget int64) {
-	if a.Tree.rcache == nil {
-		return
-	}
-	a.Tree.rcache.Resize(int64(a.cacheFrac * float64(budget)))
-}
-
 // CacheStats snapshots the result cache counters (zero without a cache).
 func (a *Adaptive) CacheStats() cache.Stats { return a.Tree.rcache.Stats() }
 
 // CacheBytes reports the cache's budget charge (0 without a cache).
 func (a *Adaptive) CacheBytes() int64 { return a.Tree.rcache.Bytes() }
 
+// group is what the trees of one manager share: the trees its callbacks
+// sum over, and the heuristic's settings.
+type group struct {
+	trees     []*Tree
+	impatient bool
+}
+
+// leafTotals sums the per-encoding leaf counts and bytes over the group.
+func (g *group) leafTotals() (counts, bytes [3]int64) {
+	for _, t := range g.trees {
+		for e := range counts {
+			counts[e] += t.countByEnc[e].Load()
+			bytes[e] += t.bytesByEnc[e].Load()
+		}
+	}
+	return counts, bytes
+}
+
+// usedMemory is the group's index footprint (Listing 1's GetUsedMemory).
+func (g *group) usedMemory() int64 {
+	var b int64
+	for _, t := range g.trees {
+		b += t.Bytes()
+	}
+	return b
+}
+
 // distribution reports the per-encoding leaf population for epoch
-// snapshots, straight off the tree's atomic per-encoding counters.
-func (a *Adaptive) distribution() []obs.EncodingClass {
-	sc, pc, gc := a.Tree.LeafCounts()
-	sb, pb, gb := a.Tree.LeafBytes()
+// snapshots, straight off the trees' atomic per-encoding counters.
+func (g *group) distribution() []obs.EncodingClass {
+	c, b := g.leafTotals()
 	return []obs.EncodingClass{
-		{Name: "succinct", Units: sc, Bytes: sb},
-		{Name: "packed", Units: pc, Bytes: pb},
-		{Name: "gapped", Units: gc, Bytes: gb},
+		{Name: "succinct", Units: c[EncSuccinct], Bytes: b[EncSuccinct]},
+		{Name: "packed", Units: c[EncPacked], Bytes: b[EncPacked]},
+		{Name: "gapped", Units: c[EncGapped], Bytes: b[EncGapped]},
 	}
 }
 
 // unitCounts reports leaves per encoding class for Equation (1) and the
 // budget-derived k. "Compressed" covers Succinct and Packed leaves,
 // "Uncompressed" the Gapped ones.
-func (a *Adaptive) unitCounts() core.UnitCounts {
-	t := a.Tree
-	sc, pc, gc := t.LeafCounts()
-	sb, pb, gb := t.LeafBytes()
+func (g *group) unitCounts() core.UnitCounts {
+	c, b := g.leafTotals()
 	u := core.UnitCounts{
-		Compressed:   sc + pc,
-		Uncompressed: gc,
+		Compressed:   c[EncSuccinct] + c[EncPacked],
+		Uncompressed: c[EncGapped],
 	}
 	if u.Compressed > 0 {
-		u.CompressedAvg = (sb + pb) / u.Compressed
+		u.CompressedAvg = (b[EncSuccinct] + b[EncPacked]) / u.Compressed
 	} else {
 		u.CompressedAvg = int64(LeafCap*2*8)/4 + leafHeaderBytes // ~1KB succinct estimate
 	}
 	if u.Uncompressed > 0 {
-		u.UncompressedAvg = gb / u.Uncompressed
+		u.UncompressedAvg = b[EncGapped] / u.Uncompressed
 	} else {
 		u.UncompressedAvg = int64(LeafCap*2*8) + leafHeaderBytes
 	}
@@ -249,7 +269,7 @@ func (a *Adaptive) unitCounts() core.UnitCounts {
 // when the budget allows; leaves that cooled down recently hold at Packed;
 // leaves cold for two consecutive classifications compact to Succinct;
 // leaves cold through their whole remembered history stop being tracked.
-func (a *Adaptive) heuristic(l *Leaf, _ *LeafCtx, st *core.Stats, env core.Env) core.Action {
+func (g *group) heuristic(l *Leaf, _ *LeafCtx, st *core.Stats, env core.Env) core.Action {
 	enc := l.Encoding()
 	if env.Hot {
 		if enc == EncGapped {
@@ -266,7 +286,7 @@ func (a *Adaptive) heuristic(l *Leaf, _ *LeafCtx, st *core.Stats, env core.Env) 
 	// Cold now. Figure 7's decision tree branches on the memory budget
 	// first: while the index exceeds its budget, cold leaves compact
 	// immediately instead of waiting out the history confirmation.
-	if enc != EncSuccinct && (a.impatient || env.BudgetRemaining < 0) {
+	if enc != EncSuccinct && (g.impatient || env.BudgetRemaining < 0) {
 		return core.Action{Target: EncSuccinct, Migrate: true}
 	}
 	switch {
@@ -289,16 +309,10 @@ func (a *Adaptive) heuristic(l *Leaf, _ *LeafCtx, st *core.Stats, env core.Env) 
 	return core.Action{}
 }
 
-// migrate is the manager's migration callback; leaf identity is stable.
-// On durable trees each applied migration is logged as a redo-optional
-// RecAdapt record — recovery skips them (the manager re-derives encoding
-// decisions), but the log preserves the adaptation timeline for audit.
-func (a *Adaptive) migrate(l *Leaf, _ LeafCtx, target core.Encoding) (*Leaf, bool) {
-	ok := a.Tree.MigrateLeaf(l, target)
-	if ok && a.dur != nil {
-		a.dur.logAdapt(l.id, uint8(target))
-	}
-	return l, ok
+// migrate is the manager's migration callback: the context names the
+// leaf's tree, and leaf identity is stable.
+func migrate(l *Leaf, ctx LeafCtx, target core.Encoding) (*Leaf, bool) {
+	return l, ctx.Tree.MigrateLeaf(l, target)
 }
 
 // DrainMigrations blocks until every pending asynchronous migration has
@@ -328,6 +342,7 @@ func (a *Adaptive) Close() {
 type Session struct {
 	a       *Adaptive
 	sampler *core.Sampler[*Leaf, LeafCtx]
+	ctx     LeafCtx // what every Track of this session passes
 
 	c          *cache.Cache // the tree's cache (nil = disabled)
 	cb         *cacheBatch
@@ -356,7 +371,7 @@ type Session struct {
 // NewSession creates a tracked session. Each goroutine needs its own;
 // any number may run at once. Flush a session when it retires.
 func (a *Adaptive) NewSession() *Session {
-	s := &Session{a: a, sampler: a.Mgr.NewSampler(), c: a.Tree.rcache, cb: &cacheBatch{}}
+	s := &Session{a: a, sampler: a.Mgr.NewSampler(), ctx: LeafCtx{a.Tree}, c: a.Tree.rcache, cb: &cacheBatch{}}
 	s.trackReadFn = s.trackRead
 	s.trackMissFn = s.trackMiss
 	s.trackInsFn = s.trackInsert
@@ -391,7 +406,7 @@ func (s *Session) Lookup(k uint64) (uint64, bool) {
 	}
 	v, leaf, ok := s.a.Tree.lookupLeaf(k, ev)
 	if sample {
-		s.sampler.Track(leaf, core.Read, LeafCtx{})
+		s.sampler.Track(leaf, core.Read, s.ctx)
 	}
 	if ok && s.c != nil {
 		s.c.Admit(k, v, snap, sample, sample || s.admitGate())
@@ -435,7 +450,7 @@ func (s *Session) Insert(k, v uint64) bool {
 		d.commit(lsn, 1, ev)
 	}
 	if sample || expanded {
-		s.sampler.Track(leaf, core.Insert, LeafCtx{})
+		s.sampler.Track(leaf, core.Insert, s.ctx)
 	}
 	if ev != nil {
 		ev.Found = inserted
@@ -459,7 +474,7 @@ func (s *Session) Delete(k uint64) bool {
 		d.commit(lsn, 1, ev)
 	}
 	if sample {
-		s.sampler.Track(leaf, core.Delete, LeafCtx{})
+		s.sampler.Track(leaf, core.Delete, s.ctx)
 	}
 	if ev != nil {
 		ev.Found = ok
@@ -514,10 +529,13 @@ func (s *Session) ScanBatch(reqs []ScanReq, sink ScanSink) int {
 
 // trackScan is the sampled-scan leaf callback (bound once).
 func (s *Session) trackScan(l *Leaf) {
-	s.sampler.Track(l, core.Scan, LeafCtx{})
+	s.sampler.Track(l, core.Scan, s.ctx)
 }
 
-// Flush hands buffered thread-local samples to the manager (TLS mode).
+// Flush hands buffered thread-local samples to the manager (TLS mode) and
+// stops counting the session in the manager's footprint and merge quota
+// until it samples again, so a session per request costs nothing once
+// flushed.
 func (s *Session) Flush() { s.sampler.Flush() }
 
 // Train runs offline training (§3.2): replay expands the most frequently
@@ -531,7 +549,7 @@ func (a *Adaptive) Train(keyFreqs map[uint64]uint64) int {
 	}
 	freqs := make([]core.IDFreq[*Leaf, LeafCtx], 0, len(leafFreq))
 	for l, f := range leafFreq {
-		freqs = append(freqs, core.IDFreq[*Leaf, LeafCtx]{ID: l, Freq: f})
+		freqs = append(freqs, core.IDFreq[*Leaf, LeafCtx]{ID: l, Ctx: LeafCtx{a.Tree}, Freq: f})
 	}
 	return a.Mgr.TrainOffline(freqs)
 }

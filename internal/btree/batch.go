@@ -725,7 +725,7 @@ func (s *Session) lookupBatchCached(keys, vals []uint64, found []bool) {
 // trackRead is the cache-off sampled-batch callback (bound once).
 func (s *Session) trackRead(i int, l *Leaf) {
 	if s.isSample(i) {
-		s.sampler.Track(l, core.Read, LeafCtx{})
+		s.sampler.Track(l, core.Read, s.ctx)
 	}
 }
 
@@ -733,7 +733,7 @@ func (s *Session) trackRead(i int, l *Leaf) {
 // and tracks it when sampled (bound once as trackMissFn).
 func (s *Session) trackMiss(j int, l *Leaf) {
 	if s.isSample(int(s.cb.pos[j])) {
-		s.sampler.Track(l, core.Read, LeafCtx{})
+		s.sampler.Track(l, core.Read, s.ctx)
 	}
 }
 
@@ -797,7 +797,7 @@ func (s *Session) InsertBatch(keys, vals []uint64, inserted []bool) {
 // trackInsert is the insert-batch callback (bound once).
 func (s *Session) trackInsert(i int, l *Leaf, expanded bool) {
 	if expanded || s.isSample(i) {
-		s.sampler.Track(l, core.Insert, LeafCtx{})
+		s.sampler.Track(l, core.Insert, s.ctx)
 	}
 }
 

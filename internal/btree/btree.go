@@ -37,7 +37,7 @@ type Leaf struct {
 	box  atomic.Pointer[leafBox]
 }
 
-// ID returns the leaf's stable numeric identity.
+// ID returns the leaf's stable numeric identity, unique in its group.
 func (l *Leaf) ID() uint64 { return l.id }
 
 // Encoding returns the leaf's current encoding.
@@ -136,12 +136,8 @@ type Tree struct {
 	expansions  atomic.Int64
 	compactions atomic.Int64
 
-	// onLeafSplit, if set, is invoked after a leaf split with the split
-	// leaf and its (new) parent-side context; the adaptive layer uses it
-	// to refresh tracked contexts.
-	onLeafSplit func(left, right *Leaf)
-
-	// rcache is the attached hot-key result cache (nil = disabled).
+	// rcache is the hot-key result cache of the tree's group (nil =
+	// disabled); the trees of a group hold disjoint keys, so they share it.
 	// Write paths keep it strictly coherent: every mutation of k brackets
 	// its leaf write (an image swap or an in-place value store) with k's
 	// invalidation stripe (cacheBegin/cacheEnd),
@@ -171,6 +167,18 @@ func New(cfg Config) *Tree {
 	t.innerCount.Add(1)
 	t.innerBytes.Add(int64(innerBoxBytes(rb)))
 	return t
+}
+
+// liftIDs adds base to the ID of every leaf, present and future. NewGroup
+// gives each tree of a group its own ID range, so the manager the trees
+// share never sees two leaves of one ID, and one hash. The tree must not
+// be in use yet.
+func (t *Tree) liftIDs(base uint64) {
+	t.nextID.Add(base)
+	t.WalkLeaves(func(l *Leaf) bool {
+		l.id += base
+		return true
+	})
 }
 
 func (t *Tree) newLeaf(p payload, next *Leaf, highKey uint64, hasHigh bool) *Leaf {
@@ -462,9 +470,6 @@ func (t *Tree) putLocked(leaf *Leaf, b *leafBox, path *descentPath, k, v uint64)
 	t.swapLeafBox(leaf, b, left)
 	leaf.lock.unlock()
 	t.keyCount.Add(1)
-	if t.onLeafSplit != nil {
-		t.onLeafSplit(leaf, right)
-	}
 	// Publish the separator to the parent level.
 	t.insertSeparator(path, sep, childRef{leaf: right}, 0)
 	return true, expanded

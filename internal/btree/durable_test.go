@@ -1,8 +1,11 @@
 package btree
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -66,6 +69,57 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 	if err := b.Tree.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurableSkipsOldAdaptRecords: logs written by older builds hold a
+// RecAdapt record per migration. Recovery skips such a record, counts it
+// in SkippedRedoOptional, and replays the writes logged after it.
+func TestDurableSkipsOldAdaptRecords(t *testing.T) {
+	dir := t.TempDir()
+	a, _, err := OpenAdaptive(durCfg(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := a.NewSession()
+	for i := uint64(0); i < 100; i++ {
+		s.Insert(i, i+1)
+	}
+	a.Close()
+
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment in %s: %v", dir, err)
+	}
+	var adapt [9]byte // [unit u64 | target u8]
+	binary.LittleEndian.PutUint64(adapt[:], 7)
+	adapt[8] = uint8(EncGapped)
+	frames := wal.AppendFrame(nil, wal.RecAdapt, adapt[:])
+	frames = wal.AppendFrame(frames, wal.RecInsert, wal.EncodeInsert(nil, 1000, 1001))
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	b, st, err := OpenAdaptive(durCfg(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if st.SkippedRedoOptional != 1 || st.Replayed != 101 {
+		t.Fatalf("skipped %d redo-optional and replayed %d records, want 1 and 101", st.SkippedRedoOptional, st.Replayed)
+	}
+	for k := uint64(0); k < 100; k++ {
+		if v, ok := b.Tree.Lookup(k); !ok || v != k+1 {
+			t.Fatalf("key %d: %d %v", k, v, ok)
+		}
+	}
+	if v, ok := b.Tree.Lookup(1000); !ok || v != 1001 {
+		t.Fatalf("the insert logged after the adapt record: %d %v", v, ok)
 	}
 }
 

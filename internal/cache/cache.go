@@ -1,10 +1,10 @@
 // Package cache implements a lock-cheap hot-key result cache for the
 // adaptive index read path.
 //
-// Layout: an immutable table of 64-byte buckets, each on a cache line of
-// its own, published through an atomic pointer. A bucket is one seqlock
-// word, one meta word and three ways of (key, value); the meta word holds
-// three bits a way, an occupied bit and a 2-bit CLOCK frequency. A probe,
+// Layout: a table of 64-byte buckets, each on a cache line of its own,
+// sized once by New. A bucket is one seqlock word, one meta word and three
+// ways of (key, value); the meta word holds three bits a way, an occupied
+// bit and a 2-bit CLOCK frequency. A probe,
 // an admission and a write's clear each touch that one line. Every bucket
 // word is atomic and the bucket's seqlock (ver odd = a writer in the
 // critical section) guards its keys, values and occupied bits, so readers
@@ -12,8 +12,7 @@
 // S3-FIFO/CLOCK spirit: new entries enter on probation (freq 0), probe
 // hits bump a saturating frequency, eviction picks the minimum-frequency
 // way and ages the rest. Entries observed by the hotness sampler are
-// admitted pre-warmed. New explains the sizing, the bucket index and when
-// Resize swaps tables.
+// admitted pre-warmed. New explains the sizing and the bucket index.
 //
 // Strictness: values enter only through Admit, which carries a stripe
 // snapshot taken BEFORE the tree lookup that produced the value. A stripe
@@ -32,27 +31,11 @@
 // one-shot form (bump and clear) for a write already applied elsewhere.
 // Admissions choose their way under the version they lock with, so a key
 // holds at most one way of its bucket.
-//
-// Resizing: Resize publishes a fresh, empty table of the new size and
-// leaves the old one to the garbage collector; no bucket is ever cleared
-// or re-indexed in place. Each operation loads the table once, so it works
-// on one table throughout; the clear of BeginWrite and Invalidate loads
-// it after its stripe bump. The stripes live outside the tables and
-// survive a swap, so an Admit into any table still aborts on a write that
-// bumped its stripe after the snapshot, and an admitter that passed its
-// check before that bump loaded its table before the writer did: that
-// table is the writer's (whose clear removes the entry) or an older one.
-// An entry left in a superseded table is reachable only by a probe that
-// loaded that table before the swap, and a write whose clear went to a
-// newer table puts its value in the tree only after that swap — after
-// the probe began — so the probe linearizes before the write. A probe
-// that starts after the swap sees only the newer tables.
 package cache
 
 import (
 	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 )
@@ -107,35 +90,20 @@ type Stats struct {
 	Evictions     int64 // occupied ways overwritten by admission
 }
 
-// table is one immutable bucket array. Only the bucket contents change
-// after construction; a resize publishes a new table instead.
-type table struct {
-	buckets []bucket // line-aligned
-	lead    uint64   // the count's three significant bits, in [4, 8), kept by Resize
-}
-
-// newTable allocates n zeroed buckets starting on a line boundary. The
-// allocation carries one spare bucket, so the aligned window fits
+// alignedBuckets allocates n zeroed buckets starting on a line boundary.
+// The allocation carries one spare bucket, so the aligned window fits
 // whatever address the allocator returns.
-func newTable(n, lead uint64) *table {
+func alignedBuckets(n uint64) []bucket {
 	raw := make([]bucket, n+1)
 	pad := -uintptr(unsafe.Pointer(&raw[0])) & (lineBytes - 1)
 	first := (*bucket)(unsafe.Add(unsafe.Pointer(&raw[0]), pad))
-	return &table{buckets: unsafe.Slice(first, n), lead: lead}
+	return unsafe.Slice(first, n)
 }
 
-// bucket maps a hash to its bucket by a multiply-shift of the hash's low
-// 32 bits, so the count need not be a power of two and the index stays
-// independent of the stripe (the high 8 bits).
-func (t *table) bucket(h uint64) *bucket {
-	return &t.buckets[uint64(uint32(h))*uint64(len(t.buckets))>>32]
-}
-
-// Cache is a per-tree (per-shard) result cache. Its bucket table is
-// swapped whole by Resize, so the accounted footprint follows budget
-// rebalancing in both directions.
+// Cache is the result cache of one index: a plain tree's, or the one every
+// shard of a sharded front shares (their keys are disjoint).
 type Cache struct {
-	tab     atomic.Pointer[table]
+	buckets []bucket // line-aligned; the count is fixed at construction
 	stripes [stripeCount]atomic.Uint64
 
 	hits     atomic.Int64
@@ -144,25 +112,27 @@ type Cache struct {
 	rejected atomic.Int64
 	invals   atomic.Int64
 	evicts   atomic.Int64
-
-	resizeMu sync.Mutex
 }
 
 // New builds a cache fitting in bytes: the budget's 64-byte lines rounded
 // down to three significant bits, lead·2^k buckets with the lead in
 // [4, 8). That spends all but at most a quarter of the budget, where a
-// power-of-two count could strand half, and Resize keeps the lead, so a
-// table swap only doubles or halves the count. Returns nil when bytes is
-// too small to be useful — callers treat a nil *Cache as "disabled".
+// power-of-two count could strand half. Returns nil when bytes is too
+// small to be useful — callers treat a nil *Cache as "disabled".
 func New(bytes int64) *Cache {
 	if bytes < minBytes {
 		return nil
 	}
 	lines := uint64(bytes) / lineBytes
 	shift := bits.Len64(lines) - 3
-	c := &Cache{}
-	c.tab.Store(newTable(lines>>shift<<shift, lines>>shift))
-	return c
+	return &Cache{buckets: alignedBuckets(lines >> shift << shift)}
+}
+
+// bucket maps a hash to its bucket by a multiply-shift of the hash's low
+// 32 bits, so the count need not be a power of two and the index stays
+// independent of the stripe (the high 8 bits).
+func (c *Cache) bucket(h uint64) *bucket {
+	return &c.buckets[uint64(uint32(h))*uint64(len(c.buckets))>>32]
 }
 
 // mix is splitmix64's finalizer: full-avalanche so bucket bits (low) and
@@ -218,10 +188,9 @@ func (c *Cache) ProbeOrSnapUncounted(k uint64) (v, snap uint64, ok bool) {
 // on its own line. The caller keeps the sum in its own scratch, so the
 // loads stay live and no two callers write one word.
 func (c *Cache) Touch(keys []uint64) uint64 {
-	t := c.tab.Load()
 	var sum uint64
 	for _, k := range keys {
-		sum += t.bucket(mix(k)).ver.Load()
+		sum += c.bucket(mix(k)).ver.Load()
 	}
 	return sum
 }
@@ -255,7 +224,7 @@ func (c *Cache) count(hit bool) {
 }
 
 func (c *Cache) probe(h, k uint64, wantSnap bool) (v, snap uint64, torn int32, ok bool) {
-	b := c.tab.Load().bucket(h)
+	b := c.bucket(h)
 	if v1 := b.ver.Load(); v1&1 != 0 {
 		torn = 1
 	} else {
@@ -298,7 +267,7 @@ func (c *Cache) Admit(k, v uint64, snap uint64, hot, evictOK bool) {
 		c.rejected.Add(1)
 		return
 	}
-	b := c.tab.Load().bucket(h)
+	b := c.bucket(h)
 	v0 := b.ver.Load()
 	if v0&1 != 0 {
 		c.rejected.Add(1) // a writer or another admitter owns the bucket
@@ -402,9 +371,7 @@ func (c *Cache) Invalidate(k uint64) {
 // bucket so a racing admission that already passed its epoch check
 // cannot leave a stale entry behind.
 func (c *Cache) clear(h, k uint64) {
-	// Load the table after the bump: an admitter into any table published
-	// before this load re-checks the stripe under its bucket lock.
-	b := c.tab.Load().bucket(h)
+	b := c.bucket(h)
 	for {
 		v0 := b.ver.Load()
 		if v0&1 != 0 {
@@ -447,34 +414,13 @@ func (c *Cache) BumpStripes(mask *[4]uint64) {
 	}
 }
 
-// Resize re-targets the footprint to bytes: lead·2^k buckets for the
-// largest k that fits (half the lead below minBytes). When that count
-// differs from the current one, growing or shrinking, it publishes a
-// fresh, empty table of that size and drops the old one to the garbage
-// collector (see the package comment for why entries left in it cannot
-// be read stale). The lead stays as constructed, so a table is swapped
-// only when the power of two in its count changes: a swap empties the
-// cache, and shard rebalancing moves a few percent of a budget at a time.
-func (c *Cache) Resize(bytes int64) {
-	c.resizeMu.Lock()
-	defer c.resizeMu.Unlock()
-	t := c.tab.Load()
-	n := t.lead >> 1
-	if bytes >= minBytes {
-		n = t.lead << (bits.Len64(uint64(bytes)/lineBytes/t.lead) - 1)
-	}
-	if n != uint64(len(t.buckets)) {
-		c.tab.Store(newTable(n, t.lead))
-	}
-}
-
 // Bytes reports the accounted footprint — what the adaptation manager
 // charges against the memory budget.
 func (c *Cache) Bytes() int64 {
 	if c == nil {
 		return 0
 	}
-	return int64(len(c.tab.Load().buckets) * lineBytes)
+	return int64(len(c.buckets) * lineBytes)
 }
 
 // Len counts occupied ways (diagnostic; O(buckets)).
@@ -483,9 +429,8 @@ func (c *Cache) Len() int {
 		return 0
 	}
 	n := 0
-	t := c.tab.Load()
-	for i := range t.buckets {
-		n += bits.OnesCount64(t.buckets[i].meta.Load() & occupiedBits)
+	for i := range c.buckets {
+		n += bits.OnesCount64(c.buckets[i].meta.Load() & occupiedBits)
 	}
 	return n
 }

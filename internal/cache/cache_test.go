@@ -25,7 +25,7 @@ func TestNewSizing(t *testing.T) {
 	// A budget between powers of two keeps three significant bits of its
 	// line count instead of stranding the remainder on the pow2 floor.
 	mid := New(3 << 19) // 1.5MB: 24576 lines, 0b110 << 12
-	if n := len(mid.tab.Load().buckets); n != 24576 || mid.Bytes() != 3<<19 {
+	if n := len(mid.buckets); n != 24576 || mid.Bytes() != 3<<19 {
 		t.Fatalf("1.5MB cache: %d buckets, %d bytes; want 24576 spending all 1572864", n, mid.Bytes())
 	}
 	// Lines past the third significant bit are what rounding gives up.
@@ -46,7 +46,7 @@ func TestNewSizing(t *testing.T) {
 // wideLayout is the geometry of the 32-byte-slot layout this table
 // replaced: pow2Floor(b/128) buckets, widened from 4 to at most 7 ways to
 // spend the rest of b. It is the reference for how much a cache may
-// charge and when a resize may swap its table.
+// charge.
 func wideLayout(b int64) (buckets, ways int64) {
 	buckets = pow2Floor(b / 128)
 	return buckets, min(7, b/(32*buckets))
@@ -83,49 +83,12 @@ func TestSizingMatchesWideLayout(t *testing.T) {
 	}
 }
 
-// TestResizeCadence: Resize swaps the table exactly when the 4-7-way
-// layout changed its bucket count — when the power of two in the bucket
-// count changes — and then charges what that layout charged.
-func TestResizeCadence(t *testing.T) {
-	for _, b0 := range []int64{minBytes, 1 << 20, 5 << 18, 3 << 19, 7 << 18, 6_270_000} {
-		c := New(b0)
-		prevBuckets, ways := wideLayout(b0)
-		for b := int64(minBytes / 2); b <= 64<<20; b += b/7 + 1 {
-			// That layout kept its ways and resized to pow2Floor(b/(32·ways))
-			// buckets, one below minBytes.
-			buckets := int64(1)
-			if b >= minBytes {
-				buckets = pow2Floor(b / (32 * ways))
-			}
-			tab := c.tab.Load()
-			c.Resize(b)
-			if swapped := c.tab.Load() != tab; swapped != (buckets != prevBuckets) {
-				t.Fatalf("built at %d, Resize(%d): swapped=%v, the %d-way layout went from %d to %d buckets",
-					b0, b, swapped, ways, prevBuckets, buckets)
-			}
-			prevBuckets = buckets
-			// Equal from minBytes up; below it, never more.
-			if want := buckets * ways * 32; c.Bytes() > want || b >= minBytes && c.Bytes() != want {
-				t.Fatalf("built at %d, Resize(%d): Bytes() = %d, the %d-way layout spent %d", b0, b, c.Bytes(), ways, want)
-			}
-		}
-	}
-}
-
-// TestTableAlignment: every table, new or swapped in by Resize, starts on
-// a 64-byte boundary, so each bucket is exactly one cache line.
+// TestTableAlignment: every table starts on a 64-byte boundary, so each
+// bucket is exactly one cache line.
 func TestTableAlignment(t *testing.T) {
-	aligned := func(c *Cache) bool {
-		return uintptr(unsafe.Pointer(&c.tab.Load().buckets[0]))%lineBytes == 0
-	}
 	for b := int64(minBytes); b <= 8<<20; b += b/5 + 8 {
-		c := New(b)
-		if !aligned(c) {
-			t.Fatalf("New(%d): first bucket at %p", b, &c.tab.Load().buckets[0])
-		}
-		c.Resize(b / 3)
-		if !aligned(c) {
-			t.Fatalf("New(%d).Resize(%d): first bucket at %p", b, b/3, &c.tab.Load().buckets[0])
+		if c := New(b); uintptr(unsafe.Pointer(&c.buckets[0]))%lineBytes != 0 {
+			t.Fatalf("New(%d): first bucket at %p", b, &c.buckets[0])
 		}
 	}
 }
@@ -251,11 +214,10 @@ func TestHotAdmissionOutlivesProbation(t *testing.T) {
 
 // sameBucket returns n keys, k first, that c's table maps to k's bucket.
 func sameBucket(c *Cache, k uint64, n int) []uint64 {
-	tab := c.tab.Load()
-	target := tab.bucket(mix(k))
+	target := c.bucket(mix(k))
 	keys := []uint64{k}
 	for o := k + 1; len(keys) < n; o++ {
-		if tab.bucket(mix(o)) == target {
+		if c.bucket(mix(o)) == target {
 			keys = append(keys, o)
 		}
 	}
@@ -334,7 +296,7 @@ func TestOneWayPerKey(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	b := c.tab.Load().bucket(mix(1))
+	b := c.bucket(mix(1))
 	meta := b.meta.Load()
 	for i := 0; i < bucketWays; i++ {
 		for j := i + 1; j < bucketWays; j++ {
@@ -353,7 +315,7 @@ func TestTornProbe(t *testing.T) {
 	if v, _, torn, ok := c.ProbeOrSnapProf(5); !ok || v != 50 || torn != 0 {
 		t.Fatalf("idle bucket: %d,%v torn=%d", v, ok, torn)
 	}
-	b := c.tab.Load().bucket(mix(5))
+	b := c.bucket(mix(5))
 	v0 := b.ver.Load()
 	b.ver.Store(v0 + 1) // a writer's critical section
 	if _, snap, torn, ok := c.ProbeOrSnapProf(5); ok || torn != 1 || snap != c.Snap(5) {
@@ -394,70 +356,6 @@ func TestUpdateInPlaceViaAdmit(t *testing.T) {
 	}
 }
 
-func TestResize(t *testing.T) {
-	c := New(3 << 19) // 24576 buckets: 0b110 << 12
-	start := c.Bytes()
-	c.Admit(9, 90, c.Snap(9), false, true)
-
-	// Grow past the construction size: a larger, empty, working table.
-	// Every resize below must leave none of the earlier entries behind,
-	// including one back to a size the cache had before, and keeps the
-	// count's three significant bits (0b110), so the footprint only
-	// doubles or halves.
-	c.Resize(1 << 22)
-	if c.Bytes() != 2*start {
-		t.Fatalf("grow: Bytes = %d, want %d", c.Bytes(), 2*start)
-	}
-	checkFreshTable(t, c)
-
-	// Shrink below it: a smaller, empty, working table.
-	c.Resize(1 << 14)
-	if c.Bytes() != start/128 {
-		t.Fatalf("shrink: Bytes = %d, want %d", c.Bytes(), start/128)
-	}
-	checkFreshTable(t, c)
-
-	// Back to the construction size: still a fresh table.
-	c.Resize(3 << 19)
-	if c.Bytes() != start {
-		t.Fatalf("back to start: Bytes = %d, want %d", c.Bytes(), start)
-	}
-	checkFreshTable(t, c)
-
-	// Same power of two, below and above: the table and its entries stay.
-	tab := c.tab.Load()
-	for _, b := range []int64{3<<19 + lineBytes, 1<<21 - lineBytes} {
-		c.Resize(b)
-		if c.tab.Load() != tab || c.Bytes() != start {
-			t.Fatalf("Resize(%d), same power of two: swapped=%v, Bytes %d", b, c.tab.Load() != tab, c.Bytes())
-		}
-	}
-	if v, ok := c.Probe(9); !ok || v != 91 {
-		t.Fatalf("same-size resize lost an entry: %d,%v", v, ok)
-	}
-	// One line short of the construction size halves the table.
-	c.Resize(3<<19 - lineBytes)
-	if c.Bytes() != start/2 {
-		t.Fatalf("one line short: Bytes = %d, want %d", c.Bytes(), start/2)
-	}
-	checkFreshTable(t, c)
-}
-
-// checkFreshTable asserts c's table is empty and that it caches again.
-func checkFreshTable(t *testing.T, c *Cache) {
-	t.Helper()
-	if _, ok := c.Probe(9); ok {
-		t.Fatal("entry survived a resize")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after resize", c.Len())
-	}
-	c.Admit(9, 91, c.Snap(9), false, true)
-	if v, ok := c.Probe(9); !ok || v != 91 {
-		t.Fatalf("cache dead after resize: %d,%v", v, ok)
-	}
-}
-
 // TestConcurrentStrict hammers a small cache with writers that keep the
 // authoritative value monotonically increasing (bracketed by BeginWrite
 // and EndWrite, like the tree write path) and readers that must never
@@ -485,17 +383,6 @@ func TestConcurrentStrict(t *testing.T) {
 			}
 		}(uint64(w))
 	}
-	// One goroutine swapping tables concurrently, below and above the
-	// construction size: must not break strictness.
-	writers.Add(1)
-	go func() {
-		defer writers.Done()
-		for !stop.Load() {
-			c.Resize(minBytes / 2)
-			c.Resize(8 * minBytes)
-		}
-	}()
-
 	start := time.Now()
 	errc := make(chan string, 4)
 	for r := 0; r < 4; r++ {

@@ -29,6 +29,52 @@ func TestMaxSampleSizeClamps(t *testing.T) {
 	}
 }
 
+// TestFlushRetiresSampler: a caller that takes one sampler per request
+// and flushes it afterwards — what a session per request does on a plain
+// tree — leaves neither framework bytes nor merge-quota divisor behind.
+// After 10 000 such samplers, Bytes is back near its one-sampler value and
+// the one sampler still live merges at the full sample size again.
+func TestFlushRetiresSampler(t *testing.T) {
+	ix := newMockIndex(64)
+	m := New(ix.config(TLS))
+	one := m.NewSampler()
+	for i := 0; i < 3; i++ {
+		one.Track(i, Read, struct{}{})
+	}
+	base := m.Bytes()
+	for r := 0; r < 10_000; r++ {
+		s := m.NewSampler()
+		for i := 0; i < 3; i++ {
+			s.Track(r%64, Read, struct{}{})
+		}
+		s.Flush()
+	}
+	if got := m.Bytes(); got > base*11/10 || got < base*9/10 {
+		t.Fatalf("Bytes = %d after 10 000 flushed samplers, one live one read %d", got, base)
+	}
+	if n := m.samplers.Load(); n != 1 {
+		t.Fatalf("%d samplers registered, want the one live: its quota is the sample size over that", n)
+	}
+	// The live sampler tracks less than a sample of one unit: below its
+	// quota it keeps every sample local.
+	sampled := m.sampled.Load()
+	for i := 0; i < m.SampleSize()/2; i++ {
+		one.Track(5, Read, struct{}{})
+	}
+	if got := m.sampled.Load(); got != sampled {
+		t.Fatalf("half a sample merged %d samples early", got-sampled)
+	}
+	// A flushed sampler that tracks again counts again.
+	one.Flush()
+	if n := m.samplers.Load(); n != 0 {
+		t.Fatalf("%d samplers registered after the last flush", n)
+	}
+	one.Track(5, Read, struct{}{})
+	if n := m.samplers.Load(); n != 1 {
+		t.Fatalf("%d samplers registered after tracking again, want 1", n)
+	}
+}
+
 func TestScanAccessesCountAsReads(t *testing.T) {
 	ix := newMockIndex(16)
 	cfg := ix.config(TLS)

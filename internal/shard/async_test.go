@@ -19,9 +19,9 @@ func asyncConfig(shards int) Config {
 	return cfg
 }
 
-// TestSharedPoolReplacesInternalWorkers: no shared migrator pool stands
-// in for the shards' managers any more; skewed single-key traffic into
-// shard 0's range is re-encoded by that shard's own workers, and drain
+// TestSharedPoolReplacesInternalWorkers: the one manager's two workers
+// apply every shard's migrations; skewed single-key traffic into shard
+// 0's range re-encodes shard 0's leaves and no other shard's, and drain
 // leaves no backlog behind.
 func TestSharedPoolReplacesInternalWorkers(t *testing.T) {
 	keys, vals := loadKeys(40_000)
@@ -35,19 +35,19 @@ func TestSharedPoolReplacesInternalWorkers(t *testing.T) {
 	if s.MigrationBacklog() != 0 {
 		t.Fatalf("backlog = %d after drain, want 0", s.MigrationBacklog())
 	}
-	if s.Shard(0).Mgr.Migrations() == 0 {
-		t.Fatal("hot shard's own workers applied no migrations")
+	if s.Shard(0).Tree.Expansions() == 0 {
+		t.Fatal("the workers expanded none of the hot shard's leaves")
 	}
 	for i := 1; i < s.Shards(); i++ {
-		if m := s.Shard(i).Mgr.Migrations(); m != 0 {
-			t.Fatalf("cold shard %d applied %d migrations; only shard 0 saw traffic", i, m)
+		if m := s.Shard(i).Tree.Expansions() + s.Shard(i).Tree.Compactions(); m != 0 {
+			t.Fatalf("cold shard %d saw %d migrations; only shard 0 saw traffic", i, m)
 		}
 	}
 }
 
-// TestDisabledPoolKeepsInternalWorkers: with no pool to opt out of, every
-// shard's manager runs its own workers; traffic on both shards of a
-// two-shard tree is migrated on both, and drain leaves no backlog.
+// TestDisabledPoolKeepsInternalWorkers: traffic on both shards of a
+// two-shard tree is migrated on both by the one manager's workers, and
+// drain leaves no backlog.
 func TestDisabledPoolKeepsInternalWorkers(t *testing.T) {
 	keys, vals := loadKeys(10_000)
 	s := BulkLoad(asyncConfig(2), keys, vals)
@@ -62,15 +62,15 @@ func TestDisabledPoolKeepsInternalWorkers(t *testing.T) {
 		t.Fatalf("backlog = %d after drain, want 0", s.MigrationBacklog())
 	}
 	for i := 0; i < s.Shards(); i++ {
-		if s.Shard(i).Mgr.Migrations() == 0 {
-			t.Fatalf("shard %d's workers applied no migrations", i)
+		if s.Shard(i).Tree.Expansions() == 0 {
+			t.Fatalf("the workers expanded none of shard %d's leaves", i)
 		}
 	}
 }
 
 // TestWorkStealingDrainsSkewedBacklog drives all adaptation churn into
-// one shard from several callers. Nothing steals work any more: that
-// shard's own migration workers apply the re-encodings, DrainMigrations
+// one shard from several callers. Nothing steals work any more: the
+// manager's migration workers apply the re-encodings, DrainMigrations
 // leaves no backlog behind, and Steals reads 0. Run under -race — the
 // workers migrate leaves concurrently with the callers' readers.
 func TestWorkStealingDrainsSkewedBacklog(t *testing.T) {
@@ -105,7 +105,7 @@ func TestWorkStealingDrainsSkewedBacklog(t *testing.T) {
 		t.Fatal("hot shard saw no expansions; workload did not provoke migrations")
 	}
 	if n := s.Steals(); n != 0 {
-		t.Fatalf("Steals = %d, want 0: no worker runs another shard's migrations", n)
+		t.Fatalf("Steals = %d, want 0", n)
 	}
 }
 
@@ -128,18 +128,15 @@ func TestCloseDrainsEveryShard(t *testing.T) {
 			s.Lookup(keys[(i%2)*half+rng.Intn(len(keys)/8)])
 		}
 		s.Close()
-		var migrated int64
+		if b := s.MigrationBacklog(); b != 0 {
+			t.Fatalf("round %d: a backlog of %d after Close", round, b)
+		}
 		for i := 0; i < s.Shards(); i++ {
-			a := s.Shard(i)
-			if b := a.MigrationBacklog(); b != 0 {
-				t.Fatalf("round %d: shard %d kept a backlog of %d after Close", round, i, b)
-			}
-			if a.Tree.Expansions() == 0 {
+			if s.Shard(i).Tree.Expansions() == 0 {
 				t.Fatalf("round %d: shard %d saw no expansions", round, i)
 			}
-			migrated += a.Mgr.Migrations()
 		}
-		if migrated != queued.Load() {
+		if migrated := s.Shard(0).Mgr.Migrations(); migrated != queued.Load() {
 			t.Fatalf("round %d: %d migrations applied of %d queued", round, migrated, queued.Load())
 		}
 	}

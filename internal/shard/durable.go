@@ -29,61 +29,30 @@ type RecoveryStats struct {
 
 // Open creates a durable ShardedBTree: shard i logs to and recovers from
 // <Dur.Dir>/shard<i>, so the per-shard logs never contend on one file and
-// recovery replays all shards in parallel. With Adaptive.Dur nil it is
-// equivalent to New. The key-space split must match across restarts — the
-// routing bounds are derived from the shard count, not persisted, so
-// reopening with a different Shards value scatters keys to the wrong logs.
+// recovery replays all shards in parallel; the recovered trees are then
+// wired as one group, whose manager resumes the newest shard checkpoint's
+// sampling state. With Adaptive.Dur nil it is equivalent to New. The
+// key-space split must match across restarts — the routing bounds are
+// derived from the shard count, not persisted, so reopening with a
+// different Shards value scatters keys to the wrong logs.
 func Open(cfg Config) (*ShardedBTree, *RecoveryStats, error) {
 	cfg.setDefaults()
 	n := cfg.Shards
-	bounds := make([]uint64, n-1)
-	stride := ^uint64(0)/uint64(n) + 1
-	for i := range bounds {
-		bounds[i] = stride * uint64(i+1)
-	}
 	if cfg.Adaptive.Dur == nil {
-		return build(cfg, bounds, nil, nil), &RecoveryStats{PerShard: make([]btree.RecoveryStats, n)}, nil
+		return New(cfg), &RecoveryStats{PerShard: make([]btree.RecoveryStats, n)}, nil
 	}
-
-	base := *cfg.Adaptive.Dur
-	s := newSkeleton(cfg, bounds)
-	stats := &RecoveryStats{PerShard: make([]btree.RecoveryStats, n)}
 	start := time.Now()
-
-	trees := make([]*btree.Adaptive, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		acfg := s.perShardCfg(cfg, i)
-		dc := base
-		dc.Dir = filepath.Join(base.Dir, fmt.Sprintf("shard%d", i))
-		acfg.Dur = &dc
-		wg.Add(1)
-		go func(i int, acfg btree.AdaptiveConfig) {
-			defer wg.Done()
-			a, st, err := btree.OpenAdaptive(acfg)
-			if err != nil {
-				errs[i] = fmt.Errorf("shard%d: %w", i, err)
-				return
-			}
-			trees[i] = a
-			stats.PerShard[i] = *st
-		}(i, acfg)
+	dirs := make([]string, n)
+	for i := range dirs {
+		dirs[i] = filepath.Join(cfg.Adaptive.Dur.Dir, fmt.Sprintf("shard%d", i))
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for _, a := range trees {
-				if a != nil {
-					a.Close()
-				}
-			}
-			return nil, nil, err
-		}
+	acfg, sources := groupConfig(cfg)
+	as, per, err := btree.OpenGroup(acfg, dirs, sources)
+	if err != nil {
+		return nil, nil, err
 	}
-	for i, a := range trees {
-		s.shards[i] = &shardState{a: a}
-		st := &stats.PerShard[i]
+	stats := &RecoveryStats{PerShard: per}
+	for _, st := range per {
 		if st.WarmStart {
 			stats.WarmShards++
 		}
@@ -93,8 +62,7 @@ func Open(cfg Config) (*ShardedBTree, *RecoveryStats, error) {
 		stats.TornBytes += st.TornBytes
 	}
 	stats.WallNs = time.Since(start).Nanoseconds()
-	s.finishBuild(cfg)
-	return s, stats, nil
+	return assemble(cfg, evenBounds(n), as), stats, nil
 }
 
 // Checkpoint snapshots every shard in parallel and returns the first

@@ -13,8 +13,7 @@ import (
 )
 
 // Tests of the concurrent front: sessions checked out per call, callbacks
-// that call back in, samples merged across sessions, single-flight
-// rebalance.
+// that call back in, samples merged across sessions.
 
 // within fails the test when f has not returned after d — the way a
 // deadlock shows.
@@ -463,45 +462,4 @@ func TestAcquireUnderContention(t *testing.T) {
 	if n, busy := sh.countSessions(); n > callers || busy != 0 {
 		t.Errorf("%d sessions made, %d still checked out, want at most %d and 0", n, busy, callers)
 	}
-}
-
-// TestRebalanceIsSingleFlight: callers rebalance concurrently while the
-// hot range jumps from shard to shard, so consecutive runs see opposite
-// weights. Whenever no run is in progress — the test takes the flag itself
-// to look — the shares in force must come from one run and add up to no
-// more than the total; interleaved runs leave the old hot shard's large
-// share beside the new one's.
-func TestRebalanceIsSingleFlight(t *testing.T) {
-	const shards = 16
-	cfg := testConfig(shards, 1)
-	cfg.Adaptive.MemoryBudget = 4 << 20
-	cfg.Adaptive.CacheFraction = 0.1
-	cfg.RebalanceEvery = -1
-	keys, vals := loadKeys(16_000)
-	s := BulkLoad(cfg, keys, vals)
-	defer s.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			got, found := make([]uint64, 128), make([]bool, 128)
-			for round := 0; round < 1_500 && !t.Failed(); round++ {
-				hot := (g + round/8) % shards * (len(keys) / shards)
-				s.LookupBatch(keys[hot:hot+128], got, found)
-				s.Rebalance()
-				if s.rebalancing.CompareAndSwap(false, true) {
-					var sum int64
-					for _, sh := range s.shards {
-						sum += sh.a.Mgr.MemoryBudget()
-					}
-					s.rebalancing.Store(false)
-					if sum <= 0 || sum > s.total {
-						t.Errorf("shares in force add up to %d, total budget %d", sum, s.total)
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }

@@ -70,7 +70,6 @@ func (s *ShardedBTree) ScanBatch(reqs []btree.ScanReq, sink btree.ScanSink) int 
 		sh.release(ses)
 	} else {
 		total, fan = s.scanBatchFanOut(reqs, sink)
-		s.maybeRebalance()
 	}
 	if s.frontRec != nil {
 		p.Ev.Ops = int32(total)

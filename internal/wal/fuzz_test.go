@@ -42,8 +42,6 @@ func FuzzWALDecode(f *testing.F) {
 			_, _ = DecodeDelete(payload)
 		case RecBatch:
 			_, _, _ = DecodeBatch(payload, nil, nil)
-		case RecAdapt:
-			_, _, _ = DecodeAdapt(payload)
 		}
 	})
 }

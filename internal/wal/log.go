@@ -155,8 +155,8 @@ func (l *Log) DurableLSN() uint64 { return l.synced.Load() }
 
 // Append frames one record into the commit buffer and returns its LSN.
 // The record is not durable — not even in the segment — until a Commit
-// covering the LSN returns (or, for RecAdapt-style fire-and-forget
-// records, until some later commit or sync flushes it).
+// covering the LSN returns (or, for a record nobody commits, until some
+// later commit or sync flushes it).
 func (l *Log) Append(typ uint8, payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -54,7 +54,8 @@ const (
 	// RecBatch is a batch of upserts: [n u32 | n × (key u64, value u64)].
 	RecBatch
 	// RecAdapt is a redo-optional adaptation record: [unit u64 | target u8].
-	// Recovery skips these — encoding migrations are re-derived by the
+	// No build writes it any more; logs of older builds still hold it, and
+	// recovery skips it — encoding migrations are re-derived by the
 	// adaptation manager, never replayed (Graefe-style separation of
 	// structure changes from user writes).
 	RecAdapt
@@ -259,20 +260,4 @@ func DecodeBatch(p []byte, keys, vals []uint64) ([]uint64, []uint64, error) {
 		vals = append(vals, binary.LittleEndian.Uint64(p[off+8:]))
 	}
 	return keys, vals, nil
-}
-
-// EncodeAdapt renders a RecAdapt payload.
-func EncodeAdapt(dst []byte, unit uint64, target uint8) []byte {
-	var buf [9]byte
-	binary.LittleEndian.PutUint64(buf[:], unit)
-	buf[8] = target
-	return append(dst, buf[:]...)
-}
-
-// DecodeAdapt parses a RecAdapt payload.
-func DecodeAdapt(p []byte) (unit uint64, target uint8, err error) {
-	if len(p) != 9 {
-		return 0, 0, fmt.Errorf("%w: adapt payload %d bytes", ErrCorrupt, len(p))
-	}
-	return binary.LittleEndian.Uint64(p), p[8], nil
 }

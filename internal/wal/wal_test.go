@@ -146,10 +146,6 @@ func TestPayloadCodecs(t *testing.T) {
 			t.Fatalf("batch slot %d: %d %d", i, gk[i], gv[i])
 		}
 	}
-	unit, target, err := DecodeAdapt(EncodeAdapt(nil, 42, 2))
-	if err != nil || unit != 42 || target != 2 {
-		t.Fatalf("adapt: %d %d %v", unit, target, err)
-	}
 	for _, bad := range [][]byte{nil, {1}, make([]byte, 15), make([]byte, 17)} {
 		if _, _, err := DecodeInsert(bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("insert payload %d bytes accepted", len(bad))
