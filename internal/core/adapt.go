@@ -67,13 +67,28 @@ func (m *Manager[ID, Ctx]) adapt(epoch uint32) {
 	for _, e := range cls.Hot() {
 		hotMark[e.Item] = true
 	}
+	// A phase whose sampled accesses went mostly to hot units the manager
+	// had never tracked saw the hot set move (a first phase, with nothing
+	// tracked before it, saw a start, not a move).
 	hotCount := 0
+	tracked := false
+	var mass, newHotMass uint64
 	for i := range cands {
-		cands[i].hot = hotMark[i]
-		if hotMark[i] {
+		c := &cands[i]
+		c.hot = hotMark[i]
+		if c.hot {
 			hotCount++
 		}
+		if c.stats.HistoryLen > 0 {
+			tracked = true
+		} else if c.stats.LastEpoch == epoch && c.hot {
+			newHotMass += c.stats.Freq()
+		}
+		if c.stats.LastEpoch == epoch {
+			mass += c.stats.Freq()
+		}
 	}
+	shifted := tracked && 2*newHotMass > mass
 
 	// 2. Evaluate the CSHF for every tracked unit and apply migrations —
 	//    inline by default, or as targets for the asynchronous workers
@@ -84,6 +99,11 @@ func (m *Manager[ID, Ctx]) adapt(epoch uint32) {
 	env := Env{Epoch: epoch}
 	migrations, queued, evictions, deduped := 0, 0, 0, 0
 	backpressured, coalescedTriggers := 0, 0
+	// Backpressure is judged from the backlog earlier phases left behind,
+	// not from this phase's own burst: the workers get a whole phase to
+	// drain what it proposes, and only what they could not is a sign
+	// that proposals outrun them.
+	behind := m.MigrationBacklog() >= BackpressureBacklog
 	for i := range cands {
 		c := &cands[i]
 		c.stats.PushClassification(c.hot)
@@ -117,7 +137,7 @@ func (m *Manager[ID, Ctx]) adapt(epoch uint32) {
 				if x != nil {
 					job.enqueuedAt = time.Now().UnixNano()
 				}
-				res, backlog := m.pend.propose(c.id, job)
+				res := m.pend.propose(c.id, job)
 				switch res {
 				case proposedNew:
 					queued++
@@ -126,7 +146,7 @@ func (m *Manager[ID, Ctx]) adapt(epoch uint32) {
 				case proposedSame:
 					deduped++
 				}
-				if res != proposedClosed && backlog >= BackpressureBacklog {
+				if res != proposedClosed && behind {
 					backpressured++
 				}
 			} else {
@@ -164,12 +184,20 @@ func (m *Manager[ID, Ctx]) adapt(epoch uint32) {
 	sampled := m.sampled.Load()
 	if m.cfg.AdaptiveSkip && sampled > 0 {
 		skip := m.globalSkip.Load()
-		if backpressured > 0 {
+		switch {
+		case backpressured > 0:
 			// Proposals outran the workers: decay trigger sensitivity so
 			// the next phase samples (and proposes) less while the backlog
 			// clears.
 			skip *= 2
-		} else {
+		case shifted:
+			// The hot set moved: sample from the floor again, as a new
+			// manager does, so that the next phases follow the new hot
+			// set instead of waiting out a MaxSkip-long period. Churn
+			// alone misses this when a small hot range moves: its
+			// migrations are a few percent of the samples.
+			skip = int64(m.cfg.MinSkip)
+		default:
 			// Queued migrations count as churn: the decision was made this
 			// phase even if the re-encoding executes asynchronously.
 			share := float64(migrations+queued) / float64(sampled)

@@ -178,10 +178,11 @@ type AdaptInfo struct {
 	// Queued counts units newly handed to the asynchronous workers.
 	Migrations int
 	Queued     int
-	// Backpressured counts proposals this phase that found the migration
-	// backlog at or above its bound of 128, whatever their outcome (each
-	// is also counted in Queued, Coalesced or Deduped); any makes adapt()
-	// double the skip length. Always 0 without AsyncMigrations.
+	// Backpressured counts this phase's proposals, whatever their outcome
+	// (each is also counted in Queued, Coalesced or Deduped), when the
+	// backlog earlier phases left was at or above its bound of 128 as the
+	// phase ended. Any makes adapt() double the skip length. Always 0
+	// without AsyncMigrations.
 	Backpressured int
 	// Coalesced counts proposals that replaced a different target still
 	// pending for the unit; Deduped those that found the same target

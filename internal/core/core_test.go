@@ -285,6 +285,51 @@ func TestAdaptiveSkipMoves(t *testing.T) {
 	}
 }
 
+// TestHotSetShiftResetsSkip: a hot range sampled until the skip sits at
+// MaxSkip keeps it there, and the first phase after the range moves to
+// units the manager never tracked sets it back to MinSkip. The moved
+// range's migrations are a few percent of a phase's samples, so the churn
+// rule alone would have doubled the skip again.
+func TestHotSetShiftResetsSkip(t *testing.T) {
+	const n = 400
+	ix := newMockIndex(n)
+	cfg := ix.config(TLS)
+	cfg.MemoryBudget = int64(n)*10 + 40*100
+	cfg.MaxSampleSize = 1024
+	var adapts []AdaptInfo
+	cfg.OnAdapt = func(ai AdaptInfo) { adapts = append(adapts, ai) }
+	m := New(cfg)
+	s := m.NewSampler()
+	rng := rand.New(rand.NewSource(5))
+	// phase samples units [lo, lo+20) until one more phase has ended.
+	phase := func(lo int) AdaptInfo {
+		for end := len(adapts) + 1; len(adapts) < end; {
+			if s.IsSample() {
+				s.Track(lo+rng.Intn(20), Read, struct{}{})
+			}
+		}
+		return adapts[len(adapts)-1]
+	}
+	atMax := 0
+	for i := 0; atMax < 2; i++ {
+		if i == 20 {
+			t.Fatalf("skip %d after 20 phases of one range, want %d", m.SkipLength(), cfg.MaxSkip)
+		}
+		if phase(0).NewSkip == cfg.MaxSkip {
+			atMax++
+		} else if atMax > 0 {
+			t.Fatalf("a phase of the same range moved the skip from MaxSkip to %d", m.SkipLength())
+		}
+	}
+	if ai := phase(380); ai.NewSkip != cfg.MinSkip {
+		t.Fatalf("phase after the jump set the skip to %d (migrations %d of %d samples), want %d",
+			ai.NewSkip, ai.Migrations, ai.SampledTotal, cfg.MinSkip)
+	}
+	if ai := phase(380); ai.NewSkip <= cfg.MinSkip {
+		t.Fatalf("a second phase of the new range kept the skip at %d", ai.NewSkip)
+	}
+}
+
 func TestFixedSkipStaysPut(t *testing.T) {
 	ix := newMockIndex(100)
 	cfg := ix.config(TLS)

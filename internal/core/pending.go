@@ -33,10 +33,12 @@ import (
 // migrationWorkers is the number of goroutines applying pending targets.
 const migrationWorkers = 2
 
-// BackpressureBacklog is the backlog at which a proposal counts as
-// Backpressured: proposals have outrun the workers, and adapt() doubles
-// the skip length so the next phase samples, and proposes, less. The
-// B+-tree's flight recorder marks traced ops at the same bound.
+// BackpressureBacklog is the backlog at which the proposals of a phase
+// count as Backpressured: when a phase ends with this many units still
+// waiting from earlier phases, proposals have outrun the workers, and
+// adapt() doubles the skip length so the next phase samples, and
+// proposes, less. The B+-tree's flight recorder marks traced ops at the
+// same bound.
 const BackpressureBacklog = 128
 
 // pending is the target owed to one unit, with the trace context of the
@@ -86,27 +88,25 @@ func newPendingSet[ID comparable, Ctx any](m *Manager[ID, Ctx]) *pendingSet[ID, 
 	return p
 }
 
-// propose sets id's target and reports what it replaced, together with
-// the backlog the proposal found.
-func (p *pendingSet[ID, Ctx]) propose(id ID, job pending[Ctx]) (proposal, int) {
+// propose sets id's target and reports what it replaced.
+func (p *pendingSet[ID, Ctx]) propose(id ID, job pending[Ctx]) proposal {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return proposedClosed, 0
+		return proposedClosed
 	}
-	backlog := len(p.fifo)
 	cur, ok := p.targets[id]
 	switch {
 	case ok && cur.target == job.target:
-		return proposedSame, backlog
+		return proposedSame
 	case ok:
 		job.running = cur.running
 		p.targets[id] = job
-		return proposedReplaced, backlog
+		return proposedReplaced
 	}
 	p.targets[id] = job
 	p.push(id)
-	return proposedNew, backlog
+	return proposedNew
 }
 
 func (p *pendingSet[ID, Ctx]) push(id ID) {

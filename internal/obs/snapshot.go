@@ -40,9 +40,10 @@ type Snapshot struct {
 	// InlineFallbacks stays 0 since the backpressure rework; kept in the
 	// schema so dumps can assert the fallback path stays dead.
 	InlineFallbacks int `json:"inline_fallbacks"`
-	// Backpressured counts proposals made with the migration backlog at
-	// its bound this phase; Coalesced those that replaced a different
-	// pending target, Deduped those whose target was already pending.
+	// Backpressured counts this phase's proposals when the backlog earlier
+	// phases left was at its bound; Coalesced those that replaced a
+	// different pending target, Deduped those whose target was already
+	// pending.
 	// PipeDepth is the migration backlog when the phase completed.
 	Backpressured int `json:"backpressured"`
 	Coalesced     int `json:"coalesced"`
