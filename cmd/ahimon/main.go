@@ -140,13 +140,15 @@ func render(w io.Writer, d *obs.Dump, tail int) {
 	renderTrace(w, d, tail)
 }
 
-// renderCache summarizes the read-path cache metrics per source: hit rate, admission/eviction churn, invalidations, and the
+// renderCache summarizes the read-path cache metrics per source: hit rate, admission/eviction churn, invalidations (the writes
+// that found their key cached) and updates (those that kept it), and the
 // bytes the cache charges against the memory budget. Silent when no cache
 // metrics are present (CacheFraction unset).
 func renderCache(w io.Writer, d *obs.Dump) {
 	type row struct {
-		hits, misses, admitted, rejected float64
-		invalidations, evictions, bytes  float64
+		hits, misses, admitted, rejected  float64
+		invalidations, updated, evictions float64
+		bytes                             float64
 	}
 	rows := map[string]*row{}
 	get := func(src string) *row {
@@ -170,6 +172,8 @@ func renderCache(w io.Writer, d *obs.Dump) {
 			get(src).rejected = v
 		case "ahi_cache_invalidations_total":
 			get(src).invalidations = v
+		case "ahi_cache_updated_total":
+			get(src).updated = v
 		case "ahi_cache_evictions_total":
 			get(src).evictions = v
 		case "ahi_cache_bytes":
@@ -185,8 +189,8 @@ func renderCache(w io.Writer, d *obs.Dump) {
 	}
 	sort.Strings(srcs)
 	fmt.Fprintln(w, "== read-path cache ==")
-	fmt.Fprintf(w, "%-10s %9s %7s %9s %9s %9s %9s %9s\n",
-		"source", "hits", "rate", "misses", "admit", "reject", "inval", "evict")
+	fmt.Fprintf(w, "%-10s %9s %7s %9s %9s %9s %9s %9s %9s\n",
+		"source", "hits", "rate", "misses", "admit", "reject", "inval", "update", "evict")
 	for _, s := range srcs {
 		r := rows[s]
 		name := s
@@ -197,9 +201,9 @@ func renderCache(w io.Writer, d *obs.Dump) {
 		if tot := r.hits + r.misses; tot > 0 {
 			rate = fmt.Sprintf("%5.1f%%", 100*r.hits/tot)
 		}
-		fmt.Fprintf(w, "%-10s %9.0f %7s %9.0f %9.0f %9.0f %9.0f %9.0f\n",
+		fmt.Fprintf(w, "%-10s %9.0f %7s %9.0f %9.0f %9.0f %9.0f %9.0f %9.0f\n",
 			name, r.hits, rate, r.misses, r.admitted, r.rejected,
-			r.invalidations, r.evictions)
+			r.invalidations, r.updated, r.evictions)
 		if r.bytes > 0 {
 			fmt.Fprintf(w, "%-10s cache footprint %s (charged against the memory budget)\n",
 				"", mib(int64(r.bytes)))

@@ -192,6 +192,7 @@ func registerCacheMetrics(reg *obs.Registry, source string, rc *cache.Cache) {
 		{"ahi_cache_admitted_total", func() int64 { return rc.Stats().Admitted }},
 		{"ahi_cache_rejected_total", func() int64 { return rc.Stats().Rejected }},
 		{"ahi_cache_invalidations_total", func() int64 { return rc.Stats().Invalidations }},
+		{"ahi_cache_updated_total", func() int64 { return rc.Stats().Updated }},
 		{"ahi_cache_evictions_total", func() int64 { return rc.Stats().Evictions }},
 		{"ahi_cache_bytes", rc.Bytes},
 	} {
@@ -422,8 +423,10 @@ func (s *Session) Lookup(k uint64) (uint64, bool) {
 // skewed workload most misses are tail singletons, and evicting a live
 // entry for each one churns the cache. The verdict only matters when the
 // bucket is full of other keys — Admit always allows refreshing a key's
-// own slot or filling an empty way, so an invalidated hot key re-enters
-// on its first post-write miss — and letting every fourth miss evict
+// own slot or filling an empty way, so a hot key that a delete or a
+// merged batch run dropped re-enters on its first post-write miss (a
+// single-key overwrite keeps the entry, with the new value) — and
+// letting every fourth miss evict
 // quarters the churn while a genuinely hot key still lands in the cache
 // within a handful of occurrences. Sampler-declared hot keys bypass the
 // gate entirely.

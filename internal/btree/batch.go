@@ -540,12 +540,13 @@ func (t *Tree) insertRun(keys, vals []uint64, inserted []bool,
 	}
 	np := encodePayload(target, gk, gv)
 	kvPool.Put(scratch)
-	// Overwrites (inserted[idx] == false) bracket the swap in the cache;
-	// fresh keys have nothing cached.
+	// Overwrites (inserted[idx] == false) bracket the swap in the cache
+	// and drop their ways at once: a bracket of many keys must not hold
+	// buckets. Fresh keys have nothing cached.
 	if t.rcache != nil {
 		for jj := cursor; jj < j; jj++ {
 			if idx := order[jj]; !inserted[idx] {
-				t.rcache.BeginWrite(keys[idx])
+				t.rcache.Drop(t.rcache.BeginWrite(keys[idx]))
 			}
 		}
 	}
@@ -579,16 +580,17 @@ func (t *Tree) insertRun(keys, vals []uint64, inserted []bool,
 // long as the keys exist in it, and unlocks the leaf; the head key is at
 // position pos. The first key the image lacks, or does not cover, ends
 // the run; the next insertRun takes it from there. Each store is
-// bracketed in the cache like a single overwrite. Returns the cursor past
-// the stored keys.
+// bracketed in the cache like a single overwrite, holding one way at a
+// time. Returns the cursor past the stored keys.
 func (t *Tree) overwriteRun(leaf *Leaf, b *leafBox, f *flat, pos int, keys, vals []uint64,
 	inserted []bool, order []int, cursor int, track func(int, *Leaf, bool)) int {
 	lastK := keys[order[cursor]]
 	j := cursor
 	for {
 		idx := order[j]
-		t.cacheBegin(lastK)
+		held := t.cacheBegin(lastK)
 		f.storeValue(pos, vals[idx])
+		t.rcache.Update(held, vals[idx])
 		t.cacheEnd(lastK)
 		inserted[idx] = false
 		if j++; j == len(order) {

@@ -140,7 +140,8 @@ type Tree struct {
 	// disabled); the trees of a group hold disjoint keys, so they share it.
 	// Write paths keep it strictly coherent: every mutation of k brackets
 	// its leaf write (an image swap or an in-place value store) with k's
-	// invalidation stripe (cacheBegin/cacheEnd),
+	// invalidation stripe (cacheBegin/cacheEnd), a single-key overwrite
+	// storing its value into k's held way once the tree shows it,
 	// and a leaf migration bumps the stripes of the displaced image's
 	// keys so admissions that read that image abort. Read integration
 	// (probe/admit) lives in the adaptive Session so it can reuse the
@@ -433,11 +434,17 @@ func (t *Tree) putLocked(leaf *Leaf, b *leafBox, path *descentPath, k, v uint64)
 	p := b.p
 	pos, found := p.search(k)
 	if found {
-		t.cacheBegin(k)
+		// The cached way of k, if any, is held only across the publish:
+		// a Succinct image is built before the bracket opens.
 		if f := flatOf(p); f != nil {
+			held := t.cacheBegin(k)
 			f.storeValue(pos, v)
+			t.rcache.Update(held, v)
 		} else {
-			t.swapLeafBox(leaf, b, b.with(p.(*succinct).withValue(pos, v)))
+			nb := b.with(p.(*succinct).withValue(pos, v))
+			held := t.cacheBegin(k)
+			t.swapLeafBox(leaf, b, nb)
+			t.rcache.Update(held, v)
 		}
 		leaf.lock.unlock()
 		t.cacheEnd(k)
@@ -492,7 +499,7 @@ func (t *Tree) deleteTracked(k uint64, ev *obs.OpEvent) (bool, *Leaf) {
 		leaf.lock.unlock()
 		return false, leaf
 	}
-	t.cacheBegin(k)
+	t.cacheBeginDrop(k)
 	t.swapLeafBox(leaf, b, b.with(removeAt(b.p, i)))
 	leaf.lock.unlock()
 	t.cacheEnd(k)
@@ -501,13 +508,22 @@ func (t *Tree) deleteTracked(k uint64, ev *obs.OpEvent) (bool, *Leaf) {
 }
 
 // cacheBegin and cacheEnd bracket the leaf write of k (an image swap or
-// an in-place value store), so the attached result cache drops k before
-// the new value is published and admits nothing for it until the write
-// is done (cache.BeginWrite).
-// Nil-safe.
-func (t *Tree) cacheBegin(k uint64) {
+// an in-place value store), so the attached result cache admits nothing
+// for k until the write is done (cache.BeginWrite). cacheBegin holds k's
+// cached way, if any: a single-key overwrite hands it the new value with
+// Update once the tree shows it. Nil-safe.
+func (t *Tree) cacheBegin(k uint64) cache.Held {
+	if t.rcache == nil {
+		return cache.Held{}
+	}
+	return t.rcache.BeginWrite(k)
+}
+
+// cacheBeginDrop opens the bracket and drops k's cached way at once: the
+// form for a delete, which holds no way across its write.
+func (t *Tree) cacheBeginDrop(k uint64) {
 	if t.rcache != nil {
-		t.rcache.BeginWrite(k)
+		t.rcache.Drop(t.rcache.BeginWrite(k))
 	}
 }
 

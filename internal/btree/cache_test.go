@@ -2,10 +2,12 @@ package btree
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ahi/internal/core"
 	"ahi/internal/obs"
@@ -149,6 +151,145 @@ func TestCacheInvalidationRace(t *testing.T) {
 	if st.Hits == 0 || st.Invalidations == 0 {
 		t.Fatalf("race exercised nothing: hits=%d invalidations=%d", st.Hits, st.Invalidations)
 	}
+}
+
+// TestCachedOverwritesLinearizable races owner writers of a hot key set
+// against cached readers and a migrator. Each key has one writer, as the
+// leaf lock gives each key one writer at a time, and it writes increasing
+// values through Insert (the held-way update) and InsertBatch (in-place
+// runs and merged runs), then reads its own last write back. Readers
+// share one register a key of the largest value any finished read
+// returned; a read that starts after it must not return less: a cached
+// value shown before the tree publishes it, or kept after, reads
+// backwards the moment a later read reaches the tree. A third of the
+// lookups are sampled and so bypass the cache, and the migrator cycles
+// the hot leaves through every encoding, so Succinct overwrites swap
+// images and Gapped and Packed ones store in place.
+func TestCachedOverwritesLinearizable(t *testing.T) {
+	const writers, readers = 2, 2
+	keys, vals := sortedPairs(4000, 48)
+	hot := append(append([]uint64(nil), keys[100:112]...), keys[2000:2012]...)
+	for j := range vals {
+		vals[j] = 0
+	}
+	a := BulkLoadAdaptive(AdaptiveConfig{
+		Tree:         Config{DefaultEncoding: EncGapped},
+		InitialSkip:  3,
+		FixedSkip:    true,
+		MemoryBudget: 1 << 30,
+		// 10 MB of cache: every hot key stays cached.
+		CacheFraction: 0.01,
+	}, keys, vals)
+	defer a.Close()
+	slot := map[uint64]int{}
+	for i, k := range hot {
+		slot[k] = i
+	}
+	var seen [24]atomic.Uint64
+	var stop atomic.Bool
+	errc := make(chan string, writers+readers)
+	fail := func(msg string) {
+		select {
+		case errc <- msg:
+		default:
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := a.NewSession()
+			var own []uint64
+			for i := w; i < len(hot); i += writers {
+				own = append(own, hot[i])
+			}
+			bv := make([]uint64, len(own))
+			ins := make([]bool, len(own))
+			for seq := uint64(1); !stop.Load(); seq++ {
+				k := own[seq%uint64(len(own))]
+				if seq%3 == 0 {
+					for j := range bv {
+						bv[j] = seq
+					}
+					s.InsertBatch(own, bv, ins)
+				} else {
+					s.Insert(k, seq)
+				}
+				if v, ok := s.Lookup(k); !ok || v != seq {
+					fail(fmt.Sprintf("writer %d: key %d reads (%d,%v) after writing %d", w, k, v, ok, seq))
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			_, leaf, _ := a.Tree.lookupLeaf(hot[i%len(hot)], nil)
+			a.Tree.MigrateLeaf(leaf, core.Encoding(i/len(hot)%3))
+		}
+	}()
+
+	check := func(r int, k, floor, v uint64, ok bool) bool {
+		if !ok || v < floor {
+			fail(fmt.Sprintf("reader %d: key %d reads (%d,%v) after a finished read of %d", r, k, v, ok, floor))
+			return false
+		}
+		for sk := &seen[slot[k]]; ; {
+			if cur := sk.Load(); cur >= v || sk.CompareAndSwap(cur, v) {
+				return true
+			}
+		}
+	}
+	start := time.Now()
+	var rwg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func(r int) {
+			defer rwg.Done()
+			s := a.NewSession()
+			bv := make([]uint64, len(hot))
+			found := make([]bool, len(hot))
+			floors := make([]uint64, len(hot))
+			for i := 0; i < 300000 && time.Since(start) < 3*time.Second; i++ {
+				if i%8 == 0 {
+					for j, k := range hot {
+						floors[j] = seen[slot[k]].Load()
+					}
+					s.LookupBatch(hot, bv, found)
+					for j, k := range hot {
+						if !check(r, k, floors[j], bv[j], found[j]) {
+							return
+						}
+					}
+					continue
+				}
+				k := hot[(i*7+r)%len(hot)]
+				floor := seen[slot[k]].Load()
+				if v, ok := s.Lookup(k); !check(r, k, floor, v, ok) {
+					return
+				}
+			}
+		}(r)
+	}
+	rwg.Wait()
+	stop.Store(true)
+	wg.Wait()
+	select {
+	case msg := <-errc:
+		t.Fatal(msg)
+	default:
+	}
+	if err := a.Tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	st := a.CacheStats()
+	if st.Hits == 0 || st.Updated == 0 {
+		t.Fatalf("race exercised nothing: %+v", st)
+	}
+	t.Logf("cache %+v", st)
 }
 
 // FuzzCacheOracle replays an arbitrary operation tape through a cached

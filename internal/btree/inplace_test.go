@@ -69,58 +69,83 @@ func TestOverwriteRacingMigration(t *testing.T) {
 
 // TestOverwriteZeroAlloc: an overwrite of a Gapped or Packed leaf through
 // the session allocates nothing, one key at a time or as an
-// all-overwrite batch.
+// all-overwrite batch, also when the result cache holds the keys and each
+// single-key overwrite updates its held way.
 func TestOverwriteZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	keys, vals := sortedPairs(20000, 37)
 	for _, enc := range []core.Encoding{EncGapped, EncPacked} {
-		t.Run(EncodingName(enc), func(t *testing.T) {
-			a := BulkLoadAdaptive(AdaptiveConfig{
+		for _, cached := range []bool{false, true} {
+			name := EncodingName(enc)
+			cfg := AdaptiveConfig{
 				Tree:        Config{DefaultEncoding: enc, ExpandOnInsert: true},
 				InitialSkip: 1 << 30,
 				FixedSkip:   true,
-			}, keys, vals)
-			defer a.Close()
-			s := a.NewSession()
-			i := 0
-			if avg := testing.AllocsPerRun(500, func() {
-				s.Insert(keys[(i*37)%len(keys)], uint64(i))
-				i++
-			}); avg != 0 {
-				t.Errorf("Session.Insert overwrite allocates %.1f objects, want 0", avg)
 			}
+			if cached {
+				// 2 MB of cache: room for every key.
+				name += "-cached"
+				cfg.MemoryBudget, cfg.CacheFraction = 16<<20, 0.125
+			}
+			t.Run(name, func(t *testing.T) { overwriteZeroAlloc(t, cfg, keys, vals) })
+		}
+	}
+}
 
-			// One batch: a run of 64 keys in one leaf and 64 keys spread
-			// over many leaves, every one of them present.
-			bk := make([]uint64, 128)
-			bv := make([]uint64, 128)
-			ins := make([]bool, 128)
-			for j := range bk {
-				if j < 64 {
-					bk[j] = keys[100+j]
-				} else {
-					bk[j] = keys[(j*151)%len(keys)]
-				}
-			}
-			s.InsertBatch(bk, bv, ins) // warm the batch scratch
-			if avg := testing.AllocsPerRun(200, func() {
-				for j := range bv {
-					bv[j]++
-				}
-				s.InsertBatch(bk, bv, ins)
-			}); avg != 0 {
-				t.Errorf("InsertBatch of overwrites allocates %.1f objects, want 0", avg)
-			}
-			for j, k := range bk {
-				if v, ok := a.Tree.Lookup(k); ins[j] || !ok || v != bv[j] {
-					t.Fatalf("key %d reads (%d,%v) inserted=%v, want %d", k, v, ok, ins[j], bv[j])
-				}
-			}
-			if got := a.Tree.Expansions(); got != 0 {
-				t.Errorf("overwrites expanded %d leaves", got)
-			}
-		})
+func overwriteZeroAlloc(t *testing.T, cfg AdaptiveConfig, keys, vals []uint64) {
+	a := BulkLoadAdaptive(cfg, keys, vals)
+	defer a.Close()
+	s := a.NewSession()
+	cached := a.Tree.rcache != nil
+	if cached {
+		for _, k := range keys {
+			s.Lookup(k)
+		}
+		if n := a.Tree.rcache.Len(); n < len(keys)*9/10 {
+			t.Fatalf("the cache holds %d of %d keys", n, len(keys))
+		}
+	}
+	before := a.CacheStats().Updated
+	i := 0
+	if avg := testing.AllocsPerRun(500, func() {
+		s.Insert(keys[(i*37)%len(keys)], uint64(i))
+		i++
+	}); avg != 0 {
+		t.Errorf("Session.Insert overwrite allocates %.1f objects, want 0", avg)
+	}
+	if updated := a.CacheStats().Updated - before; cached && updated < int64(i)*9/10 {
+		t.Errorf("%d of %d overwrites updated their cached way", updated, i)
+	}
+
+	// One batch: a run of 64 keys in one leaf and 64 keys spread
+	// over many leaves, every one of them present.
+	bk := make([]uint64, 128)
+	bv := make([]uint64, 128)
+	ins := make([]bool, 128)
+	for j := range bk {
+		if j < 64 {
+			bk[j] = keys[100+j]
+		} else {
+			bk[j] = keys[(j*151)%len(keys)]
+		}
+	}
+	s.InsertBatch(bk, bv, ins) // warm the batch scratch
+	if avg := testing.AllocsPerRun(200, func() {
+		for j := range bv {
+			bv[j]++
+		}
+		s.InsertBatch(bk, bv, ins)
+	}); avg != 0 {
+		t.Errorf("InsertBatch of overwrites allocates %.1f objects, want 0", avg)
+	}
+	for j, k := range bk {
+		if v, ok := s.Lookup(k); ins[j] || !ok || v != bv[j] {
+			t.Fatalf("key %d reads (%d,%v) inserted=%v, want %d", k, v, ok, ins[j], bv[j])
+		}
+	}
+	if got := a.Tree.Expansions(); got != 0 {
+		t.Errorf("overwrites expanded %d leaves", got)
 	}
 }

@@ -48,6 +48,41 @@ func BenchmarkOverwriteSuccinct(b *testing.B) { benchOverwrite(b, EncSuccinct) }
 func BenchmarkOverwritePacked(b *testing.B)   { benchOverwrite(b, EncPacked) }
 func BenchmarkOverwriteGapped(b *testing.B)   { benchOverwrite(b, EncGapped) }
 
+// cachedOverwriteKeys is the hot set of BenchmarkOverwriteCached*: keys
+// the result cache holds for the whole run.
+const cachedOverwriteKeys = 4096
+
+// benchOverwriteCached times Session.Insert overwrites of keys the result
+// cache holds, so each one stores its value into the key's held way after
+// the tree publish. Sampling is out of reach: no adaptation runs.
+func benchOverwriteCached(b *testing.B, enc core.Encoding) {
+	t, probe := writeBenchTree(enc)
+	a := NewGroup(AdaptiveConfig{
+		Tree:          Config{DefaultEncoding: enc},
+		InitialSkip:   1 << 30,
+		FixedSkip:     true,
+		MemoryBudget:  4 << 20,
+		CacheFraction: 0.25, // 1 MB: 16 K buckets for 4 K keys
+	}, []*Tree{t}, nil)[0]
+	b.Cleanup(a.Close)
+	hot := probe[:cachedOverwriteKeys]
+	s := a.NewSession()
+	for _, k := range hot {
+		s.Lookup(k)
+	}
+	if n := t.rcache.Len(); n < len(hot)*9/10 {
+		b.Fatalf("the cache holds %d of %d keys", n, len(hot))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Insert(hot[i&(cachedOverwriteKeys-1)], uint64(i))
+	}
+}
+
+func BenchmarkOverwriteCachedSuccinct(b *testing.B) { benchOverwriteCached(b, EncSuccinct) }
+func BenchmarkOverwriteCachedGapped(b *testing.B)   { benchOverwriteCached(b, EncGapped) }
+
 // benchInsertDelete times one insert of a fresh key plus its delete.
 func benchInsertDelete(b *testing.B, enc core.Encoding) {
 	t, probe := writeBenchTree(enc)

@@ -4,9 +4,9 @@
 // Layout: a table of 64-byte buckets, each on a cache line of its own,
 // sized once by New. A bucket is one seqlock word, one meta word and three
 // ways of (key, value); the meta word holds three bits a way, an occupied
-// bit and a 2-bit CLOCK frequency. A probe,
-// an admission and a write's clear each touch that one line. Every bucket
-// word is atomic and the bucket's seqlock (ver odd = a writer in the
+// bit and a 2-bit CLOCK frequency. A probe, an admission and a write's
+// hold of its key's way each touch that one line. Every bucket word is
+// atomic and the bucket's seqlock (ver odd = a writer in the
 // critical section) guards its keys, values and occupied bits, so readers
 // never block and the package is clean under -race. Admission follows the
 // S3-FIFO/CLOCK spirit: new entries enter on probation (freq 0), probe
@@ -18,19 +18,27 @@
 // snapshot taken BEFORE the tree lookup that produced the value. A stripe
 // word counts writes begun (high half) and writes in flight (low half).
 // A tree write brackets its change to the leaf with BeginWrite, which
-// bumps both halves and then clears k from its bucket, and EndWrite,
-// which drops the in-flight count. Admit refuses a snapshot that saw a
-// write in flight and re-checks the stripe while holding the bucket
-// seqlock, aborting if it moved; the clear spins on (never skips) a locked
+// bumps both halves and, when k is cached, locks k's bucket and returns
+// the way it holds, and EndWrite, which drops the in-flight count. A
+// single-key overwrite publishes its value in the tree and then hands it
+// to Update, which stores it into the held way (keeping the way's CLOCK
+// frequency) and releases the bucket; every other write (a delete, a
+// merged multi-key run) drops the way at once with Drop, so a bracket
+// never holds two buckets. Admit refuses a snapshot that saw a write in
+// flight and re-checks the stripe while holding the bucket seqlock,
+// aborting if it moved; BeginWrite spins on (never skips) a locked
 // bucket. Either the admitter's in-lock check sees the bump and aborts,
-// or the admitter finished first and the clear waits on its lock and
-// removes the entry — before the new value is in the tree. So once any
-// reader can see a write's value, no older value of that key is in the
-// cache, and none can enter while the write is in flight: reads are
-// linearizable, not only fresh after the write returns. Invalidate is the
-// one-shot form (bump and clear) for a write already applied elsewhere.
-// Admissions choose their way under the version they lock with, so a key
-// holds at most one way of its bucket.
+// or the admitter finished first and BeginWrite waits on its lock and
+// then holds or drops the entry — before the new value is in the tree.
+// While a way is held its bucket's version is odd, so probes miss and
+// read the tree, and the next writer of k waits for the release. So once
+// any reader can see a write's value, no older value of that key is in
+// the cache, no cached value is newer than the tree's, and nothing can
+// enter while the write is in flight: reads are linearizable, not only
+// fresh after the write returns. Invalidate is the one-shot form (bump
+// and clear) for a write already applied elsewhere. Admissions choose
+// their way under the version they lock with, so a key holds at most one
+// way of its bucket.
 package cache
 
 import (
@@ -80,13 +88,18 @@ type bucket struct {
 // wayMeta returns way i's three meta bits.
 func wayMeta(meta uint64, i int) uint64 { return meta >> (3 * i) & maxMeta }
 
-// Stats is a point-in-time counter snapshot.
+// Stats is a point-in-time counter snapshot. Invalidations counts the
+// writes that found their key cached, whether they then dropped the entry
+// or kept it; Updated counts the writes among them that kept it with the
+// new value (an overwrite through Update; a way still held counts), so
+// Invalidations - Updated is the entries writes removed.
 type Stats struct {
 	Hits          int64
 	Misses        int64
 	Admitted      int64
 	Rejected      int64 // admissions aborted by a stripe epoch move or lock contention
-	Invalidations int64 // write-path clears (entry was present)
+	Invalidations int64 // writes that found their key cached
+	Updated       int64 // writes that kept their entry with the new value
 	Evictions     int64 // occupied ways overwritten by admission
 }
 
@@ -110,7 +123,8 @@ type Cache struct {
 	misses   atomic.Int64
 	admitted atomic.Int64
 	rejected atomic.Int64
-	invals   atomic.Int64
+	invals   atomic.Int64 // writes that held their key's way (lock)
+	dropped  atomic.Int64 // held ways cleared (Drop)
 	evicts   atomic.Int64
 }
 
@@ -157,8 +171,8 @@ func (c *Cache) Snap(k uint64) uint64 {
 }
 
 // Probe looks k up. A hit is always the value of a tree read linearized
-// no earlier than the last write of k any reader could see (writers clear
-// k's way before publishing a new value; see BeginWrite).
+// no earlier than the last write of k any reader could see (writers hold
+// or clear k's way before publishing a new value; see BeginWrite).
 func (c *Cache) Probe(k uint64) (uint64, bool) {
 	v, _, _, ok := c.probe(mix(k), k, false)
 	c.count(ok)
@@ -255,11 +269,11 @@ func (c *Cache) probe(h, k uint64, wantSnap bool) (v, snap uint64, torn int32, o
 // stripe snapshot snap. hot marks entries the hotness sampler observed:
 // they enter with frequency 2 instead of on probation. evictOK is the
 // caller's admission-doorkeeper verdict: refreshing k's own way or
-// filling an empty way is always allowed (an invalidated hot key re-enters
-// on its first post-write miss), but displacing a live entry needs hot or
-// evictOK — under a skewed workload most misses are tail singletons not
-// worth an eviction. Admission is best-effort: contention or a concurrent
-// write of k drops it.
+// filling an empty way is always allowed (a hot key a delete or a merged
+// run dropped re-enters on its first post-write miss), but displacing a
+// live entry needs hot or evictOK — under a skewed workload most misses
+// are tail singletons not worth an eviction. Admission is best-effort:
+// contention or a concurrent write of k drops it.
 func (c *Cache) Admit(k, v uint64, snap uint64, hot, evictOK bool) {
 	h := mix(k)
 	stripe := &c.stripes[h>>56]
@@ -340,14 +354,47 @@ func (c *Cache) Admit(k, v uint64, snap uint64, hot, evictOK bool) {
 	c.admitted.Add(1)
 }
 
+// Held is the way a write holds locked from BeginWrite until Update or
+// Drop releases it; the zero Held holds nothing (k was not cached).
+type Held struct {
+	b   *bucket
+	way int
+	ver uint64 // the bucket's even version before the lock
+}
+
 // BeginWrite opens a tree write of k: it marks k's stripe in flight —
-// aborting in-flight admissions and refusing new ones — then clears k's
-// way. Call it before the write becomes visible to readers and EndWrite
-// after.
-func (c *Cache) BeginWrite(k uint64) {
+// aborting in-flight admissions and refusing new ones — and, when k is
+// cached, locks its bucket and returns the way it holds. Call it before
+// the write becomes visible to readers, release the way with Update (a
+// single-key overwrite, after the new value is visible) or Drop, and call
+// EndWrite last. A caller holds at most one way at a time: two writers
+// locking buckets in different orders would deadlock.
+func (c *Cache) BeginWrite(k uint64) Held {
 	h := mix(k)
 	c.stripes[h>>56].Add(epochOne | 1)
-	c.clear(h, k)
+	return c.lock(h, k)
+}
+
+// Update stores v into the held way and releases its bucket, keeping the
+// way's CLOCK frequency. The caller has already published v in the tree.
+// A no-op on the zero Held, also on a nil cache.
+func (c *Cache) Update(h Held, v uint64) {
+	if h.b == nil {
+		return
+	}
+	h.b.vals[h.way].Store(v)
+	h.b.ver.Store(h.ver + 2)
+}
+
+// Drop clears the held way and releases its bucket. A no-op on the zero
+// Held, also on a nil cache.
+func (c *Cache) Drop(h Held) {
+	if h.b == nil {
+		return
+	}
+	h.b.meta.Store(h.b.meta.Load() &^ (maxMeta << (3 * h.way)))
+	h.b.ver.Store(h.ver + 2)
+	c.dropped.Add(1)
 }
 
 // EndWrite closes a BeginWrite of k: admissions snapshotting k's stripe
@@ -364,13 +411,14 @@ func (c *Cache) EndWrite(k uint64) {
 func (c *Cache) Invalidate(k uint64) {
 	h := mix(k)
 	c.stripes[h>>56].Add(epochOne)
-	c.clear(h, k)
+	c.Drop(c.lock(h, k))
 }
 
-// clear removes k's way after its stripe bump, spinning on a locked
-// bucket so a racing admission that already passed its epoch check
-// cannot leave a stale entry behind.
-func (c *Cache) clear(h, k uint64) {
+// lock finds k's way after its stripe bump and locks its bucket, spinning
+// on a locked bucket so a racing admission that already passed its epoch
+// check cannot leave a stale entry behind, and a write holding the way
+// finishes first.
+func (c *Cache) lock(h, k uint64) Held {
 	b := c.bucket(h)
 	for {
 		v0 := b.ver.Load()
@@ -387,15 +435,13 @@ func (c *Cache) clear(h, k uint64) {
 			// Not cached. An admitter of k that finished before v0 was
 			// read left its entry visible above; one that locks later
 			// re-checks the stripe we already bumped and aborts.
-			return
+			return Held{}
 		}
 		if !b.ver.CompareAndSwap(v0, v0+1) {
 			continue
 		}
-		b.meta.Store(b.meta.Load() &^ (maxMeta << (3 * i)))
-		b.ver.Store(v0 + 2)
 		c.invals.Add(1)
-		return
+		return Held{b: b, way: i, ver: v0}
 	}
 }
 
@@ -440,12 +486,18 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
+	// Every held way is released by Update or Drop, so the updates are
+	// the holds less the drops; loading the drops first keeps the
+	// difference from going below zero under concurrent writes.
+	dropped := c.dropped.Load()
+	invals := c.invals.Load()
 	return Stats{
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Admitted:      c.admitted.Load(),
 		Rejected:      c.rejected.Load(),
-		Invalidations: c.invals.Load(),
+		Invalidations: invals,
+		Updated:       invals - dropped,
 		Evictions:     c.evicts.Load(),
 	}
 }

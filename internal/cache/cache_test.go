@@ -151,11 +151,12 @@ func TestAdmitAbortsOnStaleSnap(t *testing.T) {
 	if v, ok := c.Probe(7); !ok || v != 99 {
 		t.Fatalf("fresh admit lost: %d,%v", v, ok)
 	}
-	// BeginWrite clears the entry, and a snapshot taken while the write is
-	// in flight admits nothing, even once the stripe stops moving.
-	c.BeginWrite(7)
+	// A write that drops its way (a delete's bracket) clears the entry,
+	// and a snapshot taken while the write is in flight admits nothing,
+	// even once the stripe stops moving.
+	c.Drop(c.BeginWrite(7))
 	if _, ok := c.Probe(7); ok {
-		t.Fatal("hit after BeginWrite")
+		t.Fatal("hit after BeginWrite and Drop")
 	}
 	snap = c.Snap(7)
 	c.Admit(7, 98, snap, true, true)
@@ -356,29 +357,140 @@ func TestUpdateInPlaceViaAdmit(t *testing.T) {
 	}
 }
 
+// wayMetaOf returns the meta bits of k's way, 0 when k is not cached.
+func (c *Cache) wayMetaOf(k uint64) uint64 {
+	b := c.bucket(mix(k))
+	meta := b.meta.Load()
+	for i := 0; i < bucketWays; i++ {
+		if m := wayMeta(meta, i); m != 0 && b.keys[i].Load() == k {
+			return m
+		}
+	}
+	return 0
+}
+
+// TestHeldOverwrite walks the held-bucket protocol of a single-key
+// overwrite step by step. While the write holds k's bucket, probes of k
+// and of a bucket-mate miss, an admission from a pre-write snapshot
+// aborts, and a bucket-mate's BeginWrite waits. After Update the probe
+// returns the new value and the way keeps its CLOCK frequency.
+func TestHeldOverwrite(t *testing.T) {
+	c := New(minBytes)
+	keys := sameBucket(c, 1, 2)
+	k, mate := keys[0], keys[1]
+	c.Admit(k, 10, c.Snap(k), true, true) // hot: freq 2
+	c.Admit(mate, 20, c.Snap(mate), false, true)
+	c.Probe(k) // freq 3
+	freq := c.wayMetaOf(k)
+	pre := c.Snap(k)
+
+	h := c.BeginWrite(k)
+	if h == (Held{}) {
+		t.Fatal("BeginWrite of a cached key holds nothing")
+	}
+	if _, ok := c.Probe(k); ok {
+		t.Fatal("probe of the held key hit")
+	}
+	if _, ok := c.Probe(mate); ok {
+		t.Fatal("probe of a bucket-mate hit while the bucket is held")
+	}
+	rej := c.Stats().Rejected
+	c.Admit(k, 99, pre, true, true)
+	if c.Stats().Rejected != rej+1 {
+		t.Fatal("admission from a pre-write snapshot was not refused")
+	}
+	done := make(chan Held)
+	go func() { done <- c.BeginWrite(mate) }()
+	select {
+	case <-done:
+		t.Fatal("a bucket-mate's BeginWrite did not wait for the held bucket")
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	c.Update(h, 11) // the tree shows 11 by now
+	mh := <-done
+	c.Update(mh, 21)
+	c.EndWrite(mate)
+	c.Admit(k, 99, pre, true, true) // still stale after the release
+	c.EndWrite(k)
+	if got := c.wayMetaOf(k); got != freq {
+		t.Fatalf("way meta after the update = %d, want %d (frequency kept)", got, freq)
+	}
+	if v, ok := c.Probe(k); !ok || v != 11 {
+		t.Fatalf("Probe after the update = %d,%v want 11,true", v, ok)
+	}
+	if v, ok := c.Probe(mate); !ok || v != 21 {
+		t.Fatalf("bucket-mate after its update = %d,%v want 21,true", v, ok)
+	}
+	if st := c.Stats(); st.Invalidations != 2 || st.Updated != 2 || c.Len() != 2 {
+		t.Fatalf("stats %+v, Len %d: want 2 invalidations, 2 updated, 2 entries", st, c.Len())
+	}
+}
+
+// TestHeldDropAndUncached: a write that drops its held way (a delete)
+// leaves no way for the key, and a key that was not cached at BeginWrite
+// holds nothing and is not cached after the write.
+func TestHeldDropAndUncached(t *testing.T) {
+	c := New(minBytes)
+	c.Admit(3, 30, c.Snap(3), true, true)
+	h := c.BeginWrite(3)
+	c.Drop(h)
+	c.EndWrite(3)
+	if _, ok := c.Probe(3); ok || c.wayMetaOf(3) != 0 || c.Len() != 0 {
+		t.Fatalf("delete left key 3 cached (meta %d, Len %d)", c.wayMetaOf(3), c.Len())
+	}
+
+	h = c.BeginWrite(4)
+	if h != (Held{}) {
+		t.Fatal("BeginWrite of an uncached key holds a way")
+	}
+	c.Update(h, 40)
+	c.EndWrite(4)
+	if _, ok := c.Probe(4); ok || c.Len() != 0 {
+		t.Fatal("an uncached key is cached after its overwrite")
+	}
+	if st := c.Stats(); st.Invalidations != 1 || st.Updated != 0 {
+		t.Fatalf("stats %+v: want 1 invalidation, 0 updated", st)
+	}
+	var nilCache *Cache
+	nilCache.Update(Held{}, 1) // the tree's uncached path
+	nilCache.Drop(Held{})
+}
+
 // TestConcurrentStrict hammers a small cache with writers that keep the
-// authoritative value monotonically increasing (bracketed by BeginWrite
-// and EndWrite, like the tree write path) and readers that must never
-// observe a value going backwards — the observable symptom of a stale
-// cache read, including one that follows a read of the new value while
-// its write is still in flight.
+// authoritative value monotonically increasing and readers that must
+// never observe a value going backwards — the observable symptom of a
+// stale cache read, including one that follows a read of the new value
+// while its write is still in flight — nor a cached value newer than the
+// authoritative one. Like the tree, where the leaf lock serialises the
+// writers of a key, a writer holds the key's mutex across its bracket:
+// most writes are overwrites that hand the new value to their held way
+// (Update), every fourth drops it (a delete or a merged run).
 func TestConcurrentStrict(t *testing.T) {
 	c := New(minBytes) // tiny: maximize bucket reuse and eviction races
 	const keys = 8
 	var truth [keys]atomic.Uint64
+	var mu [keys]sync.Mutex
 	var writes atomic.Int64
 	var stop atomic.Bool
 	var writers, readers sync.WaitGroup
 
-	for w := 0; w < 2; w++ {
+	for w := 0; w < 3; w++ {
 		writers.Add(1)
 		go func(seed uint64) {
 			defer writers.Done()
 			for i := seed; !stop.Load(); i++ {
 				k := i % keys
-				c.BeginWrite(k)
-				truth[k].Add(1)
+				mu[k].Lock()
+				h := c.BeginWrite(k)
+				v := truth[k].Add(1) // the tree publish
+				if i%4 == 0 {
+					c.Drop(h)
+				} else {
+					c.Update(h, v)
+				}
 				c.EndWrite(k)
+				mu[k].Unlock()
 				writes.Add(1)
 			}
 		}(uint64(w))
@@ -400,6 +512,12 @@ func TestConcurrentStrict(t *testing.T) {
 					snap := c.Snap(k)
 					v = truth[k].Load() // the "tree lookup"
 					c.Admit(k, v, snap, i%16 == 0, true)
+				} else if v > truth[k].Load() {
+					select {
+					case errc <- "cached value ahead of the authoritative one":
+					default:
+					}
+					return
 				}
 				if v < last[k] {
 					select {
@@ -420,5 +538,8 @@ func TestConcurrentStrict(t *testing.T) {
 	case msg := <-errc:
 		t.Fatal(msg)
 	default:
+	}
+	if st := c.Stats(); st.Updated == 0 {
+		t.Fatalf("no write kept its entry: %+v", st)
 	}
 }
