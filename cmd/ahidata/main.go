@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -20,31 +22,51 @@ import (
 )
 
 func main() {
-	var (
-		ds     = flag.String("dataset", "", "dataset to inspect: osm|userids|emails|ycsb|consecutive")
-		n      = flag.Int("n", 100_000, "dataset size")
-		sample = flag.Int("sample", 5, "number of sample entries to print")
-		seed   = flag.Int64("seed", 1, "generator seed")
-		cdf    = flag.String("cdf", "", "workload whose key-selection CDF to print (e.g. W1.1)")
-		wl     = flag.String("workload", "", "workload whose operations to print")
-		ops    = flag.Int("ops", 10, "number of operations to print")
-	)
-	flag.Parse()
-
-	switch {
-	case *ds != "":
-		inspectDataset(*ds, *n, *sample, *seed)
-	case *cdf != "":
-		printCDF(*cdf, *n, *seed)
-	case *wl != "":
-		printOps(*wl, *n, *ops, *seed)
-	default:
-		flag.Usage()
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func inspectDataset(name string, n, sample int, seed int64) {
+// run executes one ahidata invocation with the given arguments, printing
+// to stdout and stderr, and returns the process exit code: 0 on success,
+// 2 on bad usage or an unknown dataset or workload.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ahidata", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		ds     = fs.String("dataset", "", "dataset to inspect: osm|userids|emails|ycsb|consecutive")
+		n      = fs.Int("n", 100_000, "dataset size")
+		sample = fs.Int("sample", 5, "number of sample entries to print")
+		seed   = fs.Int64("seed", 1, "generator seed")
+		cdf    = fs.String("cdf", "", "workload whose key-selection CDF to print (e.g. W1.1)")
+		wl     = fs.String("workload", "", "workload whose operations to print")
+		ops    = fs.Int("ops", 10, "number of operations to print")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	var err error
+	switch {
+	case *ds != "":
+		err = inspectDataset(stdout, *ds, *n, *sample, *seed)
+	case *cdf != "":
+		err = printCDF(stdout, *cdf, *n, *seed)
+	case *wl != "":
+		err = printOps(stdout, *wl, *n, *ops, *seed)
+	default:
+		fs.Usage()
+		return 2
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	return 0
+}
+
+func inspectDataset(w io.Writer, name string, n, sample int, seed int64) error {
 	switch name {
 	case "osm", "userids", "ycsb", "consecutive":
 		var keys []uint64
@@ -58,15 +80,15 @@ func inspectDataset(name string, n, sample int, seed int64) {
 		case "consecutive":
 			keys = dataset.ConsecutiveU64(n, 1)
 		}
-		fmt.Printf("%s: %d unique sorted 64-bit keys\n", name, len(keys))
-		fmt.Printf("  min=%#x max=%#x span=%.3g\n", keys[0], keys[len(keys)-1], float64(keys[len(keys)-1]-keys[0]))
+		fmt.Fprintf(w, "%s: %d unique sorted 64-bit keys\n", name, len(keys))
+		fmt.Fprintf(w, "  min=%#x max=%#x span=%.3g\n", keys[0], keys[len(keys)-1], float64(keys[len(keys)-1]-keys[0]))
 		var sumGap float64
 		for i := 1; i < len(keys); i++ {
 			sumGap += float64(keys[i] - keys[i-1])
 		}
-		fmt.Printf("  mean gap=%.1f\n", sumGap/float64(len(keys)-1))
+		fmt.Fprintf(w, "  mean gap=%.1f\n", sumGap/float64(len(keys)-1))
 		for i := 0; i < sample && i < len(keys); i++ {
-			fmt.Printf("  [%d] %#016x\n", i, keys[i])
+			fmt.Fprintf(w, "  [%d] %#016x\n", i, keys[i])
 		}
 	case "emails":
 		keys := dataset.Emails(n, seed)
@@ -74,22 +96,21 @@ func inspectDataset(name string, n, sample int, seed int64) {
 		for _, k := range keys {
 			total += len(k)
 		}
-		fmt.Printf("emails: %d unique host-reversed addresses, avg len %.1f\n",
+		fmt.Fprintf(w, "emails: %d unique host-reversed addresses, avg len %.1f\n",
 			len(keys), float64(total)/float64(len(keys)))
 		for i := 0; i < sample && i < len(keys); i++ {
-			fmt.Printf("  [%d] %s\n", i, keys[i])
+			fmt.Fprintf(w, "  [%d] %s\n", i, keys[i])
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", name)
-		os.Exit(2)
+		return fmt.Errorf("unknown dataset %q", name)
 	}
+	return nil
 }
 
-func printCDF(wname string, n int, seed int64) {
+func printCDF(w io.Writer, wname string, n int, seed int64) error {
 	spec, ok := workload.Specs[wname]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", wname)
-		os.Exit(2)
+		return fmt.Errorf("unknown workload %q", wname)
 	}
 	gen := workload.NewGenerator(spec, n, seed)
 	const buckets = 40
@@ -103,33 +124,34 @@ func printCDF(wname string, n int, seed int64) {
 		}
 		counts[b]++
 	}
-	fmt.Printf("%s key-selection CDF over the sorted key space (Figure 11 style):\n", wname)
+	fmt.Fprintf(w, "%s key-selection CDF over the sorted key space (Figure 11 style):\n", wname)
 	cum := 0
 	for i, c := range counts {
 		cum += c
 		frac := float64(cum) / draws
 		bar := strings.Repeat("#", int(frac*50))
-		fmt.Printf("  %3d%% of keyspace | %-50s %5.1f%%\n", (i+1)*100/buckets, bar, 100*frac)
+		fmt.Fprintf(w, "  %3d%% of keyspace | %-50s %5.1f%%\n", (i+1)*100/buckets, bar, 100*frac)
 	}
+	return nil
 }
 
-func printOps(wname string, n, ops int, seed int64) {
+func printOps(w io.Writer, wname string, n, ops int, seed int64) error {
 	spec, ok := workload.Specs[wname]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", wname)
-		os.Exit(2)
+		return fmt.Errorf("unknown workload %q", wname)
 	}
 	gen := workload.NewGenerator(spec, n, seed)
 	kind := map[workload.OpKind]string{
 		workload.OpRead: "READ", workload.OpScan: "SCAN", workload.OpInsert: "INSERT",
 	}
-	fmt.Printf("%s: first %d operations over %d keys\n", wname, ops, n)
+	fmt.Fprintf(w, "%s: first %d operations over %d keys\n", wname, ops, n)
 	for i := 0; i < ops; i++ {
 		op := gen.Next()
 		if op.Kind == workload.OpScan {
-			fmt.Printf("  %-6s idx=%-9d len=%d\n", kind[op.Kind], op.Index, op.ScanLen)
+			fmt.Fprintf(w, "  %-6s idx=%-9d len=%d\n", kind[op.Kind], op.Index, op.ScanLen)
 		} else {
-			fmt.Printf("  %-6s idx=%d\n", kind[op.Kind], op.Index)
+			fmt.Fprintf(w, "  %-6s idx=%d\n", kind[op.Kind], op.Index)
 		}
 	}
+	return nil
 }

@@ -341,7 +341,7 @@ func TestRegistryRunsEverythingTiny(t *testing.T) {
 		t.Skip("full registry run is slow")
 	}
 	reg := Registry("../..", false)
-	if len(reg) != 31 {
+	if len(reg) != 27 {
 		t.Fatalf("registry size %d", len(reg))
 	}
 	// Smoke-run the cheap experiments through the registry interface.

@@ -103,34 +103,8 @@ func Registry(repoRoot string, csv bool) map[string]Experiment {
 	add(wrap("abl-eager", "ablation: eager expand", func(sc Scale) Table { _, t := RunAblationEagerExpand(sc); return t }))
 	add(wrap("abl-history", "ablation: history byte", func(sc Scale) Table { _, t := RunAblationHistory(sc); return t }))
 	add(wrap("abl-decentral", "ablation: centralized vs decentralized tracking", func(sc Scale) Table { _, t := RunAblationDecentralized(sc); return t }))
-	add(wrap("micro", "microbenchmarks: adaptation stall, inline vs async migrations", func(sc Scale) Table { _, t := RunMicro(sc); return t }))
 	add(wrap("ext-ycsb", "extension: YCSB core workloads A-F", func(sc Scale) Table { _, t := RunYCSB(sc); return t }))
-	add(Experiment{ID: "scaling", Title: "multi-core scaling sweep (procs x shards x clients)", Run: func(sc Scale, w io.Writer) error {
-		res, t := RunScaling(sc)
-		render(t, w)
-		if !csv {
-			fmt.Fprintf(w, "migrations: backpressured=%d\n\n", res.Backpressured)
-		}
-		return nil
-	}})
-	add(Experiment{ID: "cache", Title: "read-path result cache", Run: func(sc Scale, w io.Writer) error {
-		res, t := RunCache(sc)
-		render(t, w)
-		if !csv {
-			renderCacheReplay(w, res.ReplayRows)
-			fmt.Fprintln(w)
-		}
-		return nil
-	}})
 	add(wrap("ext-paging", "extension: paging under a DRAM ceiling", func(sc Scale) Table { _, t := RunPaging(sc); return t }))
-	add(Experiment{ID: "durability", Title: "WAL fsync policies, group commit & recovery", Run: func(sc Scale, w io.Writer) error {
-		res, t := RunDurability(sc)
-		render(t, w)
-		if !csv {
-			renderDurDevices(w, res.Devices)
-		}
-		return nil
-	}})
 	return reg
 }
 

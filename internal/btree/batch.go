@@ -439,6 +439,12 @@ func serveGappedRun(leaf *Leaf, g *gapped, lb *leafBox, keys, vals []uint64, fou
 // keys landing in the same leaf are written under one lock: overwrites of
 // a Gapped or Packed leaf in place, anything else merged into a single
 // new leaf image.
+//
+// The contents match per-key Insert; the encoding may not. In a batch of
+// batchMin or more keys, a run of two or more on a Succinct leaf with
+// room is merged, and with ExpandOnInsert the merged image is Gapped even
+// when every key in the run already existed, where per-key overwrites
+// keep the leaf Succinct (TestInsertBatchOverwriteRunExpands).
 func (t *Tree) InsertBatch(keys, vals []uint64, inserted []bool) {
 	t.insertBatchTracked(keys, vals, inserted, nil)
 }
@@ -478,8 +484,11 @@ func (t *Tree) insertBatchTracked(keys, vals []uint64, inserted []bool, track fu
 // overwrites in place (overwriteRun). Otherwise a run of one key — the
 // usual case for a batch of random keys — and any write to a full leaf
 // (overwrite or split) are the single-key write, putLocked; a longer run
-// is merged in scratch and encoded once. Returns the cursor past the
-// consumed run.
+// is merged in scratch and encoded once. The merge expands a non-Gapped
+// leaf under ExpandOnInsert whether or not any key in the run is new, so
+// a batch of overwrites can expand a Succinct leaf that the same writes
+// one by one would leave Succinct. Returns the cursor past the consumed
+// run.
 func (t *Tree) insertRun(keys, vals []uint64, inserted []bool,
 	order []int, cursor int, track func(int, *Leaf, bool)) int {
 	head := order[cursor]

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"ahi/internal/core"
 	"ahi/internal/obs"
 )
 
@@ -127,6 +128,55 @@ func TestInsertBatchLastWins(t *testing.T) {
 	if v, ok := tr.Lookup(5); !ok || v != 8 {
 		t.Fatalf("Lookup(5) = (%d,%v), want last value 8", v, ok)
 	}
+}
+
+// TestInsertBatchOverwriteRunExpands pins the one place where InsertBatch
+// and per-key Insert leave different encodings: a run of two or more keys
+// on a Succinct leaf is merged into a new image, which ExpandOnInsert
+// makes Gapped even when every key in the run already exists. Per-key
+// overwrites keep the leaf Succinct.
+func TestInsertBatchOverwriteRunExpands(t *testing.T) {
+	keys := make([]uint64, 1000)
+	vals := make([]uint64, 1000)
+	for i := range keys {
+		keys[i], vals[i] = uint64(i), uint64(i)
+	}
+	ks := []uint64{100, 110, 120, 130}
+	vs := []uint64{1, 2, 3, 4}
+	cfg := Config{DefaultEncoding: EncSuccinct, ExpandOnInsert: true}
+	check := func(name string, tr *Tree, enc core.Encoding, expansions int64) {
+		t.Helper()
+		_, leaf, _ := tr.lookupLeaf(ks[0], nil)
+		if got := leaf.Encoding(); got != enc {
+			t.Errorf("%s: leaf is %v, want %v", name, got, enc)
+		}
+		if got := tr.Expansions(); got != expansions {
+			t.Errorf("%s: Expansions() = %d, want %d", name, got, expansions)
+		}
+		for i, k := range ks {
+			if v, ok := tr.Lookup(k); !ok || v != vs[i] {
+				t.Errorf("%s: Lookup(%d) = (%d,%v), want (%d,true)", name, k, v, ok, vs[i])
+			}
+		}
+	}
+
+	single := BulkLoad(cfg, keys, vals)
+	for i, k := range ks {
+		if single.Insert(k, vs[i]) {
+			t.Fatalf("Insert(%d) reported a new key", k)
+		}
+	}
+	check("per-key Insert", single, EncSuccinct, 0)
+
+	batch := BulkLoad(cfg, keys, vals)
+	ins := make([]bool, len(ks))
+	batch.InsertBatch(ks, vs, ins)
+	for i, in := range ins {
+		if in {
+			t.Fatalf("InsertBatch reported key %d new", ks[i])
+		}
+	}
+	check("InsertBatch", batch, EncGapped, 1)
 }
 
 // TestBatchConcurrent runs batched lookups and inserts against concurrent

@@ -25,12 +25,6 @@ type Device struct {
 	Name     string
 	ReadLat  time.Duration
 	WriteLat time.Duration
-	// SyncLat is the cost of making previously written data durable (an
-	// fsync/flush barrier): drive cache flush on SATA, reduced on NVMe,
-	// a persistence fence on PMEM, and a no-op modeled at memory cost on
-	// DRAM (no durability to buy). Drives the durability experiment's
-	// per-device fsync-policy sweep.
-	SyncLat time.Duration
 	// MBps is the sustained transfer bandwidth for the size-dependent
 	// term of an access.
 	MBps float64
@@ -39,10 +33,10 @@ type Device struct {
 // The modeled device classes of Figure 3, with latency envelopes from
 // public datasheets/benchmarks (QD1 4 KiB random access).
 var (
-	SATASSD = Device{Name: "Samsung 870 SSD", ReadLat: 80 * time.Microsecond, WriteLat: 45 * time.Microsecond, SyncLat: 2 * time.Millisecond, MBps: 530}
-	NVMeSSD = Device{Name: "Samsung 970 NVMe", ReadLat: 20 * time.Microsecond, WriteLat: 14 * time.Microsecond, SyncLat: 80 * time.Microsecond, MBps: 3000}
-	PMEM    = Device{Name: "PMEM", ReadLat: 1500 * time.Nanosecond, WriteLat: 2500 * time.Nanosecond, SyncLat: 4 * time.Microsecond, MBps: 6000}
-	DRAM    = Device{Name: "DRAM", ReadLat: 90 * time.Nanosecond, WriteLat: 90 * time.Nanosecond, SyncLat: 100 * time.Nanosecond, MBps: 25000}
+	SATASSD = Device{Name: "Samsung 870 SSD", ReadLat: 80 * time.Microsecond, WriteLat: 45 * time.Microsecond, MBps: 530}
+	NVMeSSD = Device{Name: "Samsung 970 NVMe", ReadLat: 20 * time.Microsecond, WriteLat: 14 * time.Microsecond, MBps: 3000}
+	PMEM    = Device{Name: "PMEM", ReadLat: 1500 * time.Nanosecond, WriteLat: 2500 * time.Nanosecond, MBps: 6000}
+	DRAM    = Device{Name: "DRAM", ReadLat: 90 * time.Nanosecond, WriteLat: 90 * time.Nanosecond, MBps: 25000}
 )
 
 // Devices lists the Figure 3 device classes in the paper's order.
@@ -57,15 +51,6 @@ func (d Device) AccessTime(size int, write bool) time.Duration {
 	}
 	transfer := time.Duration(float64(size) / (d.MBps * 1e6) * 1e9)
 	return lat + transfer
-}
-
-// SyncTime returns the modeled durability-barrier cost of one fsync that
-// covers size buffered bytes: the fixed flush latency plus the transfer
-// of whatever the barrier forces out. Group commit amortizes exactly this
-// term — batch n records per barrier and each pays SyncTime/n.
-func (d Device) SyncTime(size int) time.Duration {
-	transfer := time.Duration(float64(size) / (d.MBps * 1e6) * 1e9)
-	return d.SyncLat + transfer
 }
 
 // EncodeLeaf serializes a leaf node image (count + keys + values), the
